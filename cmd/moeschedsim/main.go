@@ -47,13 +47,9 @@
 //	moeschedsim -policy moe -drift growth -rate 60 -apps 60
 //	moeschedsim -policy moe -adapt -drift regimes -rate 90 -apps 60
 //
-// Profiling: -cpuprofile/-memprofile write pprof profiles of the whole run,
-// and -no-serving switches the MoE scheme onto its reference serving paths
-// (no footprint memo, per-app admission gating, linear-scan KNN) for A/B
-// comparison — the optimised and reference paths are bit-identical:
+// Profiling: -cpuprofile/-memprofile write pprof profiles of the whole run:
 //
 //	moeschedsim -policy moe -arrivals poisson -rate 80 -apps 10000 -cpuprofile cpu.pprof
-//	moeschedsim -policy moe -no-serving -arrivals poisson -rate 80 -apps 10000 -cpuprofile cpu-ref.pprof
 //
 // -json emits the scenario and queueing results as a single JSON object for
 // machine consumption.
@@ -79,7 +75,7 @@ import (
 	"moespark/internal/workload"
 )
 
-func buildPolicy(name, placer string, seed int64, adapt, noServing bool) (*sched.Dispatcher, error) {
+func buildPolicy(name, placer string, seed int64, adapt bool) (*sched.Dispatcher, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if adapt && name != "moe" {
 		return nil, fmt.Errorf("-adapt selects the feedback-driven MoE pipeline and needs -policy moe, got %q", name)
@@ -101,27 +97,11 @@ func buildPolicy(name, placer string, seed int64, adapt, noServing bool) (*sched
 		if err != nil {
 			return nil, fmt.Errorf("training MoE model: %w", err)
 		}
-		// -no-serving opts out of every (bit-identical) serving optimisation
-		// — footprint memo, batched admission gating, indexed KNN gate — for
-		// A/B profiling against the reference paths.
-		if noServing {
-			model.SetLinearGate(true)
-		}
 		if adapt {
-			ad := moe.NewAdaptive(model, moe.AdaptiveConfig{})
-			if noServing {
-				ad.DisableMemo()
-			}
-			d = sched.NewMoEPredictor(ad, rng)
+			d = sched.NewAdaptiveMoE(model, moe.AdaptiveConfig{}, rng)
 		} else {
-			st := moe.NewStatic(model)
-			if noServing {
-				st = st.WithoutMemo()
-			}
-			d = sched.NewMoEPredictor(st, rng)
-			d.PolicyName = "MoE"
+			d = sched.NewMoE(model, rng)
 		}
-		d.NoBatchPrepare = noServing
 	case "quasar":
 		var q *sched.QuasarModel
 		q, err = sched.TrainQuasar(workload.TrainingSet(), rand.New(rand.NewSource(seed+2)))
@@ -493,7 +473,6 @@ func main() {
 		preempt        = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
 		keepForeignMem = flag.Bool("keep-foreign-mem", false, "keep completed co-runners' working sets resident (pre-settle-engine default; opt out of ReleaseForeignMem)")
 		legacySizing   = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
-		noServing      = flag.Bool("no-serving", false, "opt out of the prediction-serving optimisations (footprint memo, batched admission gating, indexed KNN gate) for A/B profiling (requires -policy moe)")
 		cpuprofile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile     = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
 		seed           = flag.Int64("seed", 1, "random seed")
@@ -548,9 +527,6 @@ func main() {
 	if *jsonOut && *verbose {
 		fail(fmt.Errorf("-json already includes per-application records; drop -verbose"))
 	}
-	if *noServing && *policy != "moe" {
-		fail(fmt.Errorf("-no-serving opts out of the MoE serving optimisations and needs -policy moe, got %q", *policy))
-	}
 	mix, err := parseClasses(*classes)
 	if err != nil {
 		fail(err)
@@ -600,7 +576,7 @@ func main() {
 		}
 		events = append(events, storm...)
 	}
-	d, err := buildPolicy(*policy, *placer, *seed, *adapt, *noServing)
+	d, err := buildPolicy(*policy, *placer, *seed, *adapt)
 	if err != nil {
 		fail(err)
 	}

@@ -114,13 +114,13 @@ func TestParseClasses(t *testing.T) {
 }
 
 func TestBuildPolicyPlacers(t *testing.T) {
-	if _, err := buildPolicy("oracle", "speed", 1, false, false); err != nil {
+	if _, err := buildPolicy("oracle", "speed", 1, false); err != nil {
 		t.Errorf("speed placer rejected: %v", err)
 	}
-	if _, err := buildPolicy("oracle", "warp", 1, false, false); err == nil {
+	if _, err := buildPolicy("oracle", "warp", 1, false); err == nil {
 		t.Error("unknown placer accepted")
 	}
-	if _, err := buildPolicy("telepathy", "", 1, false, false); err == nil {
+	if _, err := buildPolicy("telepathy", "", 1, false); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -150,14 +150,14 @@ func TestBuildDriftArrivals(t *testing.T) {
 }
 
 func TestBuildPolicyAdapt(t *testing.T) {
-	d, err := buildPolicy("moe", "firstfit", 1, true, false)
+	d, err := buildPolicy("moe", "firstfit", 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Name() != "MoE-adaptive" {
 		t.Errorf("adaptive policy named %q", d.Name())
 	}
-	if _, err := buildPolicy("pairwise", "firstfit", 1, true, false); err == nil {
+	if _, err := buildPolicy("pairwise", "firstfit", 1, true); err == nil {
 		t.Error("-adapt with a non-MoE policy must be rejected")
 	}
 }

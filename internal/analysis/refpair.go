@@ -12,7 +12,7 @@ import (
 
 // RefPair keeps reference implementations and their optimised twins from
 // drifting apart structurally. Files named *_ref.go hold full-scan reference
-// paths (engine_ref.go, knn_ref.go) that differential tests replay against
+// paths (engine_ref.go) that differential tests replay against
 // the live indexed paths; if someone changes a live function's results (or
 // removes it) without updating the reference, the differential test can rot
 // into comparing different quantities. For every reference function —

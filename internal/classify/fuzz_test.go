@@ -4,13 +4,15 @@ import (
 	"testing"
 )
 
-// FuzzKNNIndexMatchesLinear fuzzes the k-d tree K=1 path against the linear
-// reference scan in knn_ref.go. The input bytes are decoded into a training
+// FuzzKNNIndexMatchesLinear fuzzes the gate's query, the single-pass top-K
+// scan in predict, against the linear stable-sort reference in knn_test.go.
+// The name and the seed corpus under testdata/fuzz date from the k-d tree
+// index the scan replaced; the corpus still holds the tie-heavy training sets
+// written to stress that index. The input bytes are decoded into a training
 // set on a coarse coordinate grid — so the fuzzer can construct exact
-// duplicates, equal-distance ties and equal single-axis splits, the cases
-// where tie-break order could diverge — plus an optional per-label bias
-// (multipliers below 1 stress the pruning bound). Every query must agree
-// bit-identically: same label, same float64 distance.
+// duplicates and equal-distance ties, the cases where tie-break order could
+// diverge — plus K from 1 to 7 and an optional per-label bias. Every query
+// must agree bit-identically: same label, same float64 distance.
 func FuzzKNNIndexMatchesLinear(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, false)
 	f.Add([]byte{3, 8, 8, 8, 8, 1, 8, 8, 8, 8, 2}, true)
@@ -20,6 +22,7 @@ func FuzzKNNIndexMatchesLinear(f *testing.F) {
 			t.Skip("not enough bytes for one sample")
 		}
 		dim := 1 + int(data[0]%4)
+		kk := 1 + int(data[0]/4%7)
 		body := data[1:]
 		per := dim + 1 // dim coordinate bytes plus a label byte
 		n := len(body) / per
@@ -40,18 +43,16 @@ func FuzzKNNIndexMatchesLinear(f *testing.F) {
 			samples[i] = Sample{X: x, Label: int(chunk[dim] % 4)}
 		}
 
-		indexed := NewKNN(1)
-		if err := indexed.Fit(samples); err != nil {
+		k := NewKNN(kk)
+		if err := k.Fit(samples); err != nil {
 			t.Fatalf("fit: %v", err)
 		}
-		linear := indexed.Clone()
-		linear.Linear = true
 
 		var bias func(label int) float64
 		if biased {
 			var biases [4]float64
 			for i := range biases {
-				// 0.25..2.125 in steps of 0.25: shrinking and inflating.
+				// 0.25..2 in steps of 0.25: shrinking and inflating.
 				biases[i] = 0.25 + float64(data[(i*3+1)%len(data)]%8)*0.25
 			}
 			bias = func(label int) float64 { return biases[label] }
@@ -59,17 +60,14 @@ func FuzzKNNIndexMatchesLinear(f *testing.F) {
 
 		check := func(x []float64) {
 			t.Helper()
-			li, ld, lerr := linear.predict(x, bias)
-			ii, id, ierr := indexed.predict(x, bias)
-			if (lerr == nil) != (ierr == nil) {
-				t.Fatalf("error mismatch: linear=%v indexed=%v", lerr, ierr)
+			wantLabel, wantDist := stableSortPredict(k, x, bias)
+			label, dist, err := k.predict(x, bias)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if lerr != nil {
-				return
-			}
-			if li != ii || ld != id {
-				t.Fatalf("query %v (n=%d dim=%d biased=%v): linear=(%d, %v) indexed=(%d, %v)",
-					x, n, dim, biased, li, ld, ii, id)
+			if label != wantLabel || dist != wantDist {
+				t.Fatalf("query %v (n=%d dim=%d K=%d biased=%v): scan (%d, %v), stable sort (%d, %v)",
+					x, n, dim, kk, biased, label, dist, wantLabel, wantDist)
 			}
 		}
 

@@ -2,7 +2,8 @@ package classify
 
 import (
 	"fmt"
-	"math"
+
+	"moespark/internal/mathx"
 )
 
 // KNN is the K-nearest-neighbours classifier the paper deploys as its expert
@@ -11,29 +12,17 @@ import (
 // (fall back to a conservative policy when the target program is far from
 // every training program).
 //
-// K=1 queries — the paper's deployed configuration and the scheduler's
-// per-arrival hot path — are served by an exact k-d tree index (knnindex.go)
-// instead of the linear scan; the scan is kept as the reference path
-// (knn_ref.go) and remains live for K > 1 and for the Linear opt-out.
+// Every query is one linear pass over the training set (see predict): the
+// deployed gate holds the paper's 44 training programs plus the few samples
+// an adaptive gate teaches it, too few for an index to pay.
 type KNN struct {
 	// K is the number of neighbours consulted; the paper effectively uses
 	// the single nearest training program (K=1).
 	K int
-	// Linear forces the reference linear scan even for K=1 queries. The
-	// indexed path is bit-identical (pinned by a differential test), so this
-	// exists only for A/B benchmarking and debugging.
-	Linear bool
 
 	dim     int
 	fitted  bool
 	samples []Sample
-	// index is the exact nearest-neighbour tree over samples, rebuilt
-	// eagerly on every Fit/Add so queries stay read-only (trained models are
-	// shared across concurrent experiment runs).
-	index *kdTree
-	// labels holds the distinct sample labels in first-insertion order; the
-	// indexed path scans it to lower-bound the bias multiplier for pruning.
-	labels []int
 }
 
 // NewKNN returns a KNN classifier with the given neighbourhood size.
@@ -59,23 +48,7 @@ func (k *KNN) Fit(samples []Sample) error {
 	copy(k.samples, samples)
 	k.dim = dim
 	k.fitted = true
-	k.reindex()
 	return nil
-}
-
-// reindex rebuilds the nearest-neighbour tree and the distinct-label list
-// from the current training set. Called on every mutation (Fit, Add) so the
-// query path never writes.
-func (k *KNN) reindex() {
-	k.index = buildKD(k.samples)
-	k.labels = k.labels[:0]
-	seen := map[int]bool{}
-	for _, s := range k.samples {
-		if !seen[s.Label] {
-			seen[s.Label] = true
-			k.labels = append(k.labels, s.Label)
-		}
-	}
 }
 
 // Clone returns an independent copy of the classifier: mutations of either
@@ -86,12 +59,6 @@ func (k *KNN) Clone() *KNN {
 	cp := *k
 	cp.samples = make([]Sample, len(k.samples))
 	copy(cp.samples, k.samples)
-	// The tree is immutable and references samples by index, so the copy may
-	// share it until its own next mutation rebuilds; the labels slice must be
-	// owned, or the copy's reindex would scribble over this one's backing
-	// array.
-	cp.labels = make([]int, len(k.labels))
-	copy(cp.labels, k.labels)
 	return &cp
 }
 
@@ -104,7 +71,6 @@ func (k *KNN) Add(s Sample) error {
 		return ErrDimMismatch
 	}
 	k.samples = append(k.samples, s)
-	k.reindex()
 	return nil
 }
 
@@ -131,56 +97,64 @@ func (k *KNN) PredictBiased(x []float64, bias func(label int) float64) (label in
 	return k.predict(x, bias)
 }
 
-// PredictBatch answers a sequence of queries together, each exactly as
-// PredictBiased would (a nil bias reproduces PredictWithDistance). The batch
-// shares one ranking buffer across all queries on the linear path; the
-// indexed path needs no buffers. The first failing query aborts the batch.
-func (k *KNN) PredictBatch(xs [][]float64, bias func(label int) float64) (labels []int, nearest []float64, err error) {
-	labels = make([]int, len(xs))
-	nearest = make([]float64, len(xs))
-	var scratch []neigh
-	for i, x := range xs {
-		if k.K == 1 && !k.Linear && k.index != nil {
-			labels[i], nearest[i], err = k.predictIndexed(x, bias)
-		} else {
-			labels[i], nearest[i], err = k.predictLinearBuf(x, bias, &scratch)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("classify: batch query %d: %w", i, err)
-		}
-	}
-	return labels, nearest, nil
+// neigh is one ranked neighbour: its (biased) distance and its label.
+type neigh struct {
+	dist  float64
+	label int
 }
 
-// predict routes a query to the indexed path when it applies (K=1, index
-// built, Linear opt-out unset) and to the reference linear scan otherwise.
-// Both paths are bit-identical for K=1; see knnindex.go for the argument.
+// predict ranks the training samples by (optionally biased) distance in one
+// pass and returns the majority label among the K nearest plus the distance
+// to the single nearest. The K best so far are kept sorted in a stack buffer
+// (the heap is used only when K > 4). A sample enters a full buffer only on
+// a strictly smaller distance and is placed after every equal one, so equal
+// distances keep insertion order: the first-inserted sample wins ties, a
+// property the scheduler's golden tests depend on. Votes are counted inside
+// the buffer, and a vote tie goes to the label met first in distance order.
+// The query allocates nothing for K <= 4.
 func (k *KNN) predict(x []float64, bias func(label int) float64) (label int, nearest float64, err error) {
-	if k.K == 1 && !k.Linear && k.index != nil {
-		return k.predictIndexed(x, bias)
-	}
-	return k.predictLinear(x, bias)
-}
-
-// predictIndexed answers a K=1 query through the k-d tree.
-func (k *KNN) predictIndexed(x []float64, bias func(label int) float64) (label int, nearest float64, err error) {
 	if !k.fitted {
 		return 0, 0, ErrNotFitted
 	}
 	if len(x) != k.dim {
 		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(x), k.dim)
 	}
-	// The pruning bound scales geometric distance by the smallest bias any
-	// label can contribute; with no bias every multiplier is 1.
-	minBias := 1.0
-	if bias != nil {
-		minBias = math.Inf(1)
-		for _, l := range k.labels {
-			if b := bias(l); b < minBias {
-				minBias = b
+	kk := min(k.K, len(k.samples))
+	var stack [4]neigh
+	top := stack[:]
+	if kk > len(stack) {
+		top = make([]neigh, kk)
+	}
+	n := 0
+	for _, s := range k.samples {
+		d := mathx.Euclidean(x, s.X)
+		if bias != nil {
+			d *= bias(s.Label)
+		}
+		if n == kk {
+			if !(d < top[kk-1].dist) {
+				continue
+			}
+			n--
+		}
+		i := n
+		for ; i > 0 && d < top[i-1].dist; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = neigh{dist: d, label: s.Label}
+		n++
+	}
+	best, bestVotes := top[0].label, 0
+	for _, a := range top[:kk] {
+		votes := 0
+		for _, b := range top[:kk] {
+			if b.label == a.label {
+				votes++
 			}
 		}
+		if votes > bestVotes {
+			best, bestVotes = a.label, votes
+		}
 	}
-	idx, d := k.index.nearest(k.samples, x, bias, minBias)
-	return k.samples[idx].Label, d, nil
+	return best, top[0].dist, nil
 }

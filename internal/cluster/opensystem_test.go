@@ -199,92 +199,3 @@ func TestSubmissionsFromArrivals(t *testing.T) {
 		t.Errorf("conversion broken: %+v", subs)
 	}
 }
-
-// batchPrepScheduler implements BatchScheduler and records the waves it was
-// handed; Prepare records any per-app fallback calls.
-type batchPrepScheduler struct {
-	waves    [][]int // app IDs per PrepareBatch call
-	prepared []int   // app IDs handed to per-app Prepare
-	plan     ProfilePlan
-	full     fullSpeedScheduler
-}
-
-func (s *batchPrepScheduler) Name() string { return "test-batchprep" }
-func (s *batchPrepScheduler) Prepare(c *Cluster, app *App) ProfilePlan {
-	s.prepared = append(s.prepared, app.ID)
-	return s.plan
-}
-func (s *batchPrepScheduler) PrepareBatch(c *Cluster, apps []*App) []ProfilePlan {
-	wave := make([]int, len(apps))
-	plans := make([]ProfilePlan, len(apps))
-	for i, a := range apps {
-		wave[i] = a.ID
-		plans[i] = s.plan
-	}
-	s.waves = append(s.waves, wave)
-	return plans
-}
-func (s *batchPrepScheduler) Schedule(c *Cluster) { s.full.Schedule(c) }
-
-// TestAdmitArrivalsUsesBatchPrepare pins the batched admission plumbing: a
-// BatchScheduler gets each simultaneous wave in one arrival-ordered call,
-// per-app Prepare never fires, and plans apply with the per-app semantics
-// (profiling volume, ready-state transition).
-func TestAdmitArrivalsUsesBatchPrepare(t *testing.T) {
-	j1, j2 := openJobs(t)
-	s := &batchPrepScheduler{plan: ContributingProfile(1)}
-	c := New(DefaultConfig())
-	subs := []Submission{{At: 0, Job: j1}, {At: 0, Job: j2}, {At: 0, Job: j1}, {At: 700, Job: j2}}
-	res, err := c.RunOpen(subs, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.prepared) != 0 {
-		t.Errorf("per-app Prepare fired for apps %v despite the batch face", s.prepared)
-	}
-	if len(s.waves) != 2 {
-		t.Fatalf("PrepareBatch fired %d times, want 2 (one per admission instant)", len(s.waves))
-	}
-	if got := s.waves[0]; len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("first wave %v, want [0 1 2] in arrival order", got)
-	}
-	if got := s.waves[1]; len(got) != 1 || got[0] != 3 {
-		t.Errorf("second wave %v, want [3]", got)
-	}
-	for _, a := range res.Apps {
-		if a.ProfileGB != 1 {
-			t.Errorf("app %d ProfileGB %v, want the batch plan's 1", a.ID, a.ProfileGB)
-		}
-		if a.ReadyTime <= a.SubmitTime {
-			t.Errorf("app %d ready at %v despite profiling after arrival %v", a.ID, a.ReadyTime, a.SubmitTime)
-		}
-	}
-}
-
-// TestBatchPrepareMatchesSequential runs the same open stream through a
-// batch-capable scheduler and a per-app twin and requires identical engine
-// results — the engine-level half of the batched-gating exactness argument.
-func TestBatchPrepareMatchesSequential(t *testing.T) {
-	j1, j2 := openJobs(t)
-	subs := []Submission{{At: 0, Job: j1}, {At: 0, Job: j2}, {At: 400, Job: j1}}
-	cb := New(DefaultConfig())
-	rb, err := cb.RunOpen(subs, &batchPrepScheduler{plan: ContributingProfile(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := New(DefaultConfig())
-	rs, err := cs.RunOpen(subs, &prepTimeScheduler{plan: ContributingProfile(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.MakespanSec != rs.MakespanSec {
-		t.Errorf("makespan differs: batch %v, sequential %v", rb.MakespanSec, rs.MakespanSec)
-	}
-	for i := range rb.Apps {
-		b, s := rb.Apps[i], rs.Apps[i]
-		if b.ReadyTime != s.ReadyTime || b.StartTime != s.StartTime || b.DoneTime != s.DoneTime {
-			t.Errorf("app %d timing differs: batch (%v,%v,%v) vs sequential (%v,%v,%v)",
-				i, b.ReadyTime, b.StartTime, b.DoneTime, s.ReadyTime, s.StartTime, s.DoneTime)
-		}
-	}
-}

@@ -213,3 +213,30 @@ func TestAdaptiveTeachingRefusesOverPrediction(t *testing.T) {
 		t.Errorf("over-prediction taught %d samples, want 0", ad.Taught())
 	}
 }
+
+// A NaN setting fails every comparison, so range checks written as
+// "x <= 0 || x > 1" let it through; it must get the default like any other
+// out-of-range value. A NaN Forget used to build without error and then
+// panic inside the recalibration fit at the first Observe.
+func TestAdaptiveNaNConfigGetsDefaults(t *testing.T) {
+	nan := math.NaN()
+	ad := NewAdaptive(adaptTestModel(t), AdaptiveConfig{
+		Forget: nan, GateGain: nan, MaxGateBias: nan, TeachErr: nan,
+		TeachTol: nan, MinScale: nan, MaxScale: nan,
+	})
+	if want := (AdaptiveConfig{}).withDefaults(); ad.cfg != want {
+		t.Errorf("NaN settings became %+v, want the defaults %+v", ad.cfg, want)
+	}
+	ad.Observe(Observation{
+		Family:         memfunc.LinearPower,
+		Calibrated:     memfunc.LinearPower,
+		ItemsGB:        4,
+		PredictedGB:    4,
+		RawPredictedGB: 4,
+		ActualGB:       5,
+		Outcome:        OutcomeCompleted,
+	})
+	if ad.Observations() != 1 {
+		t.Fatalf("recorded %d observations, want 1", ad.Observations())
+	}
+}

@@ -108,38 +108,33 @@ func NewMoEPredictor(p moe.Predictor, rng *rand.Rand) *Dispatcher {
 
 func (e *moeEstimator) Name() string { return e.pred.Name() }
 
-// profileRequest draws one app's profiling inputs from the shared rng —
-// feature counters, then the two calibration points, the draw order every
-// prediction has always consumed — and returns the gating request plus the
-// profiling plan charged for collecting it.
-func (e *moeEstimator) profileRequest(app *cluster.App) (moe.PredictRequest, cluster.ProfilePlan) {
+// Prepare profiles the app and gates it. The profiling inputs are drawn
+// from the shared rng in a fixed order — feature counters, then the two
+// calibration points — that every golden depends on. A confident prediction
+// is installed as the app's estimate with its observation context; on low
+// confidence or calibration failure the estimate stays unset and the
+// dispatcher falls back to the conservative default policy for this app, as
+// the paper prescribes.
+func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	b := app.Job.Bench
 	s1, s2 := calibSizes(app.Job.InputGB)
-	req := moe.PredictRequest{
-		Raw: b.Counters(e.rng),
-		P1:  b.ProfilePoint(s1, e.rng),
-		P2:  b.ProfilePoint(s2, e.rng),
-	}
-	return req, cluster.ContributingProfile(featureProfileGB + s1 + s2)
-}
-
-// install stores a confident prediction as the app's estimate with its
-// observation context. On low confidence or calibration failure the estimate
-// stays unset and the dispatcher falls back to the conservative default
-// policy for this app, as the paper prescribes.
-func (e *moeEstimator) install(app *cluster.App, req moe.PredictRequest, pred moe.Prediction, err error) {
+	raw := b.Counters(e.rng)
+	p1 := b.ProfilePoint(s1, e.rng)
+	p2 := b.ProfilePoint(s2, e.rng)
+	plan := cluster.ContributingProfile(featureProfileGB + s1 + s2)
+	pred, err := e.pred.Predict(raw, p1, p2)
 	if err != nil || !pred.Confident {
-		return
+		return plan
 	}
 	e.seq++
 	est := funcEstimate(pred.Func)
 	est.feedback = &feedback{
-		features:   req.Raw,
+		features:   raw,
 		pcs:        pred.Selection.PCs,
 		family:     pred.Selection.Family,
 		calibrated: pred.Func.Family,
-		p1:         req.P1,
-		p2:         req.P2,
+		p1:         p1,
+		p2:         p2,
 		raw:        pred.Uncorrected,
 		seq:        e.seq,
 	}
@@ -147,40 +142,7 @@ func (e *moeEstimator) install(app *cluster.App, req moe.PredictRequest, pred mo
 	if app.MaxExecutors > 0 {
 		app.PredictedGB = est.Footprint(app.Job.InputGB / float64(app.MaxExecutors))
 	}
-}
-
-func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
-	req, plan := e.profileRequest(app)
-	pred, err := e.pred.Predict(req.Raw, req.P1, req.P2)
-	e.install(app, req, pred, err)
 	return plan
-}
-
-// PrepareBatch implements BatchEstimator: the whole admission wave is gated
-// through the predictor's batch face. Profiling inputs are drawn app by app
-// in arrival order first — identical rng consumption to the sequential path,
-// since gating itself draws nothing — then predictions install in the same
-// order, so estimates, feedback sequence numbers and plans are bit-identical
-// to per-app Prepare.
-func (e *moeEstimator) PrepareBatch(apps []*cluster.App) []cluster.ProfilePlan {
-	reqs := make([]moe.PredictRequest, len(apps))
-	plans := make([]cluster.ProfilePlan, len(apps))
-	for i, app := range apps {
-		reqs[i], plans[i] = e.profileRequest(app)
-	}
-	var results []moe.BatchResult
-	if bp, ok := e.pred.(moe.BatchPredictor); ok {
-		results = bp.PredictBatch(reqs)
-	} else {
-		results = make([]moe.BatchResult, len(reqs))
-		for i, r := range reqs {
-			results[i].Prediction, results[i].Err = e.pred.Predict(r.Raw, r.P1, r.P2)
-		}
-	}
-	for i, app := range apps {
-		e.install(app, reqs[i], results[i].Prediction, results[i].Err)
-	}
-	return plans
 }
 
 func (e *moeEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }

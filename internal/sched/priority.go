@@ -70,9 +70,8 @@ type priority struct {
 }
 
 var (
-	_ cluster.Scheduler      = (*priority)(nil)
-	_ cluster.Observer       = (*priority)(nil)
-	_ cluster.BatchScheduler = (*priority)(nil)
+	_ cluster.Scheduler = (*priority)(nil)
+	_ cluster.Observer  = (*priority)(nil)
 )
 
 // NewPriority wraps a dispatcher-based policy with class-aware placement
@@ -96,12 +95,6 @@ func (p *priority) Name() string { return p.inner.Name() }
 // Prepare implements cluster.Scheduler.
 func (p *priority) Prepare(c *cluster.Cluster, app *cluster.App) cluster.ProfilePlan {
 	return p.inner.Prepare(c, app)
-}
-
-// PrepareBatch implements cluster.BatchScheduler by delegating to the inner
-// dispatcher, so a priority-wrapped scheme keeps batched admission gating.
-func (p *priority) PrepareBatch(c *cluster.Cluster, apps []*cluster.App) []cluster.ProfilePlan {
-	return p.inner.PrepareBatch(c, apps)
 }
 
 // Observe implements cluster.Observer by delegating to the inner dispatcher,
