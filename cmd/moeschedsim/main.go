@@ -390,16 +390,6 @@ type jsonApp struct {
 	PreemptKills int     `json:"preemptKills,omitempty"`
 }
 
-// jsonShard is one event-loop shard's share of the run: the nodes homed on
-// it, the per-node rate recomputations it executed, and the wake-up expiries
-// it served.
-type jsonShard struct {
-	Shard int   `json:"shard"`
-	Nodes int   `json:"nodes"`
-	Rated int64 `json:"rated"`
-	Wakes int64 `json:"wakes"`
-}
-
 // jsonOutput is the machine-readable result of one run.
 type jsonOutput struct {
 	Policy       string  `json:"policy"`
@@ -421,13 +411,6 @@ type jsonOutput struct {
 	Migrations int     `json:"migrations,omitempty"`
 	OOMRetries int     `json:"oomRetries,omitempty"`
 	LostWorkGB float64 `json:"lostWorkGB,omitempty"`
-
-	// Sharded event loop (-shards > 1 only, so single-loop runs print
-	// exactly as before): the resolved shard count, the number of
-	// epoch-synchronised loop iterations, and per-shard event counters.
-	Shards     int         `json:"shards,omitempty"`
-	Epochs     int         `json:"epochs,omitempty"`
-	ShardStats []jsonShard `json:"shardStats,omitempty"`
 
 	// Closed-batch only: comparison against the serial isolated baseline.
 	ANTTReductionPct *float64 `json:"anttReductionPct,omitempty"`
@@ -453,7 +436,6 @@ func main() {
 		table4         = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
 		fleet          = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
 		nodes          = flag.Int("nodes", 40, "initial fleet size")
-		shards         = flag.Int("shards", 1, "event-loop shards: partition the fleet into this many epoch-synchronised engines (results are bit-identical at any count; clamped to the fleet size)")
 		nodeEvents     = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
 		racks          = flag.String("racks", "", "fleet topology \"racks[:zones]\", e.g. 8:2 (empty = no topology)")
 		rackStorm      = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
@@ -553,9 +535,6 @@ func main() {
 	if *retryBudget < 0 {
 		fail(fmt.Errorf("-retry-budget %d: want a non-negative budget", *retryBudget))
 	}
-	if *shards < 1 {
-		fail(fmt.Errorf("-shards %d: want at least one event-loop shard", *shards))
-	}
 	specs, err := buildFleet(*fleet, *nodes, rackCount, zoneCount, *seed)
 	if err != nil {
 		fail(err)
@@ -596,7 +575,6 @@ func main() {
 	cfg.MigrateOnDrain = *migrate
 	cfg.OOMRetryBudget = *retryBudget
 	cfg.RefreshFleetSizing = *refreshSizing
-	cfg.Shards = *shards
 	var c *cluster.Cluster
 	if specs == nil {
 		c = cluster.New(cfg)
@@ -677,15 +655,6 @@ func main() {
 		if *placer != "firstfit" {
 			out.Placer = *placer
 		}
-		if *shards > 1 {
-			out.Shards = c.Shards()
-			out.Epochs = res.Epochs
-			for _, s := range res.ShardStats {
-				out.ShardStats = append(out.ShardStats, jsonShard{
-					Shard: s.Shard, Nodes: s.Nodes, Rated: s.Rated, Wakes: s.Wakes,
-				})
-			}
-		}
 		if open {
 			out.Arrivals = *arrivals
 			if *drift != "" {
@@ -763,13 +732,6 @@ func main() {
 	}
 	if res.LostWorkGB > 0 {
 		fmt.Printf("lost work     %.1f GB (charged back after kills)\n", res.LostWorkGB)
-	}
-	if *shards > 1 {
-		fmt.Printf("shards        %d   (%d epochs; bit-identical to -shards 1)\n", c.Shards(), res.Epochs)
-		for _, s := range res.ShardStats {
-			fmt.Printf("  shard %-5d %d nodes, %d rates recomputed, %d wake-ups served\n",
-				s.Shard, s.Nodes, s.Rated, s.Wakes)
-		}
 	}
 
 	if open {

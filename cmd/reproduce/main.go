@@ -143,7 +143,6 @@ func main() {
 		mixes   = flag.Int("mixes", 20, "application mixes per scenario (paper: ~100)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "experiment worker pool (0 = one per CPU; results identical at any width)")
-		shards  = flag.Int("shards", 1, "event-loop shards per simulated cluster (results identical at any count)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
@@ -192,16 +191,10 @@ func main() {
 		return
 	}
 
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "reproduce: -shards %d: want at least one event-loop shard\n", *shards)
-		os.Exit(1)
-	}
-
 	ctx := experiments.DefaultContext()
 	ctx.Seed = *seed
 	ctx.MixesPerScenario = *mixes
 	ctx.Workers = *workers
-	ctx.Cfg.Shards = *shards
 
 	ran := false
 	for _, r := range rs {

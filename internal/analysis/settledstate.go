@@ -60,16 +60,10 @@ var settleTouchPoints = map[string]bool{
 	"wakeExpiredNodes":   true,
 	"markDirty":          true,
 	// engine.go touch points.
-	"applyProfilePlan": true,
-	"admitProfiling":   true,
-	"recomputeRates":   true,
-	"rateNode":         true,
-	// engine.go/shard.go sharded-loop halves of rateNode: settleNode is the
-	// serial settle/OOM prepass, computeNodeRates the pure rate half (writes
-	// Node.wakeAt), rateDirtySharded the epoch fan-out (clears Node.dirty).
-	"settleNode":         true,
-	"computeNodeRates":   true,
-	"rateDirtySharded":   true,
+	"applyProfilePlan":   true,
+	"admitProfiling":     true,
+	"recomputeRates":     true,
+	"rateNode":           true,
 	"reclaimExecutor":    true,
 	"completeApp":        true,
 	"reregisterDeadline": true,

@@ -90,23 +90,16 @@ func trailingAllow(a *App) {
 	a.deadline = 0 //moevet:allow settledstate test harness resets the deadline between scenarios
 }
 
-// computeNodeRates is the sharded loop's pure rate half: allowed to place
-// the wake time it derives.
-func (c *Cluster) computeNodeRates(n *Node, shard int) {
-	n.wakeAt = c.now + float64(shard)
+// rateNode is the engine's per-node rate pass: allowed to place the wake
+// time it derives.
+func (c *Cluster) rateNode(n *Node, gate float64) {
+	n.wakeAt = c.now + gate
 }
 
-// rateDirtySharded is the epoch fan-out: allowed to clear dirty flags after
-// the barrier.
-func (c *Cluster) rateDirtySharded(dirty []*Node) {
-	for _, n := range dirty {
-		n.dirty = false
-	}
-}
-
-// shardShortcut recomputes a wake time outside the sharded-loop touch
-// points: the stray-writer class the shard split must not reintroduce.
-func shardShortcut(n *Node, at float64) {
+// wakeShortcut re-dirties a node and rewrites its wake time outside the
+// touch points: the stray writer that would strand a node off the dirty
+// list or leave a stale wake-heap entry.
+func wakeShortcut(n *Node, at float64) {
 	n.wakeAt = at  // want `write to settle-discipline field Node.wakeAt`
 	n.dirty = true // want `write to settle-discipline field Node.dirty`
 }

@@ -104,21 +104,20 @@ func BenchmarkOpenSystemEngine5000(b *testing.B) { scaleRun(b, 5000) }
 // the completion-heap PR: with settle-on-rate-change integration the engine
 // no longer rescans rate-driven completions on every event, so 10x-ing the
 // stream should cost close to 10x in wall time (the 10k→100k engine-only
-// ratio recorded in BENCH_engine.json must stay ≤ 12x). The 100k point was
-// out of reach for the scan engine, which paid O(total apps) per event.
+// ratio must stay ≤ 12x). The 100k point was out of reach for the scan
+// engine, which paid O(total apps) per event.
 func BenchmarkOpenSystemEngine10000(b *testing.B) { scaleRun(b, 10000) }
 
 func BenchmarkOpenSystemEngine20000(b *testing.B) { scaleRun(b, 20000) }
 
 func BenchmarkOpenSystemEngine100000(b *testing.B) { scaleRun(b, 100000) }
 
-// colocationScheduler drives the sharded-engine benchmarks: it packs every
+// colocationScheduler drives the co-location benchmarks: it packs every
 // waiting app across many nodes with small, deliberately under-reserved
 // executors, so fleets run dozens of executors per node and every completion
 // dirties many nodes at once. That pushes the engine's cost into the
 // per-node rate formulas — cacheEff (items below fair share) and heapFactor
-// (reservation shortfall) both active on every executor — which is exactly
-// the half of the event loop the sharded engine (Config.Shards) fans out.
+// (reservation shortfall) both active on every executor.
 type colocationScheduler struct {
 	waitBuf []*App
 	free    []float64 // per-node FreeGB snapshot for the current pass
@@ -186,13 +185,11 @@ func (s *colocationScheduler) Schedule(c *Cluster) {
 	}
 }
 
-// colocationRun is one co-location-heavy open-system run for the sharded
-// benchmarks: a 96-node uniform fleet where small ExecutorSpreadGB sizing
-// fans each app across up to a dozen nodes. Unlike scaleRun — whose
-// whole-node executors leave the rate pass a small slice of each event (an
-// Amdahl ceiling no shard count can beat) — the rate recomputation dominates
-// here, so the shards=1 vs shards=2 pair measures the fan-out itself.
-func colocationRun(b *testing.B, apps, shards int) {
+// colocationRun is one co-location-heavy open-system run: a 96-node uniform
+// fleet where small ExecutorSpreadGB sizing fans each app across up to a
+// dozen nodes. Unlike scaleRun — whose whole-node executors leave the rate
+// pass a small slice of each event — the rate recomputation dominates here.
+func colocationRun(b *testing.B, apps int) {
 	b.Helper()
 	const nodes = 96
 	fleet, err := workload.UniformFleet(nodes, workload.BigNode())
@@ -206,14 +203,12 @@ func colocationRun(b *testing.B, apps, shards int) {
 	}
 	// Stretch every input so each app wants an executor on a large slice of
 	// the fleet: arrivals, startup-gate expiries and completions then all
-	// dirty dozens of nodes at once, the dense-event shape the fan-out is
-	// built for.
+	// dirty dozens of nodes at once.
 	for i := range arrivals {
 		arrivals[i].Job.InputGB = 450 + 20*float64(i%5)
 	}
 	subs := Submissions(arrivals)
 	cfg := DefaultConfig()
-	cfg.Shards = shards
 	cfg.ExecutorSpreadGB = 3  // size executor fleets at many small chunks
 	cfg.MaxExecutorNodes = 96 // let every app reach the whole fleet
 	cfg.FleetAwareSizing = false
@@ -233,18 +228,13 @@ func colocationRun(b *testing.B, apps, shards int) {
 	}
 }
 
-// BenchmarkColocationEngine20000 / 100000 pin the sharded engine's cost
-// model: the Sharded variants run the identical workload with two
-// epoch-synchronised event loops (bit-identical results, pinned by the
-// differential suite). On a multi-core host the pair measures the fan-out's
-// wall-clock win over the ~56% parallel rate phase; on a single-CPU host it
-// bounds the fan-out's overhead instead (the sharded run must stay within a
-// few percent of the serial one). BENCH_engine.json records which regime the
-// captured numbers came from.
-func BenchmarkColocationEngine20000(b *testing.B)         { colocationRun(b, 20000, 1) }
-func BenchmarkColocationEngine20000Sharded(b *testing.B)  { colocationRun(b, 20000, 2) }
-func BenchmarkColocationEngine100000(b *testing.B)        { colocationRun(b, 100000, 1) }
-func BenchmarkColocationEngine100000Sharded(b *testing.B) { colocationRun(b, 100000, 2) }
+// BenchmarkColocationEngine20000 / 100000 time the engine where the per-node
+// rate pass dominates each event (about ten executors per busy node), the
+// cost scaleRun's whole-node executors hide. CI compares the 20k point
+// against the base branch.
+func BenchmarkColocationEngine20000(b *testing.B) { colocationRun(b, 20000) }
+
+func BenchmarkColocationEngine100000(b *testing.B) { colocationRun(b, 100000) }
 
 // BenchmarkClosedBatchEngine is the closed-batch counterpart on the same
 // 200-job set, isolating the cost of arrival handling from the rest of the

@@ -124,6 +124,17 @@ func TestSpawnValidation(t *testing.T) {
 	}
 	n0, n1 := c.Nodes()[0], c.Nodes()[1]
 
+	// NaN or negative sizes: every range check is false for NaN, and a
+	// negative reservation would credit the node memory it never had.
+	for _, sz := range [][2]float64{{math.NaN(), 10}, {-5, 10}, {10, math.NaN()}, {10, -5}} {
+		if _, err := c.Spawn(app, n0, sz[0], sz[1]); err == nil {
+			t.Errorf("spawn reserve %v items %v: no error", sz[0], sz[1])
+		}
+		if n0.ReservedGB() != 0 || n0.FreeGB() != cfg.AllocatableGB() || len(n0.Executors) != 0 {
+			t.Fatalf("spawn reserve %v items %v: node reserved %v free %v, want 0 and %v",
+				sz[0], sz[1], n0.ReservedGB(), n0.FreeGB(), cfg.AllocatableGB())
+		}
+	}
 	// Over-reservation.
 	if _, err := c.Spawn(app, n0, cfg.AllocatableGB()+5, 10); !errors.Is(err, ErrNoFreeMemory) {
 		t.Errorf("over-reserve: %v", err)

@@ -140,15 +140,6 @@ type Config struct {
 	// OOMCoolOffSec is the base cool-off of the first retried blacklist
 	// entry under OOMRetryBudget.
 	OOMCoolOffSec float64
-	// Shards splits the engine's per-node work across that many event-loop
-	// partitions (see shard.go): nodes are partitioned by rack when the fleet
-	// has topology, by contiguous ID blocks otherwise, and the rate
-	// recomputation of each event fans out across a persistent worker pool,
-	// synchronised at the event (epoch) boundary. Results are bit-identical at
-	// any shard count; 0 or 1 runs the plain single-loop engine. Negative
-	// values are rejected by NewHetero, and counts beyond the node count are
-	// clamped to it.
-	Shards int
 }
 
 // DefaultConfig returns the paper's platform.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"moespark/internal/parallel"
 	"moespark/internal/workload"
 )
 
@@ -96,11 +95,7 @@ type Cluster struct {
 	doneApps      int
 	doneForeign   int
 	dirtyNodes    []*Node
-	// wakes holds one lazy-deletion wake heap per event-loop shard, indexed
-	// by Node.shard (a single heap on a single-loop cluster): the parallel
-	// rate phase pushes each node's wake-up onto its own shard's heap, so the
-	// fan-out never contends on a shared structure.
-	wakes []wakeHeap
+	wakes         wakeHeap
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -129,22 +124,6 @@ type Cluster struct {
 	bestVictimBuf []*Executor
 	// shareBuf is fleetFor scratch (per-node spread shares).
 	shareBuf []float64
-
-	// Sharded event loop (see shard.go): shards is the resolved partition
-	// count (1 = single loop), rackShard maps rack labels to shards for
-	// mid-run joins, shardDirty are the reused per-shard slices the dirty
-	// list is split into before the parallel rate phase, and pool is the
-	// persistent worker pool alive for the duration of one RunOpen.
-	shards     int
-	rackShard  map[string]int
-	shardDirty [][]*Node
-	pool       *parallel.Pool
-	// epochs counts event-loop iterations this run; shardRated/shardWakes
-	// count per-shard rate recomputations and served wake-ups (Result.Epochs
-	// and Result.ShardStats).
-	epochs     int
-	shardRated []int64
-	shardWakes []int64
 
 	totalOOM          int
 	totalFailKills    int
@@ -180,17 +159,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("cluster: need at least one node spec")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
-	}
 	c := &Cluster{cfg: cfg}
-	c.shards = cfg.Shards
-	if c.shards < 1 {
-		c.shards = 1
-	}
-	if c.shards > len(specs) {
-		c.shards = len(specs)
-	}
 	c.nodes = make([]*Node, len(specs))
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -199,10 +168,6 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 		c.nodes[i] = newNode(i, s, cfg, 0)
 	}
 	c.nextNodeID = len(specs)
-	c.assignShards()
-	c.wakes = make([]wakeHeap, c.shards)
-	c.shardRated = make([]int64, c.shards)
-	c.shardWakes = make([]int64, c.shards)
 	if cfg.TraceInterval > 0 {
 		c.trace = newTrace(cfg.TraceInterval)
 	}
@@ -426,9 +391,15 @@ var (
 // Spawn places a new executor of app on node with the given memory
 // reservation (heap) and data allocation. The executor's true footprint
 // comes from the workload ground truth for itemsGB; the reservation is what
-// admission control charges against the node.
+// admission control charges against the node. A NaN or negative size is
+// rejected before anything is touched.
 func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Executor, error) {
 	const eps = 1e-9
+	// Written as !(x >= 0) so NaN fails too: every comparison below is false
+	// for NaN, and a negative reservation would credit the node free memory.
+	if !(reserveGB >= 0) || !(itemsGB >= 0) {
+		return nil, fmt.Errorf("cluster: invalid executor size: reserve %v GB, items %v GB", reserveGB, itemsGB)
+	}
 	if !node.Available() {
 		return nil, fmt.Errorf("%w: node %d is %v", ErrNodeUnavailable, node.ID, node.state)
 	}
@@ -508,9 +479,14 @@ func (c *Cluster) resident(needGB, reserveGB float64) float64 {
 // stages complete and memory frees up). Both deltas must be non-negative:
 // shrinking the reservation would drop ReservedGB below the footprint the
 // executor was admitted with, bypassing admission control, and is rejected
-// with ErrShrinkReservation.
+// with ErrShrinkReservation. A NaN or negative size is rejected before
+// anything is touched.
 func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	const eps = 1e-9
+	// NaN passes every comparison below; see Spawn.
+	if !(newReserveGB >= 0) || !(newItemsGB >= 0) {
+		return fmt.Errorf("cluster: invalid executor size: reserve %v GB, items %v GB", newReserveGB, newItemsGB)
+	}
 	if newItemsGB+eps < e.ItemsGB {
 		return errors.New("cluster: Grow cannot shrink the allocation")
 	}
@@ -579,13 +555,6 @@ type Result struct {
 	// LostWorkGB is the total reprocessing work charged back by OOM kills,
 	// node failures and preemptions over the whole run.
 	LostWorkGB float64
-	// Epochs counts event-loop iterations: on a sharded cluster each is one
-	// barrier-synchronised step of every shard (see shard.go), on a
-	// single-loop cluster simply one event.
-	Epochs int
-	// ShardStats has one entry per event-loop shard (a single entry on a
-	// single-loop cluster) with the shard's node count and event counters.
-	ShardStats []ShardStat
 	// Trace holds utilization samples when tracing was enabled.
 	Trace *Trace
 }
@@ -655,17 +624,6 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 	})
 	c.apps = make([]*App, 0, len(subs))
 	c.resetIndex()
-	if c.shards > 1 {
-		// The shard pool lives for exactly one run: workers park between
-		// events on a bounded spin, and closing at return keeps thousands of
-		// short test runs from accumulating goroutines. recomputeRates takes
-		// the sharded path only while the pool exists.
-		c.pool = parallel.NewPool(c.shards)
-		defer func() {
-			c.pool.Close()
-			c.pool = nil
-		}()
-	}
 
 	// The event cap guards against stalled-policy loops; it scales with the
 	// workload so fleet-scale streams (millions of arrivals, each worth a
@@ -675,7 +633,6 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 		limit = n
 	}
 	for ev := 0; ev < limit; ev++ {
-		c.epochs++
 		if err := c.applyNodeEvents(); err != nil {
 			return nil, err
 		}
@@ -819,13 +776,6 @@ func (c *Cluster) recomputeRates() {
 			c.dirtyNodes[j], c.dirtyNodes[j-1] = c.dirtyNodes[j-1], c.dirtyNodes[j]
 		}
 	}
-	if c.pool != nil {
-		// Sharded run: serial settle/OOM prepass in the same node-ID order,
-		// then the pure rate halves fanned out one partition per shard
-		// (shard.go). Bit-identical to the loop below at any shard count.
-		c.rateDirtySharded()
-		return
-	}
 	// Drain by index, not by range snapshot: rateNode's enforceOOM can call
 	// markDirty mid-drain (today only for the node being rated, whose flag
 	// is still set, but a range over a stale snapshot would silently strand
@@ -838,23 +788,16 @@ func (c *Cluster) recomputeRates() {
 	c.dirtyNodes = c.dirtyNodes[:0]
 }
 
-// rateNode recomputes every rate on one node (the former recomputeRates
-// per-node body): the settle/OOM half followed by the pure rate half — the
-// exact composition the sharded pass runs with the halves regrouped into a
-// serial prepass and a parallel fan-out.
+// rateNode recomputes every rate on one node and refreshes the node's
+// wake-up: the earliest future startup expiry among its executors,
+// re-registered on the wake heap when it changed so the node is re-dirtied
+// the instant a zero rate comes alive.
 func (c *Cluster) rateNode(n *Node) {
-	c.settleNode(n)
-	c.computeNodeRates(n, n.shard)
-}
-
-// settleNode is the serial half of rating one node: settle every resident
-// entity's progress under the OLD rates (they held from the last settle
-// point up to this instant) and queue deadline refreshes — even for entities
-// already settled this iteration, since the new rates shift their deadlines —
-// then apply OOM kills. Across a dirty set it must run in node-ID order
-// before any rate is reassigned: OOM charge-backs on different nodes can
-// touch the same application.
-func (c *Cluster) settleNode(n *Node) {
+	// This node's rates are about to be reassigned: settle every resident
+	// entity's progress under the OLD rates first (they held from the last
+	// settle point up to this instant), and queue deadline refreshes — even
+	// for entities already settled this iteration, since the new rates shift
+	// their deadlines.
 	for _, e := range n.Executors {
 		c.settleApp(e.App)
 		c.touchApp(e.App)
@@ -866,18 +809,6 @@ func (c *Cluster) settleNode(n *Node) {
 		}
 	}
 	c.enforceOOM(n)
-}
-
-// computeNodeRates is the pure half: recompute every rate on the node from
-// its settled state and refresh the node's wake-up — the earliest future
-// startup expiry among its executors, re-registered on the given shard's
-// wake heap when it changed so the node is re-dirtied the instant a zero
-// rate comes alive. It reads only node-local state (plus per-app startup
-// gates, which only the serial engine writes) and writes only the node's own
-// rates, wake time and shard slots, so the sharded pass runs it for
-// different shards concurrently.
-func (c *Cluster) computeNodeRates(n *Node, shard int) {
-	c.shardRated[shard]++
 	sumD := n.CPUDemand()
 	usable := n.Spec.UsableGB()
 	speed := n.Spec.SpeedFactor
@@ -934,7 +865,7 @@ func (c *Cluster) computeNodeRates(n *Node, shard int) {
 	if wake != n.wakeAt {
 		n.wakeAt = wake
 		if !math.IsInf(wake, 1) {
-			c.wakes[shard].push(wake, n)
+			c.wakes.push(wake, n)
 		}
 	}
 }
@@ -1108,19 +1039,16 @@ func (c *Cluster) nextEventDt() (float64, bool) {
 		}
 		break
 	}
-	for s := range c.wakes {
-		h := &c.wakes[s]
-		for len(*h) > 0 {
-			top := (*h)[0]
-			if top.n.wakeAt != top.at {
-				h.pop()
-				continue
-			}
-			if dt := top.at - c.now; dt < best {
-				best = dt
-			}
-			break
+	for len(c.wakes) > 0 {
+		top := c.wakes[0]
+		if top.n.wakeAt != top.at {
+			c.wakes.pop()
+			continue
 		}
+		if dt := top.at - c.now; dt < best {
+			best = dt
+		}
+		break
 	}
 	if len(c.pending) > 0 {
 		if dt := c.pending[0].At - c.now; dt < best {
@@ -1318,13 +1246,6 @@ func (c *Cluster) result() *Result {
 			makespan = f.DoneTime
 		}
 	}
-	stats := make([]ShardStat, c.shards)
-	for s := range stats {
-		stats[s] = ShardStat{Shard: s, Rated: c.shardRated[s], Wakes: c.shardWakes[s]}
-	}
-	for _, n := range c.nodes {
-		stats[n.shard].Nodes++
-	}
 	return &Result{
 		Apps:         c.apps,
 		Foreign:      c.foreign,
@@ -1335,8 +1256,6 @@ func (c *Cluster) result() *Result {
 		Migrations:   c.totalMigrations,
 		OOMRetries:   c.totalRetries,
 		LostWorkGB:   c.totalLostGB,
-		Epochs:       c.epochs,
-		ShardStats:   stats,
 		Trace:        c.trace,
 	}
 }

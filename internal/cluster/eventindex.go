@@ -117,32 +117,26 @@ func (c *Cluster) markDirty(n *Node) {
 	}
 }
 
-// wakeExpiredNodes pops every due wake-up off each shard's heap and
-// re-dirties its node, discarding entries invalidated by a later recompute.
-// The comparison is strict-past (at <= now), mirroring the startupUntil > now
-// gate in the rate formula: the node recomputes on exactly the event where
-// the gate flips. Shards are visited in order, but a wake-up only marks its
-// node dirty and the dirty list is re-sorted by node ID before every rate
-// pass, so the visit order cannot be observed.
+// wakeExpiredNodes pops every due wake-up off the heap and re-dirties its
+// node, discarding entries invalidated by a later recompute. The comparison
+// is strict-past (at <= now), mirroring the startupUntil > now gate in the
+// rate formula: the node recomputes on exactly the event where the gate
+// flips.
 func (c *Cluster) wakeExpiredNodes() {
-	for s := range c.wakes {
-		h := &c.wakes[s]
-		for len(*h) > 0 {
-			top := (*h)[0]
-			if top.n.wakeAt != top.at {
-				// Stale: the node's wake time was rewritten since this entry
-				// was pushed.
-				h.pop()
-				continue
-			}
-			if top.at > c.now {
-				break
-			}
-			h.pop()
-			top.n.wakeAt = math.Inf(1)
-			c.shardWakes[s]++
-			c.markDirty(top.n)
+	for len(c.wakes) > 0 {
+		top := c.wakes[0]
+		if top.n.wakeAt != top.at {
+			// Stale: the node's wake time was rewritten since this entry was
+			// pushed.
+			c.wakes.pop()
+			continue
 		}
+		if top.at > c.now {
+			return
+		}
+		c.wakes.pop()
+		top.n.wakeAt = math.Inf(1)
+		c.markDirty(top.n)
 	}
 }
 
@@ -408,21 +402,7 @@ func (c *Cluster) resetIndex() {
 			c.activeForeign = append(c.activeForeign, f)
 		}
 	}
-	if len(c.wakes) != c.shards {
-		c.wakes = make([]wakeHeap, c.shards)
-	}
-	for s := range c.wakes {
-		c.wakes[s] = c.wakes[s][:0]
-	}
-	if len(c.shardRated) != c.shards {
-		c.shardRated = make([]int64, c.shards)
-		c.shardWakes = make([]int64, c.shards)
-	}
-	for s := 0; s < c.shards; s++ {
-		c.shardRated[s] = 0
-		c.shardWakes[s] = 0
-	}
-	c.epochs = 0
+	c.wakes = c.wakes[:0]
 	c.draining = c.draining[:0]
 	for _, n := range c.nodes {
 		n.wakeAt = math.Inf(1)

@@ -15,21 +15,18 @@ import (
 // full-scan minimum float-for-float and every stored deadline must equal a
 // fresh recompute from the settled state. This is the differential property
 // test of property_test.go reshaped so the fuzzer, rather than a fixed seed
-// loop, explores the workload space. The shards input folds onto an event-loop
-// shard count in {1, 2, 4, 8}, so the fuzzer also explores the sharded engine:
-// the per-event scan agreement must hold at every partition count.
+// loop, explores the workload space.
 func FuzzCompletionHeapMatchesScan(f *testing.F) {
-	f.Add(int64(1), false, false, false, false, 0)
-	f.Add(int64(42), true, false, false, false, 1)
-	f.Add(int64(7), false, true, false, false, 2)
-	f.Add(int64(-3), true, true, false, false, 3)
-	f.Add(int64(9), false, false, true, false, 2)
-	f.Add(int64(11), true, false, true, true, 1)
-	f.Fuzz(func(t *testing.T, seed int64, foreign, trace, rackStorm, migrate bool, shards int) {
+	f.Add(int64(1), false, false, false, false)
+	f.Add(int64(42), true, false, false, false)
+	f.Add(int64(7), false, true, false, false)
+	f.Add(int64(-3), true, true, false, false)
+	f.Add(int64(9), false, false, true, false)
+	f.Add(int64(11), true, false, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, foreign, trace, rackStorm, migrate bool) {
 		r := rand.New(rand.NewSource(seed))
 		jobs := randomJobs(r)
 		cfg := DefaultConfig()
-		cfg.Shards = []int{1, 2, 4, 8}[((shards%4)+4)%4]
 		if trace {
 			cfg.TraceInterval = 40
 		}

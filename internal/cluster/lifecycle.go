@@ -222,7 +222,6 @@ func (c *Cluster) applyNodeEvents() error {
 				spec = c.cfg.DefaultNodeSpec()
 			}
 			n := newNode(c.nextNodeID, spec, c.cfg, c.now)
-			n.shard = c.joinShard(n.ID, spec)
 			c.nodes = append(c.nodes, n)
 			c.nextNodeID++
 			c.markDirty(n)

@@ -74,11 +74,6 @@ type Node struct {
 	// re-dirtied even though nothing touched it. Maintained together with
 	// the cluster's wake heap; see eventindex.go for the invariant.
 	wakeAt float64
-	// shard is the event-loop partition the node is homed on (always 0 on a
-	// single-loop cluster): its rates are recomputed by that shard's worker
-	// and its wake-ups live on that shard's wake heap. Assigned at
-	// construction or join (see shard.go) and never moved.
-	shard int
 }
 
 // newNode builds a node with its CPU capacity normalised against the

@@ -73,11 +73,11 @@ func (s *fleetScaleScheduler) Schedule(c *Cluster) {
 }
 
 // runFleetScale drives one fleet-scale open-system run and returns the
-// result: a 10k-node uniform fleet under a Poisson stream, sharded event
-// loops. The arrival rate keeps node utilization near 90% — loaded but
-// stable (the FIFO drains between arrivals), so the run's cost is linear in
-// the stream, not quadratic in a growing backlog.
-func runFleetScale(t *testing.T, apps, nodes, shards int) *Result {
+// result: a uniform fleet under a Poisson stream. The arrival rate keeps a
+// 10k-node fleet near 90% utilization — loaded but stable (the FIFO drains
+// between arrivals), so the run's cost is linear in the stream, not
+// quadratic in a growing backlog.
+func runFleetScale(t *testing.T, apps, nodes int) *Result {
 	t.Helper()
 	fleet, err := workload.UniformFleet(nodes, workload.PaperNode())
 	if err != nil {
@@ -89,7 +89,6 @@ func runFleetScale(t *testing.T, apps, nodes, shards int) *Result {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Shards = shards
 	cfg.FleetAwareSizing = false // fixed fleets keep the load profile flat
 	c, err := NewHetero(cfg, specs)
 	if err != nil {
@@ -114,18 +113,18 @@ func runFleetScale(t *testing.T, apps, nodes, shards int) *Result {
 	return res
 }
 
-// TestFleetScaleMillionArrivals is the sharded engine's scale point: one
-// million arrivals over a 10,000-node fleet with two event-loop shards. Its
-// job is twofold: prove the engine's per-event cost holds up at fleet scale
-// (the run is minutes, not hours, even under -race), and give the race
-// detector a full-length look at the fan-out — every epoch dispatches the
-// rate pass across the shard pool, so a single unsynchronised read anywhere
-// in the parallel half would surface here. Run it with -race in CI.
+// TestFleetScaleMillionArrivals is the engine's scale point: one million
+// arrivals over a 10,000-node fleet. It proves that the engine's per-event
+// cost does not grow with the fleet or the stream (the run is seconds
+// natively and minutes under -race, where an O(nodes) or O(apps) scan per
+// event would take hours), that the event cap scales with the stream instead
+// of tripping at its fixed floor, and that every app completes without an
+// OOM kill.
 func TestFleetScaleMillionArrivals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-scale stream: minutes under -race; skipped in -short runs")
 	}
-	res := runFleetScale(t, 1_000_000, 10_000, 2)
+	res := runFleetScale(t, 1_000_000, 10_000)
 	if res.OOMKills != 0 {
 		// Whole-node reservations can never overcommit; a kill here means
 		// the placement or accounting broke, not that memory ran short.

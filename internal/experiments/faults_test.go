@@ -108,31 +108,3 @@ func TestFaultsDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-// The faults study simulates racked fleets under correlated storms — the
-// workload the rack-partitioned sharded event loop (cluster.Config.Shards)
-// was built for — so `reproduce -exp faults -shards N` must stay
-// bit-identical to the single-loop study at any shard count.
-func TestFaultsDeterministicAcrossShardCounts(t *testing.T) {
-	ctx := faultsCtx(1)
-	a, err := Faults(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx.Cfg.Shards = 2
-	b, err := Faults(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Schemes) != len(b.Schemes) {
-		t.Fatal("scheme counts differ")
-	}
-	for i := range a.Schemes {
-		for j := range a.Schemes[i].Modes {
-			x, y := a.Schemes[i].Modes[j], b.Schemes[i].Modes[j]
-			if x != y {
-				t.Errorf("%s/%s: shards=1 %+v vs shards=2 %+v", a.Schemes[i].Scheme, x.Mode, x, y)
-			}
-		}
-	}
-}
