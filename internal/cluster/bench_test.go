@@ -236,6 +236,57 @@ func BenchmarkColocationEngine20000(b *testing.B) { colocationRun(b, 20000) }
 
 func BenchmarkColocationEngine100000(b *testing.B) { colocationRun(b, 100000) }
 
+// BenchmarkFleetSizing1024 times fleet-aware sizing alone (fleetFor, run at
+// every admission and, under RefreshFleetSizing, for every in-flight app at
+// every event) on a seeded 1024-node big/little fleet in 64 racks. Six racks
+// are drained and about a third of the nodes are fully reserved, so the walk
+// skips unavailable and full nodes on its way down the spread order. Each op
+// sizes one input, cycling from a 4 GB job to a 1000 GB one that hits the
+// MaxExecutorNodes cap.
+func BenchmarkFleetSizing1024(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	fleet, err := workload.BimodalFleet(1024, workload.BigNode(), workload.LittleNode(), 0.5, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fleet, err = workload.AssignRacks(fleet, 64, 2); err != nil {
+		b.Fatal(err)
+	}
+	specs := SpecsFrom(fleet)
+	c, err := NewHetero(DefaultConfig(), specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// AssignRacks deals contiguous blocks, 16 nodes per rack here.
+	drained := map[string]bool{}
+	for _, rack := range r.Perm(64)[:6] {
+		drained[specs[rack*16].Rack] = true
+	}
+	for _, n := range c.Nodes() {
+		switch {
+		case drained[n.Spec.Rack]:
+			err = c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeDrain, Node: n.ID})
+		case r.Float64() < 0.35:
+			_, err = c.AddForeign(n.ID, "hog", 0.1, n.AllocatableGB(), 1e6)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		b.Fatal(err)
+	}
+	inputs := []float64{4, 16, 64, 256, 1000}
+	ops, total := 0, 0
+	for b.Loop() {
+		total += c.fleetFor(inputs[ops%len(inputs)])
+		ops++
+	}
+	if total < ops {
+		b.Fatalf("sized %d executors over %d ops", total, ops)
+	}
+}
+
 // BenchmarkClosedBatchEngine is the closed-batch counterpart on the same
 // 200-job set, isolating the cost of arrival handling from the rest of the
 // loop.

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"moespark/internal/workload"
@@ -122,8 +124,11 @@ type Cluster struct {
 	// during the feasibility scan so the kill phase never rescans the node.
 	victimBuf     []*Executor
 	bestVictimBuf []*Executor
-	// shareBuf is fleetFor scratch (per-node spread shares).
-	shareBuf []float64
+	// bySpread is every node with its spread share (see spreadShare),
+	// largest share first, ties in node order: the walk order of fleetFor.
+	// Shares are fixed per node, so it is built once and only joins touch
+	// it; nodes that leave stay in it and are skipped as unavailable.
+	bySpread []spreadEntry
 
 	totalOOM          int
 	totalFailKills    int
@@ -167,6 +172,13 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 		}
 		c.nodes[i] = newNode(i, s, cfg, 0)
 	}
+	c.bySpread = make([]spreadEntry, len(c.nodes))
+	for i, n := range c.nodes {
+		c.bySpread[i] = spreadEntry{n, c.spreadShare(n)}
+	}
+	slices.SortStableFunc(c.bySpread, func(a, b spreadEntry) int {
+		return cmp.Compare(b.share, a.share)
+	})
 	c.nextNodeID = len(specs)
 	if cfg.TraceInterval > 0 {
 		c.trace = newTrace(cfg.TraceInterval)
@@ -279,43 +291,56 @@ func (c *Cluster) AddReadyApp(job workload.Job) *App {
 // reference-sized node — wrong on big/little fleets, where a little node
 // carries far less than ExecutorSpreadGB and a big node far more. On a
 // uniform reference fleet with enough free nodes both paths agree.
+//
+// The walk follows bySpread, so it meets eligible nodes largest share first
+// and stops as soon as the input is covered or MaxExecutorNodes is reached:
+// it costs the nodes it passes, not the fleet. It adds the same shares in
+// the same order as sorting every eligible node's share (refFleetFor), so
+// the size is bit-identical to that sort's.
 func (c *Cluster) fleetFor(inputGB float64) int {
-	if !c.cfg.FleetAwareSizing {
-		return c.cfg.NodesFor(inputGB)
-	}
-	refAlloc := c.cfg.AllocatableGB()
-	if refAlloc <= 0 {
-		return c.cfg.NodesFor(inputGB)
-	}
-	c.shareBuf = c.shareBuf[:0]
-	for _, n := range c.nodes {
-		if !n.Available() || n.FreeGB() <= c.cfg.MinChunkGB {
-			continue
-		}
-		share := c.cfg.ExecutorSpreadGB * n.AllocatableGB() / refAlloc
-		// Insertion sort descending: fleets are small and node order breaks
-		// ties deterministically.
-		c.shareBuf = append(c.shareBuf, share)
-		for i := len(c.shareBuf) - 1; i > 0 && c.shareBuf[i] > c.shareBuf[i-1]; i-- {
-			c.shareBuf[i], c.shareBuf[i-1] = c.shareBuf[i-1], c.shareBuf[i]
-		}
-	}
-	if len(c.shareBuf) == 0 {
+	if !c.cfg.FleetAwareSizing || c.cfg.AllocatableGB() <= 0 {
 		return c.cfg.NodesFor(inputGB)
 	}
 	const eps = 1e-9
 	k, covered := 0, 0.0
-	for k < len(c.shareBuf) && covered < inputGB-eps {
-		covered += c.shareBuf[k]
+	for _, e := range c.bySpread {
+		// The first eligible node is always taken (a fleet is at least one
+		// executor); after it, stop once covered or capped.
+		if k > 0 && (k >= c.cfg.MaxExecutorNodes || !(covered < inputGB-eps)) {
+			break
+		}
+		if !e.node.Available() || e.node.FreeGB() <= c.cfg.MinChunkGB {
+			continue
+		}
+		covered += e.share
 		k++
 	}
-	if k > c.cfg.MaxExecutorNodes {
-		k = c.cfg.MaxExecutorNodes
-	}
-	if k < 1 {
-		k = 1
+	if k == 0 {
+		return c.cfg.NodesFor(inputGB) // no eligible node
 	}
 	return k
+}
+
+// spreadEntry is one node of the fleet-sizing index and its spread share.
+type spreadEntry struct {
+	node  *Node
+	share float64
+}
+
+// spreadShare is the input volume fleet-aware sizing credits to one executor
+// on n: ExecutorSpreadGB scaled by n's allocatable memory relative to the
+// reference node's.
+func (c *Cluster) spreadShare(n *Node) float64 {
+	return c.cfg.ExecutorSpreadGB * n.AllocatableGB() / c.cfg.AllocatableGB()
+}
+
+// indexSpread inserts a joining node into bySpread after every node whose
+// share is equal or larger. A joiner has the highest node ID, so ties stay
+// in node order.
+func (c *Cluster) indexSpread(n *Node) {
+	e := spreadEntry{n, c.spreadShare(n)}
+	i := sort.Search(len(c.bySpread), func(i int) bool { return c.bySpread[i].share < e.share })
+	c.bySpread = slices.Insert(c.bySpread, i, e)
 }
 
 // refreshFleetCaps re-derives the executor-fleet cap of every in-flight

@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds full-scan reference implementations of event selection,
-// rate recomputation, the profiling share, the waiting set, the completion
-// check and the stored completion deadlines. They are not called by the
+// rate recomputation, the profiling share, the waiting set, fleet sizing, the
+// completion check and the stored completion deadlines. They are not called by the
 // engine — the indexed paths in engine.go replaced them — but they are the
 // ground truth the index must reproduce exactly: the differential property
 // test (property_test.go) installs Cluster.checkEvent and replays these
@@ -154,6 +154,46 @@ func (c *Cluster) refWaitingApps() []*App {
 		}
 	}
 	return buf
+}
+
+// refFleetFor is the sort-based fleet sizing: every eligible node's spread
+// share, insertion-sorted descending over the whole fleet, then summed
+// largest first until the input is covered.
+func (c *Cluster) refFleetFor(inputGB float64) int {
+	if !c.cfg.FleetAwareSizing {
+		return c.cfg.NodesFor(inputGB)
+	}
+	refAlloc := c.cfg.AllocatableGB()
+	if refAlloc <= 0 {
+		return c.cfg.NodesFor(inputGB)
+	}
+	var shares []float64
+	for _, n := range c.nodes {
+		if !n.Available() || n.FreeGB() <= c.cfg.MinChunkGB {
+			continue
+		}
+		share := c.cfg.ExecutorSpreadGB * n.AllocatableGB() / refAlloc
+		shares = append(shares, share)
+		for i := len(shares) - 1; i > 0 && shares[i] > shares[i-1]; i-- {
+			shares[i], shares[i-1] = shares[i-1], shares[i]
+		}
+	}
+	if len(shares) == 0 {
+		return c.cfg.NodesFor(inputGB)
+	}
+	const eps = 1e-9
+	k, covered := 0, 0.0
+	for k < len(shares) && covered < inputGB-eps {
+		covered += shares[k]
+		k++
+	}
+	if k > c.cfg.MaxExecutorNodes {
+		k = c.cfg.MaxExecutorNodes
+	}
+	if k < 1 {
+		k = 1
+	}
+	return k
 }
 
 // refCheckRates recomputes every rate on every node with the original

@@ -223,6 +223,7 @@ func (c *Cluster) applyNodeEvents() error {
 			}
 			n := newNode(c.nextNodeID, spec, c.cfg, c.now)
 			c.nodes = append(c.nodes, n)
+			c.indexSpread(n)
 			c.nextNodeID++
 			c.markDirty(n)
 		case NodeDrain:

@@ -457,6 +457,17 @@ func buildDiffWorkload(t *testing.T, seed int64) (*Cluster, []Submission, *diffS
 	return c, Submissions(arrivals), &diffScheduler{preempt: classed, hog: seed%3 == 0}, rackStorm
 }
 
+// fleetSizingDiff sizes every in-flight app's input with the indexed walk
+// and with the sort-based reference, returning the first disagreement or "".
+func fleetSizingDiff(c *Cluster) string {
+	for _, a := range c.active {
+		if got, ref := c.fleetFor(a.Job.InputGB), c.refFleetFor(a.Job.InputGB); got != ref {
+			return fmt.Sprintf("app %d (%v GB): fleetFor %d, reference %d", a.ID, a.Job.InputGB, got, ref)
+		}
+	}
+	return ""
+}
+
 // installDiffHook wires the full exact-agreement hook — scan-based reference
 // replays plus the shadow integrator — onto the cluster and returns the
 // fired-event counter.
@@ -477,6 +488,9 @@ func installDiffHook(t *testing.T, c *Cluster, label string) *int {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
 		if diff := c.refCheckDeadlines(share); diff != "" {
+			t.Fatalf("%s event %d: %s", label, *events, diff)
+		}
+		if diff := fleetSizingDiff(c); diff != "" {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
 		if diff := shadow.step(dt); diff != "" {
@@ -506,8 +520,8 @@ func installDiffHook(t *testing.T, c *Cluster, label string) *int {
 // preserved scan-based reference paths (engine_ref.go) against the indexed
 // engine's state on every event, requiring exact (==, not approximate)
 // agreement of the profiling share, the chosen event dt, the completion
-// check, the waiting set, every stored rate and every stored completion
-// deadline. The one approximate check is the shadow per-event integrator
+// check, the waiting set, every in-flight app's fleet size, every stored rate
+// and every stored completion deadline. The one approximate check is the shadow per-event integrator
 // (see shadowIntegrator), which bounds the settle-vs-per-event float drift.
 func TestIndexedEngineMatchesScanReference(t *testing.T) {
 	stormMigrations := 0
@@ -618,6 +632,9 @@ func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 			t.Fatalf("event %d: %s", events, diff)
 		}
 		if diff := c.refCheckDeadlines(share); diff != "" {
+			t.Fatalf("event %d: %s", events, diff)
+		}
+		if diff := fleetSizingDiff(c); diff != "" {
 			t.Fatalf("event %d: %s", events, diff)
 		}
 		if got, ref := c.allDone(), c.refAllDone(); got != ref {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"moespark/internal/workload"
@@ -143,5 +144,110 @@ func TestFleetAwareSizing(t *testing.T) {
 	}
 	if got := c.AddReadyApp(job).MaxExecutors; got != 10 {
 		t.Errorf("aware sizing with 10 free nodes: %d executors, want 10", got)
+	}
+
+	// Mixed fleets: the walk must take the largest shares first, whatever
+	// the scan order. A big node's share is 33.07 GB, a little one's 3.2 GB.
+	mkFleet := func(cfg Config, specs ...[]NodeSpec) *Cluster {
+		var all []NodeSpec
+		for _, s := range specs {
+			all = append(all, s...)
+		}
+		c, err := NewHetero(cfg, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	repeat := func(spec NodeSpec, n int) []NodeSpec {
+		specs := make([]NodeSpec, n)
+		for i := range specs {
+			specs[i] = spec
+		}
+		return specs
+	}
+	cfg := DefaultConfig()
+
+	// 20 little nodes scanned before one big one: the big node plus three
+	// little ones (42.67 GB) cover 40 GB, so 4 executors. Summing in scan
+	// order would take 13 little nodes.
+	job40 := workload.Job{Bench: b, InputGB: 40}
+	if got := mkFleet(cfg, repeat(little, 20), repeat(big, 1)).AddReadyApp(job40).MaxExecutors; got != 4 {
+		t.Errorf("little nodes before a big one: %d executors, want 4", got)
+	}
+
+	// A big node joining a little fleet is used first: 33.07 GB plus ten
+	// little nodes (65.07 GB) cover 64 GB, so 11 executors instead of 20.
+	c = mkFleet(cfg, repeat(little, 24))
+	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeJoin, Spec: big}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AddReadyApp(job).MaxExecutors; got != 11 {
+		t.Errorf("big node joined a little fleet: %d executors, want 11", got)
+	}
+
+	// Nodes with MinChunkGB or less free are skipped: with two of three big
+	// nodes reserved down (one fully, one to half of MinChunkGB), the third
+	// plus ten little nodes size the fleet at 11 executors, not 2.
+	c = mkFleet(cfg, repeat(big, 3), repeat(little, 24))
+	for i, keep := range []float64{0, cfg.MinChunkGB / 2} {
+		n := c.Nodes()[i]
+		if _, err := c.AddForeign(n.ID, "hog", 0.1, n.AllocatableGB()-keep, 1000); err != nil {
+			t.Fatal(err)
+		}
+		if n.FreeGB() > cfg.MinChunkGB {
+			t.Fatalf("node %d: %v GB free after reserving, want at most %v", n.ID, n.FreeGB(), cfg.MinChunkGB)
+		}
+	}
+	if got := c.AddReadyApp(job).MaxExecutors; got != 11 {
+		t.Errorf("two big nodes reserved down: %d executors, want 11", got)
+	}
+
+	// Equal shares: mid and fast have the same usable memory (28 GB, so a
+	// 7.47 GB share each) but different cores and speed. They rank ahead of
+	// the little nodes in node order, a joiner after its equals, and 3 of
+	// them cover 20 GB (22.4 GB).
+	mid := NodeSpec{RAMGB: 32, Cores: 8, SpeedFactor: 1, SwapGB: 8, OSReserveGB: 4}
+	fast := NodeSpec{RAMGB: 32, Cores: 16, SpeedFactor: 1.5, SwapGB: 16, OSReserveGB: 4}
+	c = mkFleet(cfg, []NodeSpec{little, mid, fast, little, fast, mid})
+	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeJoin, Spec: mid}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	for _, e := range c.bySpread {
+		order = append(order, e.node.ID)
+	}
+	if want := []int{1, 2, 4, 5, 6, 0, 3}; !slices.Equal(order, want) {
+		t.Errorf("spread order %v, want %v", order, want)
+	}
+	if got := c.AddReadyApp(workload.Job{Bench: b, InputGB: 20}).MaxExecutors; got != 3 {
+		t.Errorf("equal shares: %d executors, want 3", got)
+	}
+
+	// The MaxExecutorNodes cap ends the walk before the input is covered:
+	// 64 GB needs 20 little nodes, the cap allows 5.
+	capped := DefaultConfig()
+	capped.MaxExecutorNodes = 5
+	if got := mkFleet(capped, repeat(little, 24)).AddReadyApp(job).MaxExecutors; got != 5 {
+		t.Errorf("capped at 5 nodes: %d executors, want 5", got)
+	}
+
+	// No eligible node (one fully reserved, the rest draining) falls back to
+	// the reference formula: ceil(64/16) = 4.
+	c = mkFleet(cfg, repeat(big, 1), repeat(little, 3))
+	if _, err := c.AddForeign(0, "hog", 0.1, c.Nodes()[0].AllocatableGB(), 1000); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes()[1:] {
+		n.state = NodeDraining
+	}
+	if got := c.AddReadyApp(job).MaxExecutors; got != 4 {
+		t.Errorf("no eligible node: %d executors, want 4", got)
 	}
 }

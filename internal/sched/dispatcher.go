@@ -177,13 +177,19 @@ func remainingShare(app *cluster.App) float64 {
 	return app.RemainingGB / float64(slots)
 }
 
+// wantsExecutor reports whether the app has work left and room in its
+// executor fleet.
+func wantsExecutor(app *cluster.App) bool {
+	return len(app.Executors) < app.MaxExecutors && app.RemainingGB > 0
+}
+
 // placeApp tries to spawn executors for one application on compatible nodes,
 // best Placer score first. Admission checks are independent across nodes
 // (a spawn on one node changes neither another node's free memory nor its
 // CPU demand), so gathering candidates before spawning places exactly the
 // executors the interleaved first-fit scan used to.
 func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
-	if len(app.Executors) >= app.MaxExecutors || app.RemainingGB <= 0 {
+	if !wantsExecutor(app) {
 		return
 	}
 	cfg := c.Config()
@@ -219,27 +225,41 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 		}
 		d.cand.add(n, score)
 	}
-	if d.Placer != nil {
-		d.cand.sortByScore()
+	if d.Placer == nil {
+		// First fit: candidates in gather (node-scan) order.
+		for _, n := range d.cand.nodes {
+			if !wantsExecutor(app) {
+				return
+			}
+			d.spawnOn(c, &cfg, app, n, est, haveEst)
+		}
+		return
 	}
-	for _, n := range d.cand.nodes {
-		if len(app.Executors) >= app.MaxExecutors || app.RemainingGB <= 0 {
-			return
-		}
-		reserve, items, ok := d.plan(cfg, app, n, n.FreeGB(), est, haveEst)
-		if !ok {
-			continue
-		}
-		e, err := c.Spawn(app, n, reserve, items)
-		if err != nil {
-			continue
-		}
-		if haveEst {
-			// Spawn may clamp the allocation to the remaining work; stamp
-			// the prediction for what was actually granted so the
-			// observation hook compares like with like.
-			e.PredictedGB = est.Footprint(e.ItemsGB)
-		}
+	// Best first: pop only until the fleet is full, so the candidates it
+	// never reaches are never ordered.
+	d.cand.heapify()
+	for len(d.cand.nodes) > 0 && wantsExecutor(app) {
+		d.spawnOn(c, &cfg, app, d.cand.pop(), est, haveEst)
+	}
+}
+
+// spawnOn places one executor of app on candidate n when the plan fits. It
+// takes the config by pointer: it runs once per candidate tried, and one
+// copy of the config per candidate (the one plan takes) is enough.
+func (d *Dispatcher) spawnOn(c *cluster.Cluster, cfg *cluster.Config, app *cluster.App, n *cluster.Node, est MemEstimate, haveEst bool) {
+	reserve, items, ok := d.plan(*cfg, app, n, n.FreeGB(), est, haveEst)
+	if !ok {
+		return
+	}
+	e, err := c.Spawn(app, n, reserve, items)
+	if err != nil {
+		return
+	}
+	if haveEst {
+		// Spawn may clamp the allocation to the remaining work; stamp the
+		// prediction for what was actually granted so the observation hook
+		// compares like with like.
+		e.PredictedGB = est.Footprint(e.ItemsGB)
 	}
 }
 

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sort"
-
 	"moespark/internal/cluster"
 )
 
@@ -98,13 +96,15 @@ func (p rackSpread) Score(_ *cluster.Cluster, app *cluster.App, n *cluster.Node)
 }
 
 // scoredNodes is the dispatcher's reusable candidate buffer: nodes plus their
-// scores, sorted descending by score with ties in original (node-scan) order.
-// It implements sort.Interface on parallel slices so sorting allocates
-// nothing once the buffers are warm.
+// scores, on parallel slices so nothing allocates once the buffers are warm.
+// With a placer set, heapify turns it into a max-heap and pop hands the
+// candidates out best-first — score descending, ties in gather (node-scan)
+// order — so a placement that fills its fleet after a few pops never orders
+// the candidates it does not reach.
 type scoredNodes struct {
 	nodes  []*cluster.Node
 	scores []float64
-	order  []int // original gather order, the stable tie-break
+	order  []int // gather order, the tie-break
 }
 
 func (s *scoredNodes) reset() {
@@ -119,21 +119,57 @@ func (s *scoredNodes) add(n *cluster.Node, score float64) {
 	s.order = append(s.order, len(s.order))
 }
 
-func (s *scoredNodes) Len() int { return len(s.nodes) }
-
-func (s *scoredNodes) Less(i, j int) bool {
+// better is the heap order: higher score first, then earlier gather order.
+// Gather orders are distinct, so it is a strict total order and each pop
+// returns the candidate a stable descending sort would have put next.
+func (s *scoredNodes) better(i, j int) bool {
 	if s.scores[i] != s.scores[j] {
 		return s.scores[i] > s.scores[j]
 	}
 	return s.order[i] < s.order[j]
 }
 
-func (s *scoredNodes) Swap(i, j int) {
+func (s *scoredNodes) swap(i, j int) {
 	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
 	s.scores[i], s.scores[j] = s.scores[j], s.scores[i]
 	s.order[i], s.order[j] = s.order[j], s.order[i]
 }
 
-// sortByScore orders candidates best-first; the embedded original order makes
-// the sort stable without sort.SliceStable's allocations.
-func (s *scoredNodes) sortByScore() { sort.Sort(s) }
+// heapify arranges the candidates as a max-heap under better, in linear time.
+func (s *scoredNodes) heapify() {
+	for i := len(s.nodes)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
+// pop removes and returns the best candidate left in a heapified buffer; the
+// buffer must not be empty.
+func (s *scoredNodes) pop() *cluster.Node {
+	best, last := s.nodes[0], len(s.nodes)-1
+	s.swap(0, last)
+	s.nodes, s.scores, s.order = s.nodes[:last], s.scores[:last], s.order[:last]
+	s.siftDown(0)
+	return best
+}
+
+// siftDown moves the candidate at i down until neither child is better.
+func (s *scoredNodes) siftDown(i int) {
+	n := len(s.nodes)
+	for {
+		best, l := i, 2*i+1
+		if l >= n {
+			return
+		}
+		if s.better(l, best) {
+			best = l
+		}
+		if r := l + 1; r < n && s.better(r, best) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		s.swap(i, best)
+		i = best
+	}
+}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"moespark/internal/cluster"
@@ -137,11 +138,66 @@ func TestScoredNodesStableSort(t *testing.T) {
 	for i, n := range nodes {
 		s.add(n, scores[i])
 	}
-	s.sortByScore()
+	s.heapify()
 	wantIDs := []int{1, 3, 4, 0, 2}
-	for i, n := range s.nodes {
-		if n.ID != wantIDs[i] {
-			t.Errorf("rank %d = node %d, want %d", i, n.ID, wantIDs[i])
+	for i, want := range wantIDs {
+		if n := s.pop(); n.ID != want {
+			t.Errorf("rank %d = node %d, want %d", i, n.ID, want)
+		}
+	}
+	if len(s.nodes) != 0 {
+		t.Errorf("%d candidates left after popping all", len(s.nodes))
+	}
+}
+
+// TestScoredNodesPopMatchesStableSort pins best-first selection to the full
+// sort it replaced: popping every candidate of a heapified buffer returns
+// exactly sort.SliceStable's descending order, and stopping after k pops
+// returns its first k. Scores come from a handful of values spread over
+// class-penalty tiers, so ties are common.
+func TestScoredNodesPopMatchesStableSort(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 300
+	nodes := cluster.New(cfg).Nodes()
+	r := rand.New(rand.NewSource(1))
+	base := []float64{0, 0.25, 0.5, 1, 1.2}
+	var s scoredNodes
+	for trial := 0; trial < 500; trial++ {
+		count := 1 + r.Intn(len(nodes))
+		scores := make([]float64, count)
+		for i := range scores {
+			scores[i] = base[r.Intn(len(base))] - float64(r.Intn(3))*classPenalty
+		}
+		fill := func() {
+			s.reset()
+			for i, sc := range scores {
+				s.add(nodes[i], sc)
+			}
+		}
+		want := make([]int, count)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return scores[want[i]] > scores[want[j]] })
+
+		fill()
+		s.heapify()
+		for rank, w := range want {
+			if n := s.pop(); n != nodes[w] {
+				t.Fatalf("trial %d: rank %d = node %d, want %d", trial, rank, n.ID, nodes[w].ID)
+			}
+		}
+
+		k := r.Intn(count + 1)
+		fill()
+		s.heapify()
+		for rank := 0; rank < k; rank++ {
+			if n := s.pop(); n != nodes[want[rank]] {
+				t.Fatalf("trial %d, stop at %d: rank %d = node %d, want %d", trial, k, rank, n.ID, nodes[want[rank]].ID)
+			}
+		}
+		if len(s.nodes) != count-k {
+			t.Fatalf("trial %d: %d candidates left after %d of %d pops", trial, len(s.nodes), k, count)
 		}
 	}
 }
