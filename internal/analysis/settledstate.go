@@ -10,8 +10,8 @@ import (
 // owning type in package cluster. These fields obey the settle-on-rate-change
 // contract (see internal/cluster/eventindex.go): progress fields are exact
 // only at their settle point, deadlines must equal what a fresh scan would
-// compute, and the dirty/wake bookkeeping carries one-directional heap
-// invariants. A write from anywhere outside the engine's touch points can
+// compute, and the wake bookkeeping carries a one-directional heap
+// invariant. A write from anywhere outside the engine's touch points can
 // silently break bit-for-bit replay, which is why the rule is mechanical.
 var settledFields = map[string]map[string]bool{
 	"App": {
@@ -30,7 +30,6 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
-		"dirty":  true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like

@@ -28,7 +28,6 @@ type ForeignTask struct {
 type Node struct {
 	ID     int
 	wakeAt float64
-	dirty  bool
 }
 
 // Cluster is the owning engine stand-in.
@@ -54,7 +53,6 @@ func (c *Cluster) settleForeign(f *ForeignTask) {
 // markDirty is an allowed touch point for node wake bookkeeping.
 func (c *Cluster) markDirty(n *Node, at float64) {
 	n.wakeAt = at
-	n.dirty = true
 }
 
 // evilSettle duplicates settleApp's body outside the allowlist: exactly
@@ -96,10 +94,8 @@ func (c *Cluster) rateNode(n *Node, gate float64) {
 	n.wakeAt = c.now + gate
 }
 
-// wakeShortcut re-dirties a node and rewrites its wake time outside the
-// touch points: the stray writer that would strand a node off the dirty
-// list or leave a stale wake-heap entry.
+// wakeShortcut rewrites a node's wake time outside the touch points: the
+// stray writer that would leave a stale wake-heap entry.
 func wakeShortcut(n *Node, at float64) {
-	n.wakeAt = at  // want `write to settle-discipline field Node.wakeAt`
-	n.dirty = true // want `write to settle-discipline field Node.dirty`
+	n.wakeAt = at // want `write to settle-discipline field Node.wakeAt`
 }

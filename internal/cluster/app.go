@@ -214,7 +214,9 @@ type Executor struct {
 	// Demand is the executor's CPU demand as a fraction of the node.
 	Demand float64
 	// FairShareGB is the per-executor data share at spawn time, used for
-	// the cache-efficiency penalty.
+	// the cache-efficiency penalty. Spawn stores that penalty with it and
+	// Grow refreshes it with ItemsGB; writing either field directly leaves
+	// the stored penalty stale.
 	FairShareGB float64
 	// SpawnTime records when the executor started.
 	SpawnTime float64
@@ -227,6 +229,11 @@ type Executor struct {
 	// rate is the current processing rate (GB/s), recomputed between
 	// events.
 	rate float64
+	// cacheEff is the cache-efficiency factor of the rate formula (see
+	// Config.CacheGamma). It depends only on ItemsGB and FairShareGB, so
+	// Spawn and Grow, their only writers, store it here and the rate pass
+	// reads it instead of evaluating the power on every recompute.
+	cacheEff float64
 	// gateUntil is a per-executor processing gate: the rate is zero until
 	// both it and the app-level startupUntil have passed. Zero for ordinary
 	// spawns (the app gate alone governs); migration sets it to the

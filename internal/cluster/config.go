@@ -62,7 +62,10 @@ type Config struct {
 	InterferenceAlpha float64
 	// CacheGamma shapes the RDD-cache efficiency penalty for executors
 	// allocated fewer data items than their fair share: rate is multiplied
-	// by (items/fairShare)^CacheGamma (capped at 1).
+	// by (items/fairShare)^CacheGamma, floored at CacheFloor. The penalty
+	// applies only when the fair share exceeds MinChunkGB and the items are
+	// below it; otherwise the factor is 1. It is computed when Spawn or Grow
+	// sets the allocation and stored on the executor.
 	CacheGamma float64
 	// CacheFloor bounds the cache-efficiency penalty from below.
 	CacheFloor float64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -88,16 +89,19 @@ type Cluster struct {
 	classed bool
 
 	// Event index (see eventindex.go): active sets and done-counters keep
-	// the per-event loops proportional to in-flight work, dirtyNodes and the
-	// wake heap keep rate recomputation proportional to what changed.
+	// the per-event loops proportional to in-flight work, the dirty set and
+	// the wake heap keep rate recomputation proportional to what changed.
 	active        []*App         // apps not yet done, submission order
 	profiling     []*App         // apps currently profiling, submission order
 	activeForeign []*ForeignTask // foreign tasks not yet done, registration order
 	draining      []*Node        // nodes in the Draining state, drain order
 	doneApps      int
 	doneForeign   int
-	dirtyNodes    []*Node
-	wakes         wakeHeap
+	// dirty is the set of nodes pending a rate recomputation, a bitset
+	// indexed by node ID (bit ID%64 of word ID/64); node IDs are their
+	// indices in nodes, so the set is walked in node order without sorting.
+	dirty []uint64
+	wakes wakeHeap
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -472,6 +476,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		Demand:      app.Job.Bench.CPULoad,
 		FairShareGB: fair,
 		SpawnTime:   c.now,
+		cacheEff:    c.cacheEfficiency(itemsGB, fair),
 	}
 	node.Executors = append(node.Executors, e)
 	app.Executors = append(app.Executors, e)
@@ -531,10 +536,25 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	}
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
+	e.cacheEff = c.cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = c.resident(e.NeedGB, e.ReservedGB)
 	c.markDirty(e.Node)
 	return nil
+}
+
+// cacheEfficiency is the RDD-cache efficiency factor of an executor holding
+// itemsGB of a fairGB fair share (see Config.CacheGamma). Spawn and Grow
+// store it on the executor; refCheckRates evaluates the formula afresh.
+func (c *Cluster) cacheEfficiency(itemsGB, fairGB float64) float64 {
+	eff := 1.0
+	if fairGB > c.cfg.MinChunkGB && itemsGB < fairGB {
+		eff = math.Pow(itemsGB/fairGB, c.cfg.CacheGamma)
+		if eff < c.cfg.CacheFloor {
+			eff = c.cfg.CacheFloor
+		}
+	}
+	return eff
 }
 
 // removeExecutor detaches e from its node and app. The node's co-runners
@@ -791,26 +811,18 @@ func (c *Cluster) profilingShare() float64 {
 // charge-backs on different nodes can touch the same application.
 func (c *Cluster) recomputeRates() {
 	c.wakeExpiredNodes()
-	if len(c.dirtyNodes) == 0 {
-		return
-	}
-	// Insertion sort by node ID: c.nodes is ID-ordered (joins append rising
-	// IDs), the dirty list is short, and sort.Slice would allocate.
-	for i := 1; i < len(c.dirtyNodes); i++ {
-		for j := i; j > 0 && c.dirtyNodes[j].ID < c.dirtyNodes[j-1].ID; j-- {
-			c.dirtyNodes[j], c.dirtyNodes[j-1] = c.dirtyNodes[j-1], c.dirtyNodes[j]
+	// Re-read the word after every node and clear a node's bit only once
+	// rateNode returns: enforceOOM re-marks the node being rated, which must
+	// stay a no-op, and no mark made mid-pass is dropped (one in this word
+	// or a later one is rated in this pass, one in an earlier word in the
+	// next).
+	for w := 0; w < len(c.dirty); w++ {
+		for c.dirty[w] != 0 {
+			id := w<<6 | bits.TrailingZeros64(c.dirty[w])
+			c.rateNode(c.nodes[id])
+			c.dirty[w] &^= 1 << (id & 63)
 		}
 	}
-	// Drain by index, not by range snapshot: rateNode's enforceOOM can call
-	// markDirty mid-drain (today only for the node being rated, whose flag
-	// is still set, but a range over a stale snapshot would silently strand
-	// any newly appended node with dirty=true and no list entry).
-	for i := 0; i < len(c.dirtyNodes); i++ {
-		n := c.dirtyNodes[i]
-		c.rateNode(n)
-		n.dirty = false
-	}
-	c.dirtyNodes = c.dirtyNodes[:0]
 }
 
 // rateNode recomputes every rate on one node and refreshes the node's
@@ -863,13 +875,6 @@ func (c *Cluster) rateNode(n *Node) {
 			continue
 		}
 		interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-e.Demand))
-		cacheEff := 1.0
-		if e.FairShareGB > c.cfg.MinChunkGB && e.ItemsGB < e.FairShareGB {
-			cacheEff = math.Pow(e.ItemsGB/e.FairShareGB, c.cfg.CacheGamma)
-			if cacheEff < c.cfg.CacheFloor {
-				cacheEff = c.cfg.CacheFloor
-			}
-		}
 		heapFactor := 1.0
 		if e.ReservedGB > 0 && e.NeedGB > e.ReservedGB {
 			shortfall := (e.NeedGB - e.ReservedGB) / e.ReservedGB
@@ -878,7 +883,7 @@ func (c *Cluster) rateNode(n *Node) {
 				heapFactor = c.cfg.HeapFloor
 			}
 		}
-		e.rate = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * cacheEff * heapFactor
+		e.rate = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * e.cacheEff * heapFactor
 	}
 	for _, f := range n.Foreign {
 		if f.done {

@@ -109,12 +109,14 @@ func (h *wakeHeap) siftDown(i int) {
 // it: executor membership changes (Spawn, removeExecutor — which covers app
 // completion, OOM kills, node-failure kills and preemption), reservation and
 // allocation changes (Grow), foreign-task arrival and completion, node
-// lifecycle events, and startup-expiry wake-ups. Idempotent per pass.
+// lifecycle events, and startup-expiry wake-ups. Idempotent per pass. The
+// set grows by a word when a joining node's ID opens one.
 func (c *Cluster) markDirty(n *Node) {
-	if !n.dirty {
-		n.dirty = true
-		c.dirtyNodes = append(c.dirtyNodes, n)
+	w := n.ID >> 6
+	for w >= len(c.dirty) {
+		c.dirty = append(c.dirty, 0)
 	}
+	c.dirty[w] |= 1 << (n.ID & 63)
 }
 
 // wakeExpiredNodes pops every due wake-up off the heap and re-dirties its

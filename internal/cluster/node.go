@@ -61,13 +61,6 @@ type Node struct {
 	state  NodeState
 	cpuCap float64
 
-	// dirty marks the node for the next rate recomputation pass: something
-	// that feeds its executors' rates changed (executor membership, a Grow,
-	// a foreign task arriving or finishing, a lifecycle event, a startup
-	// expiry). Clean nodes keep their previously-computed rates, which are
-	// bit-identical to what a recompute would produce. Always set via
-	// Cluster.markDirty so the node lands on the pending dirty list.
-	dirty bool
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from
 	// zero to positive with no membership change, so the node must be

@@ -723,3 +723,123 @@ func TestGrowValidation(t *testing.T) {
 		t.Errorf("items %v exceed remaining %v", e.ItemsGB, app.RemainingGB)
 	}
 }
+
+// TestCacheEfficiencyStored pins the cache-efficiency factor that Spawn and
+// Grow store on an executor at the edges of its formula, then requires the
+// rate pass that reads it to agree with refCheckRates' fresh evaluation.
+func TestCacheEfficiencyStored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StartupSec = 0 // rates go live at once, so the factor reaches them
+	b := testBench(t, "SP.Pca")
+	cases := []struct {
+		name        string
+		remainingGB float64 // two executor slots: the fair share is half
+		itemsGB     float64
+		growItemsGB float64 // 0: no Grow
+		want        float64
+	}{
+		// Fair share 50 GB: 30 GB of items keeps (30/50)^gamma above the floor.
+		{"below fair share", 100, 30, 0, math.Pow(30.0/50, cfg.CacheGamma)},
+		// (5/50)^gamma is about 0.50, below the 0.6 floor.
+		{"clamped to floor", 100, 5, 0, cfg.CacheFloor},
+		// Fair share 0.05 GB equals MinChunkGB. Spawn's chunk check admits
+		// items up to 1e-9 GB short of MinChunkGB, the only way items can sit
+		// below such a small fair share; the factor must still be 1.
+		{"fair share at min chunk", 0.1, cfg.MinChunkGB - 5e-10, 0, 1},
+		{"grow to fair share", 100, 30, 50, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(cfg)
+			app := &App{
+				ID: 0, Job: workload.Job{Bench: b, InputGB: tc.remainingGB},
+				RemainingGB: tc.remainingGB, MaxExecutors: 2, State: StateReady,
+				ReadyTime: 0, StartTime: -1, DoneTime: -1,
+			}
+			e, err := c.Spawn(app, c.Nodes()[0], 10, tc.itemsGB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.growItemsGB > 0 {
+				if e.cacheEff >= 1 {
+					t.Fatalf("spawn factor %v, want below 1 before the grow", e.cacheEff)
+				}
+				if err := c.Grow(e, 10, tc.growItemsGB); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.cacheEff != tc.want {
+				t.Errorf("stored factor %v, want %v", e.cacheEff, tc.want)
+			}
+			c.recomputeRates()
+			if e.Rate() <= 0 {
+				t.Fatalf("rate %v: the executor never went live", e.Rate())
+			}
+			if diff := c.refCheckRates(); diff != "" {
+				t.Error(diff)
+			}
+		})
+	}
+}
+
+// TestRatePassWalksDirtySetByID runs the rate pass over a fleet whose dirty
+// set spans two bitset words: 64 nodes plus a joined node with ID 64. With
+// every node dirty, one pass must leave every stored rate equal to a full
+// recompute and the set empty, and a full-fleet pass must not allocate.
+func TestRatePassWalksDirtySetByID(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 64
+	cfg.StartupSec = 0
+	c := New(cfg)
+	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeJoin}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	nodes := c.Nodes()
+	if len(nodes) != 65 || nodes[64].ID != 64 {
+		t.Fatalf("joined fleet: %d nodes, last ID %d; want 65 nodes, last ID 64", len(nodes), nodes[len(nodes)-1].ID)
+	}
+	// Two apps on every node, items below fair share, so each rate carries
+	// interference and the cache-efficiency factor.
+	b := testBench(t, "SP.Pca")
+	for id := range 2 {
+		app := &App{
+			ID: id, Job: workload.Job{Bench: b, InputGB: 650},
+			RemainingGB: 650, MaxExecutors: len(nodes), State: StateReady,
+			ReadyTime: 0, StartTime: -1, DoneTime: -1,
+		}
+		for _, n := range nodes {
+			if _, err := c.Spawn(app, n, 5, 5); err != nil {
+				t.Fatalf("app %d on node %d: %v", id, n.ID, err)
+			}
+		}
+	}
+	for _, n := range nodes {
+		c.markDirty(n)
+	}
+	c.recomputeRates()
+	if diff := c.refCheckRates(); diff != "" {
+		t.Fatal(diff)
+	}
+	for _, e := range nodes[64].Executors {
+		if e.Rate() <= 0 {
+			t.Fatalf("joined node's executor rate %v: the second word was not walked", e.Rate())
+		}
+	}
+	for w, word := range c.dirty {
+		if word != 0 {
+			t.Fatalf("dirty word %d = %#x after the pass, want 0", w, word)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, n := range nodes {
+			c.markDirty(n)
+		}
+		c.recomputeRates()
+	})
+	if allocs != 0 {
+		t.Errorf("full-fleet rate pass allocates %v times, want 0", allocs)
+	}
+}
