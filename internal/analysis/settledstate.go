@@ -10,8 +10,9 @@ import (
 // owning type in package cluster. These fields obey the settle-on-rate-change
 // contract (see internal/cluster/eventindex.go): progress fields are exact
 // only at their settle point, deadlines must equal what a fresh scan would
-// compute, and the wake bookkeeping carries a one-directional heap
-// invariant. A write from anywhere outside the engine's touch points can
+// compute, the wake bookkeeping carries a one-directional heap invariant,
+// and the stored node totals and shrunken-executor counts must equal a fresh
+// recount. A write from anywhere outside the engine's touch points can
 // silently break bit-for-bit replay, which is why the rule is mechanical.
 var settledFields = map[string]map[string]bool{
 	"App": {
@@ -20,6 +21,8 @@ var settledFields = map[string]map[string]bool{
 		"settledAt":   true,
 		"deadline":    true,
 		"touched":     true,
+		// shrunk is kept by countShrunk alone.
+		"shrunk": true,
 	},
 	"ForeignTask": {
 		"remaining": true,
@@ -30,6 +33,10 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
+		// The stored totals are written by recount alone.
+		"reservedGB": true,
+		"actualGB":   true,
+		"cpuDemand":  true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -76,6 +83,12 @@ var settleTouchPoints = map[string]bool{
 	"migrateFrom":     true,
 	"migrateExecutor": true,
 	"handoffExecutor": true,
+	// node.go and app.go: the one writer each of the stored node totals and
+	// the shrunken-executor count. Spawn, Grow and removeExecutor call them
+	// but stay off this list, which would let them write every settled
+	// field.
+	"recount":     true,
+	"countShrunk": true,
 }
 
 // SettledState forbids writes (assignment, op-assignment, increment) to the

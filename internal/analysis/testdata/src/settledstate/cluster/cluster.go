@@ -12,6 +12,7 @@ type App struct {
 	settledAt   float64
 	deadline    float64
 	touched     bool
+	shrunk      int
 }
 
 // ForeignTask mirrors the engine's foreign-load bookkeeping.
@@ -24,10 +25,14 @@ type ForeignTask struct {
 	done      bool
 }
 
-// Node mirrors the engine's wake bookkeeping.
+// Node mirrors the engine's wake bookkeeping and stored totals.
 type Node struct {
-	ID     int
-	wakeAt float64
+	ID         int
+	wakeAt     float64
+	Reserved   []float64
+	reservedGB float64
+	actualGB   float64
+	cpuDemand  float64
 }
 
 // Cluster is the owning engine stand-in.
@@ -98,4 +103,26 @@ func (c *Cluster) rateNode(n *Node, gate float64) {
 // stray writer that would leave a stale wake-heap entry.
 func wakeShortcut(n *Node, at float64) {
 	n.wakeAt = at // want `write to settle-discipline field Node.wakeAt`
+}
+
+// recount is the one allowed writer of the stored node totals.
+func (n *Node) recount() {
+	var sum float64
+	for _, r := range n.Reserved {
+		sum += r
+	}
+	n.reservedGB, n.actualGB, n.cpuDemand = sum, sum, 0
+}
+
+// countShrunk is the one allowed writer of the shrunken-executor count.
+func (a *App) countShrunk(delta int) {
+	a.shrunk += delta
+}
+
+// spawnShortcut adjusts the stored totals in place instead of recounting:
+// the stray writer that lets a total drift from its recount.
+func spawnShortcut(n *Node, a *App, reserveGB float64) {
+	n.Reserved = append(n.Reserved, reserveGB)
+	n.reservedGB += reserveGB // want `write to settle-discipline field Node.reservedGB`
+	a.shrunk++                // want `write to settle-discipline field App.shrunk`
 }

@@ -80,6 +80,9 @@ type App struct {
 	MaxExecutors int
 	// Executors currently running for this app.
 	Executors []*Executor
+	// shrunk counts the executors holding fewer items than their fair share
+	// (see ShrunkenExecutors).
+	shrunk int
 	// OOMKills counts executors lost to out-of-memory on an oversubscribed
 	// node.
 	OOMKills int
@@ -184,13 +187,37 @@ func (a *App) blockNode(n *Node, until float64) {
 }
 
 // ExecutorOn reports whether the app already has an executor on the node.
+// An app holds at most one executor per node, which both lists record, so
+// the shorter list answers.
 func (a *App) ExecutorOn(n *Node) bool {
+	if len(n.Executors) < len(a.Executors) {
+		for _, e := range n.Executors {
+			if e.App == a {
+				return true
+			}
+		}
+		return false
+	}
 	for _, e := range a.Executors {
 		if e.Node == n {
 			return true
 		}
 	}
 	return false
+}
+
+// ShrunkenExecutors returns how many of the app's executors hold fewer items
+// than their fair share (ItemsGB < FairShareGB): the only ones a scheduler
+// can grow. Spawn, Grow and removeExecutor keep the count; writing ItemsGB,
+// FairShareGB or Executors directly leaves it stale.
+func (a *App) ShrunkenExecutors() int { return a.shrunk }
+
+// countShrunk adds delta to the app's shrunken-executor count when e holds
+// fewer items than its fair share.
+func (a *App) countShrunk(e *Executor, delta int) {
+	if e.ItemsGB < e.FairShareGB {
+		a.shrunk += delta
+	}
 }
 
 // Executor is one executor process placed on a node.

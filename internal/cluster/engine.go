@@ -389,10 +389,12 @@ func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec
 		StartTime: c.now, DoneTime: -1,
 		settledAt: c.now, deadline: math.Inf(1),
 	}
-	c.nodes[nodeID].Foreign = append(c.nodes[nodeID].Foreign, f)
+	n := c.nodes[nodeID]
+	n.Foreign = append(n.Foreign, f)
+	n.recount()
 	c.foreign = append(c.foreign, f)
 	c.activeForeign = append(c.activeForeign, f)
-	c.markDirty(c.nodes[nodeID])
+	c.markDirty(n)
 	return f, nil
 }
 
@@ -479,7 +481,9 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		cacheEff:    c.cacheEfficiency(itemsGB, fair),
 	}
 	node.Executors = append(node.Executors, e)
+	node.recount()
 	app.Executors = append(app.Executors, e)
+	app.countShrunk(e, 1)
 	c.markDirty(node)
 	if app.State == StateReady {
 		app.State = StateRunning
@@ -534,11 +538,14 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	if newItemsGB > e.App.RemainingGB {
 		newItemsGB = e.App.RemainingGB
 	}
+	e.App.countShrunk(e, -1)
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
 	e.cacheEff = c.cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = c.resident(e.NeedGB, e.ReservedGB)
+	e.App.countShrunk(e, 1)
+	e.Node.recount()
 	c.markDirty(e.Node)
 	return nil
 }
@@ -568,6 +575,7 @@ func (c *Cluster) removeExecutor(e *Executor) {
 			break
 		}
 	}
+	n.recount()
 	a := e.App
 	for i, x := range a.Executors {
 		if x == e {
@@ -575,6 +583,7 @@ func (c *Cluster) removeExecutor(e *Executor) {
 			break
 		}
 	}
+	a.countShrunk(e, -1)
 }
 
 // Result summarises one simulation run.
@@ -1258,9 +1267,10 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	c.doneForeign++
 	f.deadline = math.Inf(1)
 	// The finished co-runner stops contending for CPU, so its node's
-	// survivors speed up. (Its working set stays resident by default — see
-	// the ActualGB quirk note in node.go — or leaves the memory sums too
-	// under Config.ReleaseForeignMem; the dirty mark covers both.)
+	// survivors speed up. (Its working set leaves the memory totals too
+	// under Config.ReleaseForeignMem, or stays resident with the flag
+	// cleared — see recount in node.go; the dirty mark covers both.)
+	f.Node.recount()
 	c.markDirty(f.Node)
 }
 

@@ -5,17 +5,17 @@ import (
 	"math"
 )
 
-// This file holds full-scan reference implementations of event selection,
-// rate recomputation, the profiling share, the waiting set, fleet sizing, the
-// completion check and the stored completion deadlines. They are not called by the
-// engine — the indexed paths in engine.go replaced them — but they are the
-// ground truth the index must reproduce exactly: the differential property
-// test (property_test.go) installs Cluster.checkEvent and replays these
-// scans against the indexed engine's state on every event of randomized
-// workloads, asserting float-for-float agreement. Any bookkeeping bug in the
-// active sets, dirty marking, wake heap or deadline heap shows up as a
-// divergence on the exact event where it happens, not as a mysteriously
-// shifted makespan.
+// This file holds full-scan reference implementations of event selection, rate
+// recomputation, the profiling share, the waiting set, fleet sizing, the
+// completion check, the stored completion deadlines and the stored node
+// totals. They are not called by the engine — the indexed paths in engine.go
+// replaced them — but they are the ground truth the index must reproduce
+// exactly: the differential property test (property_test.go) installs
+// Cluster.checkEvent and replays these scans against the indexed engine's
+// state on every event of randomized workloads, asserting float-for-float
+// agreement. Any bookkeeping bug in the active sets, dirty marking, wake heap
+// or deadline heap shows up as a divergence on the exact event where it
+// happens, not as a mysteriously shifted makespan.
 //
 // Since the settle-on-rate-change refactor the scans read the SETTLED state:
 // a completion candidate is settledAt + remaining/rate (an absolute
@@ -208,10 +208,10 @@ func (c *Cluster) refFleetFor(inputGB float64) int {
 //moevet:allow refpair pure cross-checker comparing stored rates to a fresh scan; no live twin by design
 func (c *Cluster) refCheckRates() string {
 	for _, n := range c.nodes {
-		sumD := n.CPUDemand()
+		_, actual, sumD := c.refNodeSums(n)
 		usable := n.Spec.UsableGB()
 		speed := n.Spec.SpeedFactor
-		overflow := n.ActualGB() - c.cfg.PressureWatermark*usable
+		overflow := actual - c.cfg.PressureWatermark*usable
 		pageFactor := 1.0
 		if overflow > 0 {
 			pageFactor = 1 / (1 + c.cfg.PagePenalty*overflow/usable)
@@ -311,6 +311,72 @@ func (c *Cluster) refCheckDeadlines(share float64) string {
 		}
 		if f.deadline != want {
 			return fmt.Sprintf("foreign %q deadline %v, full recompute %v", f.Name, f.deadline, want)
+		}
+	}
+	return ""
+}
+
+// refNodeSums sums a node's reserved memory, actual memory and CPU demand on
+// demand, one walk per total, executors first and then foreign tasks. It is
+// the reference for recount, which stores the same sums on the node instead
+// of returning them.
+//
+//moevet:allow refpair the live twin is (*Node).recount, which stores these sums rather than returning them; refCheckNodeSums compares the two
+func (c *Cluster) refNodeSums(n *Node) (reservedGB, actualGB, cpuDemand float64) {
+	for _, e := range n.Executors {
+		reservedGB += e.ReservedGB
+	}
+	for _, f := range n.Foreign {
+		if f.done && c.cfg.ReleaseForeignMem {
+			continue
+		}
+		reservedGB += f.MemoryGB
+	}
+	for _, e := range n.Executors {
+		actualGB += e.ActualGB
+	}
+	for _, f := range n.Foreign {
+		if f.done && c.cfg.ReleaseForeignMem {
+			continue
+		}
+		actualGB += f.MemoryGB
+	}
+	for _, e := range n.Executors {
+		cpuDemand += e.Demand
+	}
+	for _, f := range n.Foreign {
+		if !f.done {
+			cpuDemand += f.CPULoad
+		}
+	}
+	return reservedGB, actualGB, cpuDemand
+}
+
+// refAppCount counts the distinct applications with an executor on the node.
+func (n *Node) refAppCount() int {
+	seen := map[int]bool{}
+	for _, e := range n.Executors {
+		seen[e.App.ID] = true
+	}
+	return len(seen)
+}
+
+// refCheckNodeSums recounts every node's totals with refNodeSums and
+// refAppCount and compares them with what the node stores. It returns a
+// description of the first divergence, or "" when every stored total is
+// bit-identical to the recount. Every touch point recounts its node at
+// once, so the check holds at any instant.
+//
+//moevet:allow refpair pure cross-checker comparing stored node totals to a fresh recount; no live twin by design
+func (c *Cluster) refCheckNodeSums() string {
+	for _, n := range c.nodes {
+		reserved, actual, cpu := c.refNodeSums(n)
+		if n.ReservedGB() != reserved || n.ActualGB() != actual || n.CPUDemand() != cpu {
+			return fmt.Sprintf("node %d stored reserved/actual/cpu %v/%v/%v, recount %v/%v/%v",
+				n.ID, n.ReservedGB(), n.ActualGB(), n.CPUDemand(), reserved, actual, cpu)
+		}
+		if apps := n.refAppCount(); apps != len(n.Executors) {
+			return fmt.Sprintf("node %d hosts %d executors of %d distinct apps", n.ID, len(n.Executors), apps)
 		}
 	}
 	return ""

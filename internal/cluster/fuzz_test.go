@@ -12,8 +12,8 @@ import (
 // workload (optionally with foreign co-runners and trace sampling); the
 // Cluster.checkEvent hook then fires on every engine event — rates fresh,
 // advance about to run — where the heap-top event pick must equal the
-// full-scan minimum float-for-float, and every stored rate and completion
-// deadline must equal a fresh recompute. This is the differential property
+// full-scan minimum float-for-float, and every stored rate, completion
+// deadline and node total must equal a fresh recompute. This is the differential property
 // test of property_test.go reshaped so the fuzzer, rather than a fixed seed
 // loop, explores the workload space.
 func FuzzCompletionHeapMatchesScan(f *testing.F) {
@@ -90,6 +90,9 @@ func FuzzCompletionHeapMatchesScan(f *testing.F) {
 				t.Fatalf("event %d: %s", events, diff)
 			}
 			if diff := c.refCheckDeadlines(share); diff != "" {
+				t.Fatalf("event %d: %s", events, diff)
+			}
+			if diff := c.refCheckNodeSums(); diff != "" {
 				t.Fatalf("event %d: %s", events, diff)
 			}
 		}

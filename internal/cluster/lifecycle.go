@@ -354,6 +354,7 @@ func (c *Cluster) failNode(n *Node) {
 			c.doneForeign++
 		}
 	}
+	n.recount()
 	n.state = NodeFailed
 	n.StateTime = c.now
 	c.unblockNode(n.ID)

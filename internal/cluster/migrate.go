@@ -90,9 +90,11 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 			break
 		}
 	}
+	old.recount()
 	c.markDirty(old)
 	e.Node = target
 	target.Executors = append(target.Executors, e)
+	target.recount()
 	c.markDirty(target)
 	cost := c.cfg.MigrateRestartSec
 	if c.cfg.MigrateCheckpointGBps > 0 {

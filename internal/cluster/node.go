@@ -57,9 +57,20 @@ type Node struct {
 	JoinTime  float64
 	StateTime float64
 
-	cfg    Config
 	state  NodeState
 	cpuCap float64
+	// allocGB is AllocatableGB, fixed at construction from the platform
+	// watermark and the spec; releaseForeign is Config.ReleaseForeignMem.
+	allocGB        float64
+	releaseForeign bool
+
+	// reservedGB, actualGB and cpuDemand are the node's totals over its
+	// executors and foreign tasks. Every touch point that changes one
+	// (executor membership, an executor's reservation or residency, a
+	// foreign arrival or completion) calls recount, so reads are O(1).
+	reservedGB float64
+	actualGB   float64
+	cpuDemand  float64
 
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from
@@ -70,13 +81,21 @@ type Node struct {
 }
 
 // newNode builds a node with its CPU capacity normalised against the
-// platform's baseline cores.
+// platform's baseline cores. The platform pressure watermark keeps a safety
+// band below the node's physical limit, exactly like YARN's node-manager
+// resource setting; the allocatable memory it leaves is computed here once.
 func newNode(id int, spec NodeSpec, cfg Config, joinTime float64) *Node {
+	w := cfg.PressureWatermark
+	if w <= 0 || w > 1 {
+		w = 1
+	}
 	return &Node{
-		ID: id, Spec: spec, cfg: cfg,
+		ID: id, Spec: spec,
 		JoinTime: joinTime, StateTime: joinTime,
-		cpuCap: float64(spec.Cores) / float64(cfg.baselineCores()),
-		wakeAt: math.Inf(1),
+		cpuCap:         float64(spec.Cores) / float64(cfg.baselineCores()),
+		allocGB:        w * spec.UsableGB(),
+		releaseForeign: cfg.ReleaseForeignMem,
+		wakeAt:         math.Inf(1),
 	}
 }
 
@@ -89,86 +108,68 @@ func (n *Node) Available() bool { return n.state == NodeActive }
 // UsableGB is this node's memory available to executors.
 func (n *Node) UsableGB() float64 { return n.Spec.UsableGB() }
 
-// AllocatableGB is the memory this node advertises for reservations: the
-// platform pressure watermark keeps a safety band below the node's physical
-// limit, exactly like YARN's node-manager resource setting.
-func (n *Node) AllocatableGB() float64 {
-	w := n.cfg.PressureWatermark
-	if w <= 0 || w > 1 {
-		w = 1
-	}
-	return w * n.Spec.UsableGB()
-}
+// AllocatableGB is the memory this node advertises for reservations (see
+// newNode).
+func (n *Node) AllocatableGB() float64 { return n.allocGB }
 
 // CPUCapacity is the node's CPU capacity in baseline-node units: aggregate
 // demand beyond it is time-shared.
 func (n *Node) CPUCapacity() float64 { return n.cpuCap }
 
-// ReservedGB sums admission-time memory reservations (plus resident foreign
-// working sets).
-func (n *Node) ReservedGB() float64 {
-	var s float64
+// recount recomputes the node's stored totals: each sums the executors and
+// then the foreign tasks, in list order, so every total is bit-identical to
+// summing on demand. Under Config.ReleaseForeignMem (the default since the
+// settle-engine golden re-capture) a finished co-runner's working set leaves
+// both memory totals, so the node can un-page once its foreign guest is
+// gone. Clearing the flag restores the historical modeling quirk: a
+// completed foreign task releases its CPU demand but its working set stays
+// resident for the rest of the run — only node failure clears it. Either
+// way a foreign completion marks the node dirty, so the rate bookkeeping
+// stays exact.
+func (n *Node) recount() {
+	var reserved, actual, cpu float64
 	for _, e := range n.Executors {
-		s += e.ReservedGB
+		reserved += e.ReservedGB
+		actual += e.ActualGB
+		cpu += e.Demand
 	}
 	for _, f := range n.Foreign {
-		if f.done && n.cfg.ReleaseForeignMem {
+		if !f.done {
+			cpu += f.CPULoad
+		}
+		if f.done && n.releaseForeign {
 			continue
 		}
-		s += f.MemoryGB
+		reserved += f.MemoryGB
+		actual += f.MemoryGB
 	}
-	return s
+	n.reservedGB, n.actualGB, n.cpuDemand = reserved, actual, cpu
 }
 
-// ActualGB sums true memory use. Under Config.ReleaseForeignMem (the default
-// since the settle-engine golden re-capture) a finished co-runner's working
-// set leaves both the reserved and actual sums, so the node can un-page once
-// its foreign guest is gone. Clearing the flag restores the historical
-// modeling quirk: a completed foreign task releases its CPU demand (CPUDemand
-// checks done) but its working set stays resident for the rest of the run —
-// only node failure clears it. Either way a foreign completion marks the
-// node dirty, so the rate bookkeeping stays exact.
-func (n *Node) ActualGB() float64 {
-	var s float64
-	for _, e := range n.Executors {
-		s += e.ActualGB
-	}
-	for _, f := range n.Foreign {
-		if f.done && n.cfg.ReleaseForeignMem {
-			continue
-		}
-		s += f.MemoryGB
-	}
-	return s
-}
+// ReservedGB is the total of admission-time memory reservations (plus
+// resident foreign working sets).
+func (n *Node) ReservedGB() float64 { return n.reservedGB }
+
+// ActualGB is the total true memory use (see recount for foreign working
+// sets).
+func (n *Node) ActualGB() float64 { return n.actualGB }
 
 // FreeGB is the unreserved allocatable memory left on the node.
 func (n *Node) FreeGB() float64 {
-	free := n.AllocatableGB() - n.ReservedGB()
+	free := n.allocGB - n.reservedGB
 	if free < 0 {
 		return 0
 	}
 	return free
 }
 
-// CPUDemand sums the CPU demands of everything on the node.
-func (n *Node) CPUDemand() float64 {
-	var s float64
-	for _, e := range n.Executors {
-		s += e.Demand
-	}
-	for _, f := range n.Foreign {
-		if !f.done {
-			s += f.CPULoad
-		}
-	}
-	return s
-}
+// CPUDemand is the total CPU demand of everything running on the node.
+func (n *Node) CPUDemand() float64 { return n.cpuDemand }
 
 // Utilization is the node's CPU utilization in [0,1], relative to its own
 // capacity.
 func (n *Node) Utilization() float64 {
-	u := n.CPUDemand() / n.cpuCap
+	u := n.cpuDemand / n.cpuCap
 	if u > 1 {
 		return 1
 	}
@@ -176,14 +177,9 @@ func (n *Node) Utilization() float64 {
 }
 
 // AppCount returns the number of distinct applications with an executor on
-// this node.
-func (n *Node) AppCount() int {
-	seen := map[int]bool{}
-	for _, e := range n.Executors {
-		seen[e.App.ID] = true
-	}
-	return len(seen)
-}
+// this node: an application holds at most one executor per node (Spawn
+// rejects a second, and migration skips nodes that already host one).
+func (n *Node) AppCount() int { return len(n.Executors) }
 
 // ForeignTask is a non-Spark co-runner (the PARSEC programs of Figure 15):
 // a CPU-bound job with a fixed working set, measured in seconds of isolated

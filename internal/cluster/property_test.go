@@ -490,6 +490,9 @@ func installDiffHook(t *testing.T, c *Cluster, label string) *int {
 		if diff := c.refCheckDeadlines(share); diff != "" {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
+		if diff := c.refCheckNodeSums(); diff != "" {
+			t.Fatalf("%s event %d: %s", label, *events, diff)
+		}
 		if diff := fleetSizingDiff(c); diff != "" {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
@@ -520,9 +523,10 @@ func installDiffHook(t *testing.T, c *Cluster, label string) *int {
 // preserved scan-based reference paths (engine_ref.go) against the indexed
 // engine's state on every event, requiring exact (==, not approximate)
 // agreement of the profiling share, the chosen event dt, the completion
-// check, the waiting set, every in-flight app's fleet size, every stored rate
-// and every stored completion deadline. The one approximate check is the shadow per-event integrator
-// (see shadowIntegrator), which bounds the settle-vs-per-event float drift.
+// check, the waiting set, every in-flight app's fleet size, every stored rate,
+// every stored completion deadline and every node's stored totals. The one
+// approximate check is the shadow per-event integrator (see
+// shadowIntegrator), which bounds the settle-vs-per-event float drift.
 func TestIndexedEngineMatchesScanReference(t *testing.T) {
 	stormMigrations := 0
 	for seed := int64(0); seed < 28; seed++ {
@@ -570,10 +574,11 @@ func (s *scaleDiffScheduler) Prepare(c *Cluster, a *App) ProfilePlan {
 // TestIndexedEngineMatchesScanReference20000 runs the differential harness at
 // fleet scale: a 20,000-application classed stream on the 64-node bimodal
 // storm fleet of the scaling benchmarks. The shadow integrator (O(in-flight)
-// per event) runs on every event; the heavy O(total-apps) reference scans are
-// subsampled to every 8th event, which still lands tens of thousands of full
-// scan-vs-index comparisons across the run while keeping the test minutes off
-// the critical path. Excluded under -short.
+// per event) and the node-totals recount (O(nodes + executors)) run on every
+// event; the heavy O(total-apps) reference scans are subsampled to every 8th
+// event, which still lands tens of thousands of full scan-vs-index
+// comparisons across the run while keeping the test minutes off the critical
+// path. Excluded under -short.
 func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-app differential run excluded under -short")
@@ -615,6 +620,9 @@ func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 	c.checkEvent = func(share, dt float64, ok bool) {
 		events++
 		if diff := shadow.step(dt); diff != "" {
+			t.Fatalf("event %d: %s", events, diff)
+		}
+		if diff := c.refCheckNodeSums(); diff != "" {
 			t.Fatalf("event %d: %s", events, diff)
 		}
 		if events%8 != 0 {
@@ -842,4 +850,160 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("full-fleet rate pass allocates %v times, want 0", allocs)
 	}
+}
+
+// TestNodeTotalsFollowTouchPoints drives every engine touch point that
+// changes a node's stored totals or an app's shrunken-executor count by
+// hand, and after each one compares the stored values with totals derived
+// from what the node visibly holds.
+func TestNodeTotalsFollowTouchPoints(t *testing.T) {
+	type totals struct{ reserved, actual, cpu float64 }
+	check := func(t *testing.T, step string, n *Node, want totals) {
+		t.Helper()
+		got := totals{n.ReservedGB(), n.ActualGB(), n.CPUDemand()}
+		const tol = 1e-9
+		if math.Abs(got.reserved-want.reserved) > tol || math.Abs(got.actual-want.actual) > tol || math.Abs(got.cpu-want.cpu) > tol {
+			t.Errorf("%s: node %d reserved/actual/cpu %+v, want %+v", step, n.ID, got, want)
+		}
+	}
+	checkShrunk := func(t *testing.T, step string, a *App, want int) {
+		t.Helper()
+		if got := a.ShrunkenExecutors(); got != want {
+			t.Errorf("%s: app %d has %d shrunken executors, want %d", step, a.ID, got, want)
+		}
+	}
+	b := testBench(t, "SP.Pca")
+	cpu := b.CPULoad
+	newApp := func(id int, class workload.Class, inputGB float64, maxExec int) *App {
+		return &App{
+			ID: id, Job: workload.Job{Bench: b, InputGB: inputGB}, Class: class,
+			RemainingGB: inputGB, MaxExecutors: maxExec, State: StateReady,
+			ReadyTime: 0, StartTime: -1, DoneTime: -1,
+		}
+	}
+	spawn := func(t *testing.T, c *Cluster, a *App, n *Node, reserveGB, itemsGB float64) *Executor {
+		t.Helper()
+		e, err := c.Spawn(a, n, reserveGB, itemsGB)
+		if err != nil {
+			t.Fatalf("spawn app %d on node %d: %v", a.ID, n.ID, err)
+		}
+		return e
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes = 3
+
+	t.Run("spawn, grow and remove", func(t *testing.T) {
+		c := New(cfg)
+		n0, n1 := c.Nodes()[0], c.Nodes()[1]
+		a := newApp(0, workload.Class{}, 100, 2) // fair share 50 GB
+		e := spawn(t, c, a, n0, 10, 20)
+		check(t, "spawn", n0, totals{10, e.ActualGB, cpu})
+		checkShrunk(t, "spawn below fair share", a, 1)
+		if err := c.Grow(e, 12, 30); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "grow", n0, totals{12, e.ActualGB, cpu})
+		checkShrunk(t, "grow still below fair share", a, 1)
+		if err := c.Grow(e, 15, 50); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "grow to fair share", n0, totals{15, e.ActualGB, cpu})
+		checkShrunk(t, "grow to fair share", a, 0)
+		e1 := spawn(t, c, a, n1, 5, 10) // fair share 100 GB: the last slot
+		checkShrunk(t, "second spawn below fair share", a, 1)
+		c.removeExecutor(e1)
+		check(t, "remove", n1, totals{})
+		checkShrunk(t, "remove", a, 0)
+	})
+
+	t.Run("foreign arrival and completion", func(t *testing.T) {
+		for _, release := range []bool{true, false} {
+			cfg := cfg
+			cfg.ReleaseForeignMem = release
+			c := New(cfg)
+			n := c.Nodes()[0]
+			e := spawn(t, c, newApp(0, workload.Class{}, 100, 2), n, 10, 20)
+			f, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "AddForeign", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
+			c.completeForeign(f)
+			if !f.Done() {
+				t.Fatal("a zero-work foreign task must complete")
+			}
+			want := totals{10 + 12, e.ActualGB + 12, cpu}
+			if release {
+				want = totals{10, e.ActualGB, cpu}
+			}
+			check(t, fmt.Sprintf("completeForeign (release %v)", release), n, want)
+		}
+	})
+
+	t.Run("OOM kill", func(t *testing.T) {
+		c := New(cfg)
+		n := c.Nodes()[0]
+		a := newApp(0, workload.Class{}, 100, 2)
+		e := spawn(t, c, a, n, 10, 20)
+		// 80 GB of foreign memory alone exceeds RAM+swap (76 GB usable).
+		if _, err := c.AddForeign(n.ID, "hog", 0.2, 80, 100); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "AddForeign hog", n, totals{10 + 80, e.ActualGB + 80, cpu + 0.2})
+		c.recomputeRates()
+		if c.TotalOOMKills() != 1 {
+			t.Fatalf("OOM kills %d, want 1", c.TotalOOMKills())
+		}
+		check(t, "OOM kill", n, totals{80, 80, 0.2})
+		checkShrunk(t, "OOM kill", a, 0)
+	})
+
+	t.Run("preempt", func(t *testing.T) {
+		c := New(cfg)
+		n := c.Nodes()[0]
+		batch := workload.Class{Name: "batch", Weight: 1, Preemptible: true}
+		latency := workload.Class{Name: "latency", Weight: 2}
+		victim := spawn(t, c, newApp(0, batch, 100, 2), n, 10, 20)
+		kept := spawn(t, c, newApp(1, latency, 100, 2), n, 7, 20)
+		check(t, "two spawns", n, totals{10 + 7, victim.ActualGB + kept.ActualGB, 2 * cpu})
+		if err := c.Preempt(victim, newApp(2, latency, 100, 2)); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "preempt", n, totals{7, kept.ActualGB, cpu})
+	})
+
+	t.Run("node failure", func(t *testing.T) {
+		c := New(cfg)
+		n := c.Nodes()[0]
+		e := spawn(t, c, newApp(0, workload.Class{}, 100, 2), n, 10, 20)
+		if _, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 100); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "before failure", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
+		c.failNode(n)
+		// The lost co-runner is done, so under the default
+		// ReleaseForeignMem its working set leaves with its CPU demand.
+		check(t, "failNode", n, totals{})
+	})
+
+	t.Run("migration and handoff", func(t *testing.T) {
+		c := New(cfg)
+		n0, n1, n2 := c.Nodes()[0], c.Nodes()[1], c.Nodes()[2]
+		a := newApp(0, workload.Class{}, 100, 3)
+		other := spawn(t, c, newApp(1, workload.Class{}, 100, 3), n1, 7, 20)
+		moved := spawn(t, c, a, n0, 10, 20)
+		if !c.migrateExecutor(moved) || moved.Node != n1 {
+			t.Fatalf("executor migrated to node %d, want node 1", moved.Node.ID)
+		}
+		check(t, "migrate source", n0, totals{})
+		check(t, "migrate target", n1, totals{7 + 10, other.ActualGB + moved.ActualGB, 2 * cpu})
+		sibling := spawn(t, c, a, n2, 6, 20)
+		checkShrunk(t, "before handoff", a, 2)
+		if !c.handoffExecutor(moved) {
+			t.Fatal("handoff found no sibling")
+		}
+		check(t, "handoff source", n1, totals{7, other.ActualGB, cpu})
+		check(t, "handoff sibling", n2, totals{6, sibling.ActualGB, cpu})
+		checkShrunk(t, "handoff", a, 1)
+	})
 }

@@ -27,6 +27,7 @@ func TestReleaseForeignMemFreesWorkingSet(t *testing.T) {
 		}
 		//moevet:allow settledstate flipping completion directly to probe ReservedGB/ActualGB accounting
 		f.done = true
+		n.recount()
 		want := 40.0
 		if release {
 			want = 0

@@ -137,3 +137,65 @@ func moeScaleRun(b *testing.B, apps int) {
 
 func BenchmarkOpenSystemMoE10k(b *testing.B)  { moeScaleRun(b, 10_000) }
 func BenchmarkOpenSystemMoE100k(b *testing.B) { moeScaleRun(b, 100_000) }
+
+// BenchmarkDispatcherScheduleFleet1024 times one Schedule pass of the
+// fleet-storm scheduler, class-aware MoE placement with preemption, on a
+// seeded 1024-node big/little fleet in 64 racks. Foreign working sets fill
+// most of a third of the nodes, so executors placed there hold less than
+// their fair share, and the 400 apps want more executors than the fleet
+// takes. Warm-up passes place and grow what fits, leaving a few hundred
+// apps running and over a hundred waiting; every timed pass then walks the
+// waiting apps over the fleet and the running apps' executors, and changes
+// nothing.
+func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	fleet, err := workload.BimodalFleet(1024, workload.BigNode(), workload.LittleNode(), 0.5, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fleet, err = workload.AssignRacks(fleet, 64, 2); err != nil {
+		b.Fatal(err)
+	}
+	c, err := cluster.NewHetero(cluster.DefaultConfig(), cluster.SpecsFrom(fleet))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		if r.Float64() < 0.35 {
+			if _, err := c.AddForeign(n.ID, "hog", 0.1, 0.8*n.AllocatableGB(), 1e6); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	model, err := moe.TrainDefault(rand.New(rand.NewSource(5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := NewPriority(NewMoE(model, rand.New(rand.NewSource(7))), true)
+	cat := workload.Catalog()
+	for range 400 {
+		app := c.AddReadyApp(workload.Job{Bench: cat[r.Intn(len(cat))], InputGB: 5 + r.Float64()*600})
+		d.Prepare(c, app)
+	}
+	for range 3 {
+		d.Schedule(c)
+	}
+	counts := func() (execs, shrunk int) {
+		for _, a := range c.ActiveApps() {
+			execs += len(a.Executors)
+			shrunk += a.ShrunkenExecutors()
+		}
+		return execs, shrunk
+	}
+	execs, shrunk := counts()
+	if shrunk == 0 || len(c.WaitingApps()) == 0 {
+		b.Fatalf("fixture has %d shrunken executors and %d waiting apps; want both", shrunk, len(c.WaitingApps()))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		d.Schedule(c)
+	}
+	if after, _ := counts(); after != execs {
+		b.Fatalf("timed passes changed the fleet from %d to %d executors", execs, after)
+	}
+}

@@ -105,12 +105,14 @@ func (d *Dispatcher) appendWaiting(c *cluster.Cluster) []*cluster.App {
 }
 
 // growExecutors widens shrunken data allocations toward the fair share when
-// their node has free memory.
+// their node has free memory. An app with no shrunken executor has nothing
+// to grow, and the estimate is fetched only once an executor can grow.
 func (d *Dispatcher) growExecutors(c *cluster.Cluster, app *cluster.App) {
-	est, ok := d.Est.Estimate(app)
-	if !ok {
+	if app.ShrunkenExecutors() == 0 {
 		return
 	}
+	var est MemEstimate
+	haveEst := false
 	margin := 1 + d.SafetyMargin
 	for _, e := range app.Executors {
 		if e.ItemsGB >= e.FairShareGB {
@@ -119,6 +121,13 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster, app *cluster.App) {
 		free := e.Node.FreeGB()
 		if free <= 0.5 {
 			continue
+		}
+		if !haveEst {
+			var ok bool
+			if est, ok = d.Est.Estimate(app); !ok {
+				return
+			}
+			haveEst = true
 		}
 		items := clampItems(est.Items((e.ReservedGB+free)/margin), app.RemainingGB)
 		if items > e.FairShareGB {

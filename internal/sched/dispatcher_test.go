@@ -212,3 +212,62 @@ func TestCalibSizesRespectCaps(t *testing.T) {
 		t.Errorf("degenerate input: %v/%v", s1, s2)
 	}
 }
+
+// countingEstimator is a staticEstimator that counts its Estimate calls.
+type countingEstimator struct {
+	staticEstimator
+	calls int
+}
+
+func (e *countingEstimator) Estimate(app *cluster.App) (MemEstimate, bool) {
+	e.calls++
+	return e.staticEstimator.Estimate(app)
+}
+
+// TestGrowthPassSkipsAppsWithoutShrunkenExecutors runs the growth pass over
+// a running app whose only executor holds its full fair share, and over one
+// whose shrunken executor has no room to grow: the pass must fetch neither
+// app's estimate. An app with a shrunken executor on a node with room still
+// has its estimate fetched and its executor grown.
+func TestGrowthPassSkipsAppsWithoutShrunkenExecutors(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 3
+	c := cluster.New(cfg)
+	est := &countingEstimator{staticEstimator: staticEstimator{fn: memfunc.Func{Family: memfunc.LinearPower, M: 1, B: 0.2}}}
+	d := &Dispatcher{PolicyName: "test", Est: est}
+	b, err := workload.Find("SP.Pca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One executor slot per app, so no app is waiting and the placement
+	// passes never fetch an estimate.
+	start := func(n *cluster.Node, reserveGB, itemsGB float64) *cluster.Executor {
+		t.Helper()
+		app := c.AddReadyApp(workload.Job{Bench: b, InputGB: 40})
+		app.MaxExecutors = 1
+		est.Prepare(app)
+		e, err := c.Spawn(app, n, reserveGB, itemsGB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	full := start(c.Nodes()[0], 5, 40)
+	if full.App.ShrunkenExecutors() != 0 {
+		t.Fatalf("full-share executor counted as shrunken")
+	}
+	boxedIn := start(c.Nodes()[1], c.Nodes()[1].AllocatableGB(), 10)
+	d.Schedule(c)
+	if est.calls != 0 {
+		t.Fatalf("growth pass over apps that cannot grow fetched an estimate %d times", est.calls)
+	}
+	shrunk := start(c.Nodes()[2], 5, 10)
+	d.Schedule(c)
+	if est.calls != 1 {
+		t.Errorf("estimate fetched %d times, want once for the app that can grow", est.calls)
+	}
+	if shrunk.ItemsGB <= 10 || full.ItemsGB != 40 || boxedIn.ItemsGB != 10 {
+		t.Errorf("items after the growth pass: shrunken %v (want grown), full %v (want 40), boxed in %v (want 10)",
+			shrunk.ItemsGB, full.ItemsGB, boxedIn.ItemsGB)
+	}
+}
