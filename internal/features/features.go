@@ -179,23 +179,26 @@ func (p *Pipeline) Transform(v Vector) ([]float64, error) {
 // Components returns the number of PCs the pipeline keeps.
 func (p *Pipeline) Components() int { return p.PCA.K }
 
-// Residual returns the reconstruction error of a raw vector: the Euclidean
-// distance between its scaled form and the projection back from PC space.
-// Points far off the training manifold can project close to a cluster while
-// having a large residual, so confidence checks should include it.
-func (p *Pipeline) Residual(v Vector) (float64, error) {
+// Project maps one raw runtime vector to principal-component space and
+// measures how far it sits off the training manifold, scaling v once. It
+// writes the PCs into pcs, which must hold Components() values, and returns
+// the reconstruction residual: the Euclidean distance between the scaled
+// vector and its projection back from PC space. Points far off the training
+// manifold can project close to a cluster while having a large residual, so
+// confidence checks should include it. The PCs are Transform's: both go
+// through PCA.TransformInto.
+func (p *Pipeline) Project(v Vector, pcs []float64) (residual float64, err error) {
 	scaled := p.Scaler.Apply(v)
-	pcs, err := p.PCA.Transform(scaled[:])
-	if err != nil {
+	if err := p.PCA.TransformInto(scaled[:], pcs); err != nil {
 		return 0, err
 	}
 	var sum float64
-	for r := 0; r < NumRaw; r++ {
+	for r, x := range scaled {
 		recon := p.PCA.Mean[r]
-		for c := 0; c < p.PCA.K; c++ {
-			recon += p.PCA.Components.At(r, c) * pcs[c]
+		for c, pc := range pcs {
+			recon += p.PCA.Components.At(r, c) * pc
 		}
-		d := scaled[r] - recon
+		d := x - recon
 		sum += d * d
 	}
 	return math.Sqrt(sum), nil

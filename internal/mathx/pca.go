@@ -81,22 +81,32 @@ func FitPCA(x *Matrix, k int, varTarget float64) (*PCA, error) {
 
 // Transform projects a single sample onto the kept components.
 func (p *PCA) Transform(sample []float64) ([]float64, error) {
-	if len(sample) != len(p.Mean) {
-		return nil, fmt.Errorf("mathx: PCA transform dim %d, want %d", len(sample), len(p.Mean))
-	}
-	centered := make([]float64, len(sample))
-	for i, v := range sample {
-		centered[i] = v - p.Mean[i]
-	}
 	out := make([]float64, p.K)
-	for c := 0; c < p.K; c++ {
+	if err := p.TransformInto(sample, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TransformInto projects a single sample onto the kept components, writing
+// them into out, which must hold K values. It allocates nothing: each
+// centred value is rounded before its multiply, as a separate centring pass
+// would round it.
+func (p *PCA) TransformInto(sample, out []float64) error {
+	if len(sample) != len(p.Mean) {
+		return fmt.Errorf("mathx: PCA transform dim %d, want %d", len(sample), len(p.Mean))
+	}
+	if len(out) != p.K {
+		return fmt.Errorf("mathx: PCA transform into %d slots, want %d", len(out), p.K)
+	}
+	for c := range out {
 		var s float64
-		for r := 0; r < len(centered); r++ {
-			s += p.Components.At(r, c) * centered[r]
+		for r, x := range sample {
+			s += p.Components.At(r, c) * (x - p.Mean[r])
 		}
 		out[c] = s
 	}
-	return out, nil
+	return nil
 }
 
 // TransformAll projects every row of x.

@@ -85,27 +85,10 @@ func calibrateExponential(p1, p2 Point) (Func, error) {
 	if target >= upper {
 		return Func{}, ErrInfeasibleCalibration
 	}
-	rho := func(b float64) float64 {
-		return (1 - math.Exp(-b*p2.X)) / (1 - math.Exp(-b*p1.X))
+	b, _, ok := bisectExponentialRate(p1, p2, target)
+	if !ok {
+		return Func{}, ErrInfeasibleCalibration
 	}
-	// Bracket the root: rho is decreasing, find lo with rho(lo) > target and
-	// hi with rho(hi) < target.
-	lo, hi := 1e-12, 1.0
-	for rho(hi) > target {
-		hi *= 2
-		if hi > 1e15 {
-			return Func{}, ErrInfeasibleCalibration
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if rho(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	b := (lo + hi) / 2
 	den := 1 - math.Exp(-b*p1.X)
 	if den <= 0 {
 		return Func{}, ErrInfeasibleCalibration
@@ -115,6 +98,44 @@ func calibrateExponential(p1, p2 Point) (Func, error) {
 		return Func{}, ErrInfeasibleCalibration
 	}
 	return Func{Family: Exponential, M: m, B: b}, nil
+}
+
+// bisectExponentialRate finds the rate b at which the saturating
+// exponential's footprint ratio rho(b) = (1 - e^{-b x2}) / (1 - e^{-b x1})
+// meets target, and reports how many bisection steps it took; ok is false
+// when no bracket holds the root. The bisection runs at most 200 steps, but
+// each step depends only on (lo, hi), so once a step leaves both unchanged
+// no later step could move them: the loop stops there, and the rate is
+// bit-identical to the full run's.
+func bisectExponentialRate(p1, p2 Point, target float64) (rate float64, steps int, ok bool) {
+	rho := func(b float64) float64 {
+		return (1 - math.Exp(-b*p2.X)) / (1 - math.Exp(-b*p1.X))
+	}
+	// Bracket the root: rho is decreasing, find lo with rho(lo) > target and
+	// hi with rho(hi) < target.
+	lo, hi := 1e-12, 1.0
+	for rho(hi) > target {
+		hi *= 2
+		if hi > 1e15 {
+			return 0, 0, false
+		}
+	}
+	for steps < 200 {
+		mid := (lo + hi) / 2
+		steps++
+		if rho(mid) > target {
+			if mid == lo {
+				break
+			}
+			lo = mid
+		} else {
+			if mid == hi {
+				break
+			}
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, steps, true
 }
 
 // CalibrateWithFallback calibrates the predicted family, and if the two

@@ -99,16 +99,6 @@ func (f Func) Eval(x float64) (float64, error) {
 	}
 }
 
-// MustEval is Eval for known-good inputs; it panics on domain errors and is
-// intended for internal sweeps over controlled grids.
-func (f Func) MustEval(x float64) float64 {
-	y, err := f.Eval(x)
-	if err != nil {
-		panic(fmt.Sprintf("memfunc: MustEval(%v) on %v: %v", x, f, err))
-	}
-	return y
-}
-
 // Invert returns the largest input size x such that Eval(x) <= budget.
 // This is the scheduler's central query: how many data items can an executor
 // cache under a given memory budget. Returns 0 if no positive x fits, and

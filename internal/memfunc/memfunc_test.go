@@ -2,6 +2,7 @@ package memfunc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,16 @@ import (
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// MustEval is Eval for known-good inputs; it panics on domain errors and is
+// intended for sweeps over controlled grids.
+func (f Func) MustEval(x float64) float64 {
+	y, err := f.Eval(x)
+	if err != nil {
+		panic(fmt.Sprintf("memfunc: MustEval(%v) on %v: %v", x, f, err))
+	}
+	return y
+}
 
 // The paper's Figure 3 instantiations: Sort is exponential with m=5.768,
 // b=4.479; PageRank is Napierian-log with m=16.333, b=1.79.

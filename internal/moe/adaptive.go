@@ -198,16 +198,25 @@ const extrapolationRef = 25.0
 // Predict implements Predictor: reweighted gate selection (conservative
 // flips only), two-point calibration with family fallback (exactly the
 // static path's), then the expert's learned coefficient correction when one
-// is trustworthy.
+// is trustworthy. The features are projected once; the unbiased and the
+// biased gate query both read that projection.
 func (a *Adaptive) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, error) {
-	sel, err := a.model.SelectFamily(raw)
+	pcs, res, err := a.model.project(raw)
 	if err != nil {
 		return Prediction{}, err
 	}
-	if a.biasActive() {
-		if biased, err := a.model.SelectFamilyBiased(raw, a.gateBias); err == nil &&
-			biased.Family != sel.Family && flipConservative(sel.Family, biased.Family, p1, p2) {
-			sel = biased
+	fam, err := a.model.gate(pcs, nil)
+	if err != nil {
+		return Prediction{}, err
+	}
+	sel := a.model.selection(fam, pcs, res)
+	// A flip replaces only the family: the confidence distance and the PCs
+	// come from the projection, which the bias does not touch.
+	var bias biasTable
+	if a.gateBiases(&bias) {
+		if biased, err := a.model.gate(pcs, bias.of); err == nil &&
+			biased != fam && flipConservative(fam, biased, p1, p2) {
+			sel.Family = biased
 		}
 	}
 	fn, err := memfunc.CalibrateWithFallback(sel.Family, p1, p2)
@@ -232,16 +241,31 @@ func (a *Adaptive) Predict(raw features.Vector, p1, p2 memfunc.Point) (Predictio
 	return pred, nil
 }
 
-// biasActive reports whether any expert currently carries a gate bias above
-// one; until then the biased selection is guaranteed to equal the unbiased
-// one and the second gate pass is skipped.
-func (a *Adaptive) biasActive() bool {
+// biasTable holds one Predict call's gate bias per expert, indexed by the
+// family's value, so the biased gate query reads an array instead of two
+// error-window lookups per training sample.
+type biasTable [memfunc.NapierianLog + 1]float64
+
+// of returns the bias of a gate label. A label that names no family has no
+// error window, so it reads 1, exactly as gateBias reports it.
+func (t *biasTable) of(label int) float64 {
+	if label > 0 && label < len(t) {
+		return t[label]
+	}
+	return 1
+}
+
+// gateBiases fills the table and reports whether any expert carries a bias
+// above one; until one does, the biased gate query is guaranteed to equal
+// the unbiased one and is skipped.
+func (a *Adaptive) gateBiases(t *biasTable) (active bool) {
 	for _, f := range memfunc.Families {
-		if a.gateBias(f) > 1 {
-			return true
+		t[f] = a.gateBias(f)
+		if t[f] > 1 {
+			active = true
 		}
 	}
-	return false
+	return active
 }
 
 // flipConservative reports whether rerouting from the unbiased expert to

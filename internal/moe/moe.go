@@ -98,13 +98,10 @@ func Train(programs []TrainingProgram, cfg Config) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("moe: labelling %q: %w", p.Name, err)
 		}
-		pcs, err := pipeline.Transform(p.Features)
+		pcs := make([]float64, pipeline.Components())
+		res, err := pipeline.Project(p.Features, pcs)
 		if err != nil {
 			return nil, fmt.Errorf("moe: projecting %q: %w", p.Name, err)
-		}
-		res, err := pipeline.Residual(p.Features)
-		if err != nil {
-			return nil, fmt.Errorf("moe: residual of %q: %w", p.Name, err)
 		}
 		labels[i] = ProgramLabel{Name: p.Name, Family: fit.Func.Family, Fit: fit, PCs: pcs, Residual: res}
 		samples[i] = classify.Sample{X: pcs, Label: int(fit.Func.Family)}
@@ -174,42 +171,58 @@ type Selection struct {
 // the training manifold are flagged even when their projection lands near a
 // cluster.
 func (m *Model) SelectFamily(raw features.Vector) (Selection, error) {
-	return m.selectFamily(raw, nil)
-}
-
-// SelectFamilyBiased is SelectFamily with a reweighted gate: every training
-// neighbour's distance is scaled by bias(family) before the vote, so an
-// expert whose recent predictions have been poor (bias > 1) must be
-// proportionally closer in feature space to be chosen. The confidence
-// distance is unaffected by the bias — it measures how far the target sits
-// from the training manifold, not which expert wins. A nil bias reproduces
-// SelectFamily exactly.
-func (m *Model) SelectFamilyBiased(raw features.Vector, bias func(memfunc.Family) float64) (Selection, error) {
-	return m.selectFamily(raw, bias)
-}
-
-func (m *Model) selectFamily(raw features.Vector, bias func(memfunc.Family) float64) (Selection, error) {
-	pcs, err := m.pipeline.Transform(raw)
+	pcs, res, err := m.project(raw)
 	if err != nil {
-		return Selection{}, fmt.Errorf("moe: projecting target: %w", err)
+		return Selection{}, err
 	}
-	var label int
+	fam, err := m.gate(pcs, nil)
+	if err != nil {
+		return Selection{}, err
+	}
+	return m.selection(fam, pcs, res), nil
+}
+
+// project scales and projects the raw features once, for both the gate and
+// the confidence scan. The PCs go into a fresh slice because they outlive
+// the call: Selection.PCs is kept for feedback and gate teaching.
+func (m *Model) project(raw features.Vector) (pcs []float64, res float64, err error) {
+	pcs = make([]float64, m.pipeline.Components())
+	res, err = m.pipeline.Project(raw, pcs)
+	if err != nil {
+		return nil, 0, fmt.Errorf("moe: projecting target: %w", err)
+	}
+	return pcs, res, nil
+}
+
+// gate asks the KNN expert selector for the family at pcs. With a non-nil
+// bias every training neighbour's distance is scaled by bias(label) before
+// the vote, so an expert whose recent predictions have been poor (bias > 1)
+// must be proportionally closer in feature space to be chosen.
+func (m *Model) gate(pcs []float64, bias func(label int) float64) (memfunc.Family, error) {
+	var (
+		label int
+		err   error
+	)
 	if bias == nil {
 		label, _, err = m.selector.PredictWithDistance(pcs)
 	} else {
-		label, _, err = m.selector.PredictBiased(pcs, func(l int) float64 { return bias(memfunc.Family(l)) })
+		label, _, err = m.selector.PredictBiased(pcs, bias)
 	}
 	if err != nil {
-		return Selection{}, fmt.Errorf("moe: selecting expert: %w", err)
+		return 0, fmt.Errorf("moe: selecting expert: %w", err)
 	}
 	fam := memfunc.Family(label)
 	if !fam.Valid() {
-		return Selection{}, fmt.Errorf("moe: selector produced invalid family %d", label)
+		return 0, fmt.Errorf("moe: selector produced invalid family %d", label)
 	}
-	res, err := m.pipeline.Residual(raw)
-	if err != nil {
-		return Selection{}, fmt.Errorf("moe: residual of target: %w", err)
-	}
+	return fam, nil
+}
+
+// selection scans the training programs for the confidence distance. It
+// depends on the projection alone, never on which expert the gate chose or
+// how it was biased: it measures how far the target sits from the training
+// manifold.
+func (m *Model) selection(fam memfunc.Family, pcs []float64, res float64) Selection {
 	dist := -1.0
 	for _, p := range m.programs {
 		if d := augmentedDistance(pcs, res, p.PCs, p.Residual); dist < 0 || d < dist {
@@ -221,7 +234,7 @@ func (m *Model) selectFamily(raw features.Vector, bias func(memfunc.Family) floa
 		Distance:  dist,
 		Confident: dist <= m.threshold,
 		PCs:       pcs,
-	}, nil
+	}
 }
 
 // Prediction is a fully instantiated memory function for one application.
@@ -268,13 +281,10 @@ func (m *Model) AddProgram(p TrainingProgram) error {
 	if err != nil {
 		return fmt.Errorf("moe: labelling %q: %w", p.Name, err)
 	}
-	pcs, err := m.pipeline.Transform(p.Features)
+	pcs := make([]float64, m.pipeline.Components())
+	res, err := m.pipeline.Project(p.Features, pcs)
 	if err != nil {
 		return fmt.Errorf("moe: projecting %q: %w", p.Name, err)
-	}
-	res, err := m.pipeline.Residual(p.Features)
-	if err != nil {
-		return fmt.Errorf("moe: residual of %q: %w", p.Name, err)
 	}
 	if err := m.selector.Add(classify.Sample{X: pcs, Label: int(fit.Func.Family)}); err != nil {
 		return fmt.Errorf("moe: extending selector: %w", err)
