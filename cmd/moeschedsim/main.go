@@ -363,7 +363,10 @@ func buildArrivals(kind string, apps int, ratePerHour, burstLen, idleSec, period
 		// matches -rate: the mean gap per arrival is
 		// idle/burstLen + (1-1/burstLen)/burstRate and must equal 1/rate.
 		burstRate := ratePerSec * 10
-		if idleSec <= 0 {
+		if !(idleSec >= 0) {
+			return nil, fmt.Errorf("-idle %v: want a non-negative gap (0 derives it from -rate)", idleSec)
+		}
+		if idleSec == 0 {
 			idleSec = burstLen * (1/ratePerSec - (1-1/burstLen)/burstRate)
 		}
 		return workload.BurstyArrivals(apps, burstRate, burstLen, idleSec, rng)
@@ -430,36 +433,35 @@ type jsonOutput struct {
 
 func main() {
 	var (
-		policy         = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|oracle|online|unified-linear|unified-exp|unified-log")
-		placer         = flag.String("placer", "firstfit", "placement scoring: firstfit|bestfit|speed")
-		scenario       = flag.String("scenario", "L8", "task-mix scenario label (Table 3: L1..L10)")
-		table4         = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
-		fleet          = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
-		nodes          = flag.Int("nodes", 40, "initial fleet size")
-		nodeEvents     = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
-		racks          = flag.String("racks", "", "fleet topology \"racks[:zones]\", e.g. 8:2 (empty = no topology)")
-		rackStorm      = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
-		migrate        = flag.Bool("migrate", false, "gracefully evacuate draining nodes: checkpoint each executor and migrate it (or hand its state to a sibling)")
-		retryBudget    = flag.Int("retry-budget", 0, "per-app OOM retry budget: blacklist entries cool off (doubling backoff) this many times before turning permanent (0 = legacy permanent blacklist)")
-		refreshSizing  = flag.Bool("refresh-sizing", false, "re-derive executor-fleet caps as capacity frees instead of freezing them at admission")
-		arrivals       = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal (empty = closed batch)")
-		drift          = flag.String("drift", "", "non-stationary open-system workload: growth|regimes (incompatible with -arrivals)")
-		adapt          = flag.Bool("adapt", false, "use the feedback-driven adaptive MoE pipeline (requires -policy moe)")
-		rate           = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
-		apps           = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
-		burstLen       = flag.Float64("burst", 5, "mean jobs per burst (bursty arrivals)")
-		idleSec        = flag.Float64("idle", 0, "mean idle gap between bursts in seconds (bursty arrivals; 0 = derived so the long-run rate matches -rate)")
-		period         = flag.Float64("period", 3600, "day/night period in seconds (diurnal arrivals)")
-		window         = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
-		classes        = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
-		preempt        = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
-		keepForeignMem = flag.Bool("keep-foreign-mem", false, "keep completed co-runners' working sets resident (pre-settle-engine default; opt out of ReleaseForeignMem)")
-		legacySizing   = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
-		cpuprofile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile     = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
-		seed           = flag.Int64("seed", 1, "random seed")
-		verbose        = flag.Bool("verbose", false, "print per-application timings")
-		jsonOut        = flag.Bool("json", false, "emit results as a JSON object instead of tables")
+		policy        = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|oracle|online|unified-linear|unified-exp|unified-log")
+		placer        = flag.String("placer", "firstfit", "placement scoring: firstfit|bestfit|speed")
+		scenario      = flag.String("scenario", "L8", "task-mix scenario label (Table 3: L1..L10)")
+		table4        = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
+		fleet         = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
+		nodes         = flag.Int("nodes", 40, "initial fleet size")
+		nodeEvents    = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
+		racks         = flag.String("racks", "", "fleet topology \"racks[:zones]\", e.g. 8:2 (empty = no topology)")
+		rackStorm     = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
+		migrate       = flag.Bool("migrate", false, "gracefully evacuate draining nodes: checkpoint each executor and migrate it (or hand its state to a sibling)")
+		retryBudget   = flag.Int("retry-budget", 0, "per-app OOM retry budget: blacklist entries cool off (doubling backoff) this many times before turning permanent (0 = legacy permanent blacklist)")
+		refreshSizing = flag.Bool("refresh-sizing", false, "re-derive executor-fleet caps as capacity frees instead of freezing them at admission")
+		arrivals      = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal (empty = closed batch)")
+		drift         = flag.String("drift", "", "non-stationary open-system workload: growth|regimes (incompatible with -arrivals)")
+		adapt         = flag.Bool("adapt", false, "use the feedback-driven adaptive MoE pipeline (requires -policy moe)")
+		rate          = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
+		apps          = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
+		burstLen      = flag.Float64("burst", 5, "mean jobs per burst (bursty arrivals)")
+		idleSec       = flag.Float64("idle", 0, "mean idle gap between bursts in seconds (bursty arrivals; 0 = derived so the long-run rate matches -rate)")
+		period        = flag.Float64("period", 3600, "day/night period in seconds (diurnal arrivals)")
+		window        = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
+		classes       = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
+		preempt       = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
+		legacySizing  = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
+		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile    = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
+		seed          = flag.Int64("seed", 1, "random seed")
+		verbose       = flag.Bool("verbose", false, "print per-application timings")
+		jsonOut       = flag.Bool("json", false, "emit results as a JSON object instead of tables")
 	)
 	flag.Parse()
 
@@ -566,9 +568,6 @@ func main() {
 
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = *nodes
-	if *keepForeignMem {
-		cfg.ReleaseForeignMem = false
-	}
 	if *legacySizing {
 		cfg.FleetAwareSizing = false
 	}

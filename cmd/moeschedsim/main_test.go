@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"moespark/internal/cluster"
@@ -146,6 +147,39 @@ func TestBuildDriftArrivals(t *testing.T) {
 	}
 	if _, err := buildDriftArrivals("bogus", 10, 60, 1); err == nil {
 		t.Error("unknown drift workload accepted")
+	}
+}
+
+// TestBuildArrivals covers the open-system arrival flags: each process
+// builds a stream of the requested length, a zero -idle derives the gap, and
+// a negative -idle or a NaN -rate or -period is an error, not a hang or a
+// silent default.
+func TestBuildArrivals(t *testing.T) {
+	for _, kind := range []string{"poisson", "bursty", "diurnal"} {
+		stream, err := buildArrivals(kind, 20, 60, 5, 0, 3600, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(stream) != 20 {
+			t.Errorf("%s: %d arrivals, want 20", kind, len(stream))
+		}
+	}
+	bad := []struct {
+		name                          string
+		kind                          string
+		rate, burst, idleSec, periodS float64
+	}{
+		{"negative idle", "bursty", 60, 5, -1, 3600},
+		{"NaN idle", "bursty", 60, 5, math.NaN(), 3600},
+		{"NaN bursty rate", "bursty", math.NaN(), 5, 0, 3600},
+		{"NaN diurnal rate", "diurnal", math.NaN(), 5, 0, 3600},
+		{"NaN period", "diurnal", 60, 5, 0, math.NaN()},
+		{"unknown process", "chaotic", 60, 5, 0, 3600},
+	}
+	for _, tc := range bad {
+		if _, err := buildArrivals(tc.kind, 20, tc.rate, tc.burst, tc.idleSec, tc.periodS, 1); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

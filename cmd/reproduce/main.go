@@ -31,109 +31,54 @@ type runner struct {
 	run func(experiments.Context) ([]experiments.Table, error)
 }
 
-func runners() []runner {
-	one := func(f func(experiments.Context) (interface{ Table() experiments.Table }, error)) func(experiments.Context) ([]experiments.Table, error) {
-		return func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := f(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Table{r.Table()}, nil
+// table adapts an experiment whose result renders one table.
+func table[R interface{ Table() experiments.Table }](exp func(experiments.Context) (R, error)) func(experiments.Context) ([]experiments.Table, error) {
+	return func(ctx experiments.Context) ([]experiments.Table, error) {
+		r, err := exp(ctx)
+		if err != nil {
+			return nil, err
 		}
+		return []experiments.Table{r.Table()}, nil
 	}
+}
+
+// tables adapts an experiment whose result renders several tables.
+func tables[R interface{ Tables() []experiments.Table }](exp func(experiments.Context) (R, error)) func(experiments.Context) ([]experiments.Table, error) {
+	return func(ctx experiments.Context) ([]experiments.Table, error) {
+		r, err := exp(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+// runners lists every experiment in -list order, which is also the order
+// -exp all runs them in.
+func runners() []runner {
 	return []runner{
-		{"fig3", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig3(ctx)
+		{"fig3", table(experiments.Fig3)},
+		{"fig4", table(experiments.Fig4)},
+		{"fig6", tables(experiments.Fig6)},
+		{"fig7", table(experiments.Fig7)},
+		{"fig9", tables(experiments.Fig9)},
+		{"fig10", tables(experiments.Fig10)},
+		{"fig11", table(experiments.Fig11)},
+		{"fig12", table(experiments.Fig12)},
+		{"fig13", table(func(ctx experiments.Context) (experiments.Fig13Result, error) {
+			return experiments.Fig13(ctx), nil
 		})},
-		{"fig4", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig4(ctx)
-		})},
-		{"fig6", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Fig6(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"fig7", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig7(ctx)
-		})},
-		{"fig9", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Fig9(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"fig10", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Fig10(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"fig11", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig11(ctx)
-		})},
-		{"fig12", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig12(ctx)
-		})},
-		{"fig13", func(ctx experiments.Context) ([]experiments.Table, error) {
-			return []experiments.Table{experiments.Fig13(ctx).Table()}, nil
-		}},
-		{"fig14", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig14(ctx)
-		})},
-		{"fig15", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig15(ctx)
-		})},
-		{"fig16", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig16(ctx)
-		})},
-		{"fig17", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig17(ctx)
-		})},
-		{"fig18", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Fig18(ctx)
-		})},
-		{"table5", one(func(ctx experiments.Context) (interface{ Table() experiments.Table }, error) {
-			return experiments.Table5(ctx)
-		})},
-		{"opensys", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.OpenSystem(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"hetero", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Hetero(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"tenants", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Tenants(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"drift", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Drift(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
-		{"faults", func(ctx experiments.Context) ([]experiments.Table, error) {
-			r, err := experiments.Faults(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return r.Tables(), nil
-		}},
+		{"fig14", table(experiments.Fig14)},
+		{"fig15", table(experiments.Fig15)},
+		{"fig16", table(experiments.Fig16)},
+		{"fig17", table(experiments.Fig17)},
+		{"fig18", table(experiments.Fig18)},
+		{"table5", table(experiments.Table5)},
+		{"opensys", tables(experiments.OpenSystem)},
+		{"hetero", tables(experiments.Hetero)},
+		{"tenants", tables(experiments.Tenants)},
+		{"drift", tables(experiments.Drift)},
+		{"faults", tables(experiments.Faults)},
 	}
 }
 

@@ -257,7 +257,7 @@ type Executor struct {
 	// events.
 	rate float64
 	// cacheEff is the cache-efficiency factor of the rate formula (see
-	// Config.CacheGamma). It depends only on ItemsGB and FairShareGB, so
+	// cacheGamma). It depends only on ItemsGB and FairShareGB, so
 	// Spawn and Grow, their only writers, store it here and the rate pass
 	// reads it instead of evaluating the power on every recompute.
 	cacheEff float64

@@ -76,18 +76,22 @@ func TestConfigNodesFor(t *testing.T) {
 	}
 }
 
+// TestConfigAllocatable pins the reference node's memory layout: 60 of its
+// 64 GB are usable, and the 0.92 pressure watermark leaves 55.2 GB for
+// reservations on every node of a default cluster.
 func TestConfigAllocatable(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.UsableGB() != 60 {
-		t.Errorf("UsableGB = %v, want 60", cfg.UsableGB())
+	ref := ReferenceNode()
+	if ref.UsableGB() != 60 {
+		t.Errorf("UsableGB = %v, want 60", ref.UsableGB())
 	}
 	want := 0.92 * 60
-	if math.Abs(cfg.AllocatableGB()-want) > 1e-9 {
-		t.Errorf("AllocatableGB = %v, want %v", cfg.AllocatableGB(), want)
+	if math.Abs(ref.AllocatableGB()-want) > 1e-9 {
+		t.Errorf("AllocatableGB = %v, want %v", ref.AllocatableGB(), want)
 	}
-	cfg.PressureWatermark = 0
-	if cfg.AllocatableGB() != 60 {
-		t.Errorf("zero watermark should mean full usable memory")
+	for _, n := range New(DefaultConfig()).Nodes() {
+		if n.AllocatableGB() != ref.AllocatableGB() {
+			t.Fatalf("node %d advertises %v GB, want the reference node's %v", n.ID, n.AllocatableGB(), ref.AllocatableGB())
+		}
 	}
 }
 
@@ -130,13 +134,13 @@ func TestSpawnValidation(t *testing.T) {
 		if _, err := c.Spawn(app, n0, sz[0], sz[1]); err == nil {
 			t.Errorf("spawn reserve %v items %v: no error", sz[0], sz[1])
 		}
-		if n0.ReservedGB() != 0 || n0.FreeGB() != cfg.AllocatableGB() || len(n0.Executors) != 0 {
+		if n0.ReservedGB() != 0 || n0.FreeGB() != n0.AllocatableGB() || len(n0.Executors) != 0 {
 			t.Fatalf("spawn reserve %v items %v: node reserved %v free %v, want 0 and %v",
-				sz[0], sz[1], n0.ReservedGB(), n0.FreeGB(), cfg.AllocatableGB())
+				sz[0], sz[1], n0.ReservedGB(), n0.FreeGB(), n0.AllocatableGB())
 		}
 	}
 	// Over-reservation.
-	if _, err := c.Spawn(app, n0, cfg.AllocatableGB()+5, 10); !errors.Is(err, ErrNoFreeMemory) {
+	if _, err := c.Spawn(app, n0, n0.AllocatableGB()+5, 10); !errors.Is(err, ErrNoFreeMemory) {
 		t.Errorf("over-reserve: %v", err)
 	}
 	// Chunk too small.
@@ -151,7 +155,7 @@ func TestSpawnValidation(t *testing.T) {
 	if e.NeedGB != b.Footprint(50) {
 		t.Errorf("need %v, want ground truth %v", e.NeedGB, b.Footprint(50))
 	}
-	if e.ActualGB > 10*(1+cfg.OffHeapFrac)+1e-9 {
+	if e.ActualGB > 10*(1+offHeapFrac)+1e-9 {
 		t.Errorf("resident %v exceeds heap cap", e.ActualGB)
 	}
 	if app.State != StateRunning {
@@ -219,7 +223,7 @@ func TestHeapPressureSlowsUnderProvisionedExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso := 30/b.ScanRate + cfg.StartupSec
+	iso := 30/b.ScanRate + startupSec
 	if res.Apps[0].Turnaround() < 2*iso {
 		t.Errorf("under-provisioned run %.0fs, want >= 2x the full-heap time %.0fs",
 			res.Apps[0].Turnaround(), iso)

@@ -83,11 +83,6 @@ type Cluster struct {
 	trace      *Trace
 	nextNodeID int
 
-	// classed is set when any submission carries a non-zero tenant class;
-	// untagged runs skip the weighted-admission ordering entirely so the
-	// single-class path stays bit-for-bit identical to the pre-class engine.
-	classed bool
-
 	// Event index (see eventindex.go): active sets and done-counters keep
 	// the per-event loops proportional to in-flight work, the dirty set and
 	// the wake heap keep rate recomputation proportional to what changed.
@@ -142,9 +137,8 @@ type Cluster struct {
 	totalLostGB       float64
 }
 
-// New creates an idle homogeneous cluster: cfg.Nodes nodes, each with the
-// platform's default spec (the paper's testbed). An invalid config — a
-// non-positive cfg.Nodes or a degenerate platform memory layout — is a
+// New creates an idle homogeneous cluster: cfg.Nodes nodes, each a
+// ReferenceNode (the paper's testbed). A non-positive cfg.Nodes is a
 // programmer error and panics with the underlying cause; New used to swallow
 // it and return a zero-node cluster whose Run later died with a misleading
 // "simulation stalled" message. Callers that construct configs from untrusted
@@ -152,7 +146,7 @@ type Cluster struct {
 func New(cfg Config) *Cluster {
 	specs := make([]NodeSpec, cfg.Nodes)
 	for i := range specs {
-		specs[i] = cfg.DefaultNodeSpec()
+		specs[i] = ReferenceNode()
 	}
 	c, err := NewHetero(cfg, specs)
 	if err != nil {
@@ -163,7 +157,8 @@ func New(cfg Config) *Cluster {
 
 // NewHetero creates an idle heterogeneous cluster with one node per spec
 // (the spec slice overrides cfg.Nodes). Platform-wide behaviour — penalty
-// shapes, watermark, startup latency — still comes from cfg.
+// shapes, watermark, startup latency — is the package's fixed platform
+// model.
 func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("cluster: need at least one node spec")
@@ -174,7 +169,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
-		c.nodes[i] = newNode(i, s, cfg, 0)
+		c.nodes[i] = newNode(i, s, 0)
 	}
 	c.bySpread = make([]spreadEntry, len(c.nodes))
 	for i, n := range c.nodes {
@@ -234,9 +229,9 @@ func (c *Cluster) AvailableNodes() int {
 }
 
 // WaitingApps returns the ready-or-running applications that still have
-// unassigned work and spare executor slots. Untagged runs list them in FCFS
-// order; once any submission carries a tenant class the list is weighted
-// FCFS — higher-weight classes first, submission order within a class.
+// unassigned work and spare executor slots, in weighted FCFS order:
+// higher-weight tenant classes first, submission order within a class (plain
+// FCFS when no submission carries a class).
 func (c *Cluster) WaitingApps() []*App { return c.AppendWaitingApps(nil) }
 
 // AppendWaitingApps is the allocation-free form of WaitingApps for hot-path
@@ -252,16 +247,13 @@ func (c *Cluster) AppendWaitingApps(buf []*App) []*App {
 			buf = append(buf, a)
 		}
 	}
-	if c.classed {
-		// Stable insertion sort by descending class weight: allocation-free,
-		// and the waiting set is small (bounded by in-flight apps). Equal
-		// weights keep submission order, so an all-equal-weight run is
-		// untouched.
-		tail := buf[start:]
-		for i := 1; i < len(tail); i++ {
-			for j := i; j > 0 && tail[j].Class.Weight > tail[j-1].Class.Weight; j-- {
-				tail[j], tail[j-1] = tail[j-1], tail[j]
-			}
+	// Stable insertion sort by descending class weight: allocation-free,
+	// and the waiting set is small (bounded by in-flight apps). Equal
+	// weights never swap, so an untagged run keeps submission order.
+	tail := buf[start:]
+	for i := 1; i < len(tail); i++ {
+		for j := i; j > 0 && tail[j].Class.Weight > tail[j-1].Class.Weight; j-- {
+			tail[j], tail[j-1] = tail[j-1], tail[j]
 		}
 	}
 	return buf
@@ -302,7 +294,7 @@ func (c *Cluster) AddReadyApp(job workload.Job) *App {
 // the same order as sorting every eligible node's share (refFleetFor), so
 // the size is bit-identical to that sort's.
 func (c *Cluster) fleetFor(inputGB float64) int {
-	if !c.cfg.FleetAwareSizing || c.cfg.AllocatableGB() <= 0 {
+	if !c.cfg.FleetAwareSizing {
 		return c.cfg.NodesFor(inputGB)
 	}
 	const eps = 1e-9
@@ -313,7 +305,7 @@ func (c *Cluster) fleetFor(inputGB float64) int {
 		if k > 0 && (k >= c.cfg.MaxExecutorNodes || !(covered < inputGB-eps)) {
 			break
 		}
-		if !e.node.Available() || e.node.FreeGB() <= c.cfg.MinChunkGB {
+		if !e.node.Available() || e.node.FreeGB() <= MinChunkGB {
 			continue
 		}
 		covered += e.share
@@ -335,7 +327,7 @@ type spreadEntry struct {
 // on n: ExecutorSpreadGB scaled by n's allocatable memory relative to the
 // reference node's.
 func (c *Cluster) spreadShare(n *Node) float64 {
-	return c.cfg.ExecutorSpreadGB * n.AllocatableGB() / c.cfg.AllocatableGB()
+	return c.cfg.ExecutorSpreadGB * n.AllocatableGB() / ReferenceNode().AllocatableGB()
 }
 
 // indexSpread inserts a joining node into bySpread after every node whose
@@ -403,7 +395,7 @@ func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec
 // Equations 1 and 2).
 func (c *Cluster) IsolatedTime(job workload.Job) float64 {
 	k := c.cfg.NodesFor(job.InputGB)
-	return c.cfg.StartupSec + job.InputGB/(float64(k)*job.Bench.ScanRate)
+	return startupSec + job.InputGB/(float64(k)*job.Bench.ScanRate)
 }
 
 // Spawn / Grow / Preempt validation errors.
@@ -460,7 +452,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	if reserveGB > node.FreeGB()+eps {
 		return nil, fmt.Errorf("%w: want %.2f GB, free %.2f GB", ErrNoFreeMemory, reserveGB, node.FreeGB())
 	}
-	if itemsGB+eps < math.Min(c.cfg.MinChunkGB, app.RemainingGB) {
+	if itemsGB+eps < math.Min(MinChunkGB, app.RemainingGB) {
 		return nil, fmt.Errorf("%w: %.3f GB", ErrChunkTooSmall, itemsGB)
 	}
 	if itemsGB > app.RemainingGB {
@@ -474,11 +466,11 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		ReservedGB:  reserveGB,
 		ItemsGB:     itemsGB,
 		NeedGB:      need,
-		ActualGB:    c.resident(need, reserveGB),
+		ActualGB:    resident(need, reserveGB),
 		Demand:      app.Job.Bench.CPULoad,
 		FairShareGB: fair,
 		SpawnTime:   c.now,
-		cacheEff:    c.cacheEfficiency(itemsGB, fair),
+		cacheEff:    cacheEfficiency(itemsGB, fair),
 	}
 	node.Executors = append(node.Executors, e)
 	node.recount()
@@ -493,15 +485,15 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 			// open-system queueing metrics).
 			app.StartTime = c.now
 		}
-		app.startupUntil = c.now + c.cfg.StartupSec
+		app.startupUntil = c.now + startupSec
 	}
 	return e, nil
 }
 
 // resident caps an executor's resident memory at its heap plus off-heap
 // overhead; the remainder of the demand spills to disk.
-func (c *Cluster) resident(needGB, reserveGB float64) float64 {
-	cap := reserveGB * (1 + c.cfg.OffHeapFrac)
+func resident(needGB, reserveGB float64) float64 {
+	cap := reserveGB * (1 + offHeapFrac)
 	if needGB > cap {
 		return cap
 	}
@@ -541,9 +533,9 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	e.App.countShrunk(e, -1)
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
-	e.cacheEff = c.cacheEfficiency(newItemsGB, e.FairShareGB)
+	e.cacheEff = cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
-	e.ActualGB = c.resident(e.NeedGB, e.ReservedGB)
+	e.ActualGB = resident(e.NeedGB, e.ReservedGB)
 	e.App.countShrunk(e, 1)
 	e.Node.recount()
 	c.markDirty(e.Node)
@@ -551,14 +543,14 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 }
 
 // cacheEfficiency is the RDD-cache efficiency factor of an executor holding
-// itemsGB of a fairGB fair share (see Config.CacheGamma). Spawn and Grow
-// store it on the executor; refCheckRates evaluates the formula afresh.
-func (c *Cluster) cacheEfficiency(itemsGB, fairGB float64) float64 {
+// itemsGB of a fairGB fair share (see cacheGamma). Spawn and Grow store it
+// on the executor; refCheckRates evaluates the formula afresh.
+func cacheEfficiency(itemsGB, fairGB float64) float64 {
 	eff := 1.0
-	if fairGB > c.cfg.MinChunkGB && itemsGB < fairGB {
-		eff = math.Pow(itemsGB/fairGB, c.cfg.CacheGamma)
-		if eff < c.cfg.CacheFloor {
-			eff = c.cfg.CacheFloor
+	if fairGB > MinChunkGB && itemsGB < fairGB {
+		eff = math.Pow(itemsGB/fairGB, cacheGamma)
+		if eff < cacheFloor {
+			eff = cacheFloor
 		}
 	}
 	return eff
@@ -662,9 +654,6 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 	for _, s := range subs {
 		if s.At < 0 || math.IsNaN(s.At) || math.IsInf(s.At, 0) {
 			return nil, fmt.Errorf("cluster: invalid submission time %v", s.At)
-		}
-		if s.Class != (workload.Class{}) {
-			c.classed = true
 		}
 	}
 	c.observer, _ = sched.(Observer)
@@ -802,10 +791,10 @@ func (c *Cluster) profilingShare() float64 {
 	for _, a := range c.profiling {
 		sum += a.Job.Bench.ScanRate
 	}
-	if sum <= c.cfg.CoordinatorRateGBps || sum == 0 {
+	if sum <= coordinatorRateGBps || sum == 0 {
 		return 1
 	}
-	return c.cfg.CoordinatorRateGBps / sum
+	return coordinatorRateGBps / sum
 }
 
 // recomputeRates refreshes executor/foreign rates, applying CPU contention,
@@ -858,10 +847,10 @@ func (c *Cluster) rateNode(n *Node) {
 	sumD := n.CPUDemand()
 	usable := n.Spec.UsableGB()
 	speed := n.Spec.SpeedFactor
-	overflow := n.ActualGB() - c.cfg.PressureWatermark*usable
+	overflow := n.ActualGB() - pressureWatermark*usable
 	pageFactor := 1.0
 	if overflow > 0 {
-		pageFactor = 1 / (1 + c.cfg.PagePenalty*overflow/usable)
+		pageFactor = 1 / (1 + pagePenalty*overflow/usable)
 	}
 	cpuFactor := 1.0
 	if cap := n.cpuCap; sumD > cap {
@@ -883,13 +872,13 @@ func (c *Cluster) rateNode(n *Node) {
 			}
 			continue
 		}
-		interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-e.Demand))
+		interference := 1 / (1 + interferenceAlpha*(sumD-e.Demand))
 		heapFactor := 1.0
 		if e.ReservedGB > 0 && e.NeedGB > e.ReservedGB {
 			shortfall := (e.NeedGB - e.ReservedGB) / e.ReservedGB
-			heapFactor = 1 / (1 + c.cfg.HeapPenalty*shortfall*shortfall)
-			if heapFactor < c.cfg.HeapFloor {
-				heapFactor = c.cfg.HeapFloor
+			heapFactor = 1 / (1 + heapPenalty*shortfall*shortfall)
+			if heapFactor < heapFloor {
+				heapFactor = heapFloor
 			}
 		}
 		e.rate = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * e.cacheEff * heapFactor
@@ -898,7 +887,7 @@ func (c *Cluster) rateNode(n *Node) {
 		if f.done {
 			continue
 		}
-		interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-f.CPULoad))
+		interference := 1 / (1 + interferenceAlpha*(sumD-f.CPULoad))
 		f.rate = speed * cpuFactor * interference * pageFactor
 	}
 	if wake != n.wakeAt {
@@ -923,7 +912,7 @@ func (c *Cluster) reclaimExecutor(victim *Executor) {
 	c.touchApp(app)
 	c.removeExecutor(victim)
 	before := app.RemainingGB
-	app.RemainingGB += c.cfg.OOMReprocessFrac * victim.ItemsGB
+	app.RemainingGB += oomReprocessFrac * victim.ItemsGB
 	if app.RemainingGB > app.Job.InputGB {
 		app.RemainingGB = app.Job.InputGB
 	}
@@ -1266,10 +1255,9 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	f.DoneTime = c.now
 	c.doneForeign++
 	f.deadline = math.Inf(1)
-	// The finished co-runner stops contending for CPU, so its node's
-	// survivors speed up. (Its working set leaves the memory totals too
-	// under Config.ReleaseForeignMem, or stays resident with the flag
-	// cleared — see recount in node.go; the dirty mark covers both.)
+	// The finished co-runner stops contending for CPU and its working set
+	// leaves the node's memory totals, so the survivors speed up and the
+	// node can un-page.
 	f.Node.recount()
 	c.markDirty(f.Node)
 }

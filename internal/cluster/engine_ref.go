@@ -33,10 +33,10 @@ func (c *Cluster) refProfilingShare() float64 {
 			sum += a.Job.Bench.ScanRate
 		}
 	}
-	if sum <= c.cfg.CoordinatorRateGBps || sum == 0 {
+	if sum <= coordinatorRateGBps || sum == 0 {
 		return 1
 	}
-	return c.cfg.CoordinatorRateGBps / sum
+	return coordinatorRateGBps / sum
 }
 
 // refNextEventDt is the full-scan event selection: every app, every foreign
@@ -53,7 +53,7 @@ func (c *Cluster) refNextEventDt(share float64) (float64, bool) {
 	for _, a := range c.apps {
 		switch a.State {
 		case StateProfiling:
-			rate := a.Job.Bench.ScanRate * c.cfg.ProfilingRateFactor * share
+			rate := a.Job.Bench.ScanRate * ProfilingRateFactor * share
 			if rate > 0 && a.profileLeft > 0 {
 				if dt := a.settledAt + a.profileLeft/rate - c.now; dt < best {
 					best = dt
@@ -136,8 +136,7 @@ func (c *Cluster) refAllDone() bool {
 	return true
 }
 
-// refWaitingApps is the full-apps-scan waiting set (including the classed
-// weighted ordering).
+// refWaitingApps is the full-apps-scan waiting set, in weighted FCFS order.
 func (c *Cluster) refWaitingApps() []*App {
 	var buf []*App
 	for _, a := range c.apps {
@@ -146,11 +145,9 @@ func (c *Cluster) refWaitingApps() []*App {
 			buf = append(buf, a)
 		}
 	}
-	if c.classed {
-		for i := 1; i < len(buf); i++ {
-			for j := i; j > 0 && buf[j].Class.Weight > buf[j-1].Class.Weight; j-- {
-				buf[j], buf[j-1] = buf[j-1], buf[j]
-			}
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && buf[j].Class.Weight > buf[j-1].Class.Weight; j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
 	return buf
@@ -163,13 +160,10 @@ func (c *Cluster) refFleetFor(inputGB float64) int {
 	if !c.cfg.FleetAwareSizing {
 		return c.cfg.NodesFor(inputGB)
 	}
-	refAlloc := c.cfg.AllocatableGB()
-	if refAlloc <= 0 {
-		return c.cfg.NodesFor(inputGB)
-	}
+	refAlloc := ReferenceNode().AllocatableGB()
 	var shares []float64
 	for _, n := range c.nodes {
-		if !n.Available() || n.FreeGB() <= c.cfg.MinChunkGB {
+		if !n.Available() || n.FreeGB() <= MinChunkGB {
 			continue
 		}
 		share := c.cfg.ExecutorSpreadGB * n.AllocatableGB() / refAlloc
@@ -211,10 +205,10 @@ func (c *Cluster) refCheckRates() string {
 		_, actual, sumD := c.refNodeSums(n)
 		usable := n.Spec.UsableGB()
 		speed := n.Spec.SpeedFactor
-		overflow := actual - c.cfg.PressureWatermark*usable
+		overflow := actual - pressureWatermark*usable
 		pageFactor := 1.0
 		if overflow > 0 {
-			pageFactor = 1 / (1 + c.cfg.PagePenalty*overflow/usable)
+			pageFactor = 1 / (1 + pagePenalty*overflow/usable)
 		}
 		cpuFactor := 1.0
 		if cap := n.cpuCap; sumD > cap {
@@ -229,20 +223,20 @@ func (c *Cluster) refCheckRates() string {
 			if gate > c.now {
 				want = 0
 			} else {
-				interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-e.Demand))
+				interference := 1 / (1 + interferenceAlpha*(sumD-e.Demand))
 				cacheEff := 1.0
-				if e.FairShareGB > c.cfg.MinChunkGB && e.ItemsGB < e.FairShareGB {
-					cacheEff = math.Pow(e.ItemsGB/e.FairShareGB, c.cfg.CacheGamma)
-					if cacheEff < c.cfg.CacheFloor {
-						cacheEff = c.cfg.CacheFloor
+				if e.FairShareGB > MinChunkGB && e.ItemsGB < e.FairShareGB {
+					cacheEff = math.Pow(e.ItemsGB/e.FairShareGB, cacheGamma)
+					if cacheEff < cacheFloor {
+						cacheEff = cacheFloor
 					}
 				}
 				heapFactor := 1.0
 				if e.ReservedGB > 0 && e.NeedGB > e.ReservedGB {
 					shortfall := (e.NeedGB - e.ReservedGB) / e.ReservedGB
-					heapFactor = 1 / (1 + c.cfg.HeapPenalty*shortfall*shortfall)
-					if heapFactor < c.cfg.HeapFloor {
-						heapFactor = c.cfg.HeapFloor
+					heapFactor = 1 / (1 + heapPenalty*shortfall*shortfall)
+					if heapFactor < heapFloor {
+						heapFactor = heapFloor
 					}
 				}
 				want = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * cacheEff * heapFactor
@@ -255,7 +249,7 @@ func (c *Cluster) refCheckRates() string {
 			if f.done {
 				continue
 			}
-			interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-f.CPULoad))
+			interference := 1 / (1 + interferenceAlpha*(sumD-f.CPULoad))
 			want := speed * cpuFactor * interference * pageFactor
 			if f.rate != want {
 				return fmt.Sprintf("node %d foreign %q rate %v, full recompute %v", n.ID, f.Name, f.rate, want)
@@ -283,7 +277,7 @@ func (c *Cluster) refCheckDeadlines(share float64) string {
 		want := math.Inf(1)
 		switch a.State {
 		case StateProfiling:
-			rate := a.Job.Bench.ScanRate * c.cfg.ProfilingRateFactor * share
+			rate := a.Job.Bench.ScanRate * ProfilingRateFactor * share
 			if rate > 0 && a.profileLeft > 0 {
 				want = a.settledAt + a.profileLeft/rate
 			}
@@ -327,19 +321,17 @@ func (c *Cluster) refNodeSums(n *Node) (reservedGB, actualGB, cpuDemand float64)
 		reservedGB += e.ReservedGB
 	}
 	for _, f := range n.Foreign {
-		if f.done && c.cfg.ReleaseForeignMem {
-			continue
+		if !f.done {
+			reservedGB += f.MemoryGB
 		}
-		reservedGB += f.MemoryGB
 	}
 	for _, e := range n.Executors {
 		actualGB += e.ActualGB
 	}
 	for _, f := range n.Foreign {
-		if f.done && c.cfg.ReleaseForeignMem {
-			continue
+		if !f.done {
+			actualGB += f.MemoryGB
 		}
-		actualGB += f.MemoryGB
 	}
 	for _, e := range n.Executors {
 		cpuDemand += e.Demand

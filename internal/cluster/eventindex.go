@@ -259,7 +259,7 @@ func (c *Cluster) settleApp(a *App) {
 	dt := c.now - a.settledAt
 	switch a.State {
 	case StateProfiling:
-		a.profileLeft -= a.Job.Bench.ScanRate * c.cfg.ProfilingRateFactor * c.lastShare * dt
+		a.profileLeft -= a.Job.Bench.ScanRate * ProfilingRateFactor * c.lastShare * dt
 	case StateRunning:
 		if r := appRate(a); r > 0 {
 			a.RemainingGB -= r * dt
@@ -311,7 +311,7 @@ func (c *Cluster) setAppDeadline(a *App, share float64) {
 	at := math.Inf(1)
 	switch a.State {
 	case StateProfiling:
-		rate := a.Job.Bench.ScanRate * c.cfg.ProfilingRateFactor * share
+		rate := a.Job.Bench.ScanRate * ProfilingRateFactor * share
 		if rate > 0 && a.profileLeft > 0 {
 			at = a.settledAt + a.profileLeft/rate
 		}

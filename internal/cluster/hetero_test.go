@@ -18,9 +18,9 @@ func testJob(t *testing.T, gb float64) workload.Job {
 }
 
 func TestNodeSpecValidate(t *testing.T) {
-	good := DefaultConfig().DefaultNodeSpec()
+	good := ReferenceNode()
 	if err := good.Validate(); err != nil {
-		t.Fatalf("default spec invalid: %v", err)
+		t.Fatalf("reference spec invalid: %v", err)
 	}
 	bad := []NodeSpec{
 		{},
@@ -52,7 +52,9 @@ func TestPerNodeCapacity(t *testing.T) {
 	if got, want := nl.UsableGB(), 29.0; got != want {
 		t.Errorf("little usable = %v, want %v", got, want)
 	}
-	if got, want := nb.AllocatableGB(), cfg.PressureWatermark*122; got != want {
+	// Multiply at run time, as the engine does: folded as a constant
+	// expression, 0.92*122 rounds to a neighbouring float64.
+	if got, want := nb.AllocatableGB(), pressureWatermark*nb.UsableGB(); got != want {
 		t.Errorf("big allocatable = %v, want %v", got, want)
 	}
 	if got, want := nb.CPUCapacity(), 2.0; got != want {
@@ -68,7 +70,7 @@ func TestPerNodeCapacity(t *testing.T) {
 func TestSpeedFactorScalesRates(t *testing.T) {
 	cfg := DefaultConfig()
 	run := func(speed float64) float64 {
-		spec := cfg.DefaultNodeSpec()
+		spec := ReferenceNode()
 		spec.SpeedFactor = speed
 		c, err := NewHetero(cfg, []NodeSpec{spec})
 		if err != nil {
@@ -82,8 +84,8 @@ func TestSpeedFactorScalesRates(t *testing.T) {
 	}
 	fast, slow := run(2), run(0.5)
 	// Makespan includes the fixed startup latency; processing time scales 4x.
-	fastProc := fast - cfg.StartupSec
-	slowProc := slow - cfg.StartupSec
+	fastProc := fast - startupSec
+	slowProc := slow - startupSec
 	if ratio := slowProc / fastProc; ratio < 3.99 || ratio > 4.01 {
 		t.Errorf("slow/fast processing ratio = %v, want ~4 (speeds 0.5 vs 2)", ratio)
 	}
@@ -170,7 +172,7 @@ func TestJoinAddsCapacity(t *testing.T) {
 		cfg.Nodes = 1
 		c := New(cfg)
 		if join {
-			spec := cfg.DefaultNodeSpec()
+			spec := ReferenceNode()
 			if err := c.ScheduleNodeEvents(NodeEvent{At: 20, Kind: NodeJoin, Spec: spec}); err != nil {
 				t.Fatal(err)
 			}

@@ -15,15 +15,7 @@ import (
 func SpecsFrom(fleet []workload.NodeClass) []NodeSpec {
 	specs := make([]NodeSpec, len(fleet))
 	for i, c := range fleet {
-		specs[i] = NodeSpec{
-			RAMGB:       c.RAMGB,
-			Cores:       c.Cores,
-			SpeedFactor: c.SpeedFactor,
-			SwapGB:      c.SwapGB,
-			OSReserveGB: c.OSReserveGB,
-			Rack:        c.Rack,
-			Zone:        c.Zone,
-		}
+		specs[i] = specFrom(c)
 	}
 	return specs
 }
@@ -31,7 +23,7 @@ func SpecsFrom(fleet []workload.NodeClass) []NodeSpec {
 // StormEvents generates a seeded drain/fail storm over an initial fleet of
 // nodeCount nodes: drains and fails hit distinct uniformly-drawn nodes at
 // uniform times in [start, start+span), and each failed or drained node is
-// replaced by a default-spec join one startup-latency later, modelling an
+// replaced by a reference-node join one startup-latency later, modelling an
 // autoscaler backfilling lost capacity. The same seed yields the identical
 // storm.
 func StormEvents(nodeCount, drains, fails int, start, span, rejoinDelay float64, rng *rand.Rand) ([]NodeEvent, error) {
@@ -138,7 +130,7 @@ const (
 	NodeDrain
 	// NodeFail removes the target node immediately: resident executors are
 	// killed and their partial work is charged back to their applications
-	// (OOMReprocessFrac), foreign tasks on the node are lost.
+	// (oomReprocessFrac), foreign tasks on the node are lost.
 	NodeFail
 )
 
@@ -168,7 +160,7 @@ type NodeEvent struct {
 	// Node is the target node ID for drain and fail; ignored for join.
 	Node int
 	// Spec is the joining node's hardware (join only); the zero value means
-	// the platform's default spec.
+	// ReferenceNode.
 	Spec NodeSpec
 }
 
@@ -219,9 +211,9 @@ func (c *Cluster) applyNodeEvents() error {
 		case NodeJoin:
 			spec := ev.Spec
 			if spec == (NodeSpec{}) {
-				spec = c.cfg.DefaultNodeSpec()
+				spec = ReferenceNode()
 			}
-			n := newNode(c.nextNodeID, spec, c.cfg, c.now)
+			n := newNode(c.nextNodeID, spec, c.now)
 			c.nodes = append(c.nodes, n)
 			c.indexSpread(n)
 			c.nextNodeID++

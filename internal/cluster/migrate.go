@@ -13,7 +13,7 @@ import "math"
 //     executor yet, keeping its reservation and allocation. The cost model
 //     gates its rate at zero on the new node for
 //
-//     processedGB / MigrateCheckpointGBps + MigrateRestartSec
+//     processedGB / migrateCheckpointGBps + migrateRestartSec
 //
 //     seconds (serialize, ship and rehydrate the state it has built, then
 //     pay the container/JVM restart), carried by Executor.gateUntil and
@@ -26,7 +26,7 @@ import "math"
 //     safe node — Spark's graceful decommission shipping blocks to peers —
 //     and leaves the fleet without any charge-back: the work it processed
 //     stays done. The receiving sibling is gated for the ship time
-//     processedGB / MigrateCheckpointGBps (no restart: the receiver is
+//     processedGB / migrateCheckpointGBps (no restart: the receiver is
 //     already running).
 //
 // Executors with no feasible relocation target and no sibling stay put and
@@ -96,13 +96,7 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	target.Executors = append(target.Executors, e)
 	target.recount()
 	c.markDirty(target)
-	cost := c.cfg.MigrateRestartSec
-	if c.cfg.MigrateCheckpointGBps > 0 {
-		cost += e.processedGB / c.cfg.MigrateCheckpointGBps
-	}
-	if cost < 0 {
-		cost = 0
-	}
+	cost := migrateRestartSec + e.processedGB/migrateCheckpointGBps
 	e.gateUntil = c.now + cost
 	app.Migrations++
 	c.totalMigrations++
@@ -143,10 +137,7 @@ func (c *Cluster) handoffExecutor(e *Executor) bool {
 	// refresh for the app's executors on clean nodes.
 	c.settleApp(app)
 	c.touchApp(app)
-	ship := 0.0
-	if c.cfg.MigrateCheckpointGBps > 0 {
-		ship = e.processedGB / c.cfg.MigrateCheckpointGBps
-	}
+	ship := e.processedGB / migrateCheckpointGBps
 	c.removeExecutor(e)
 	if gate := c.now + ship; gate > sibling.gateUntil {
 		sibling.gateUntil = gate
@@ -166,7 +157,7 @@ func (c *Cluster) blacklistUntil(a *App) float64 {
 	if c.cfg.OOMRetryBudget <= 0 || a.OOMRetries >= c.cfg.OOMRetryBudget {
 		return permanentBlock
 	}
-	cool := c.cfg.OOMCoolOffSec * math.Ldexp(1, a.OOMRetries)
+	cool := oomCoolOffSec * math.Ldexp(1, a.OOMRetries)
 	a.OOMRetries++
 	c.totalRetries++
 	return c.now + cool

@@ -111,7 +111,7 @@ func TestMigrateEmptiedNodeDecommissions(t *testing.T) {
 		NodeEvent{At: 60, Kind: NodeDrain, Node: 0},
 		NodeEvent{At: 61, Kind: NodeDrain, Node: 0}, // drain of a draining/removed node
 		NodeEvent{At: 800, Kind: NodeFail, Node: 0}, // long after decommission
-		NodeEvent{At: 900, Kind: NodeJoin, Spec: cfg.DefaultNodeSpec()},
+		NodeEvent{At: 900, Kind: NodeJoin, Spec: ReferenceNode()},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -140,31 +140,40 @@ func TestMigrateEmptiedNodeDecommissions(t *testing.T) {
 }
 
 // TestMigrateRestartPenaltyGatesCompletion checks the cost model end to end:
-// two identical runs that differ only in the fixed restart penalty must
-// finish exactly the penalty difference apart — the migrated executor sits
-// at rate zero behind its gate for exactly that much longer.
+// a run whose only executor migrates at t=60 must finish exactly the
+// migration gate later than the same run without the drain. The gate is the
+// checkpoint time of the work done so far plus the fixed restart penalty,
+// during which the executor sits at rate zero on an identical, empty node.
 func TestMigrateRestartPenaltyGatesCompletion(t *testing.T) {
-	run := func(restartSec float64) float64 {
+	const drainAt = 60.0
+	run := func(drain bool) float64 {
 		cfg := DefaultConfig()
 		cfg.Nodes = 2
 		cfg.MigrateOnDrain = true
-		cfg.MigrateRestartSec = restartSec
 		c := New(cfg)
-		if err := c.ScheduleNodeEvents(NodeEvent{At: 60, Kind: NodeDrain, Node: 0}); err != nil {
-			t.Fatal(err)
+		want := 0
+		if drain {
+			want = 1
+			if err := c.ScheduleNodeEvents(NodeEvent{At: drainAt, Kind: NodeDrain, Node: 0}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := c.RunOpen([]Submission{{At: 0, Job: testJob(t, 200)}}, &homeScheduler{node: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Migrations != 1 {
-			t.Fatalf("migrations = %d, want 1", res.Migrations)
+		if res.Migrations != want {
+			t.Fatalf("drain %v: migrations = %d, want %d", drain, res.Migrations, want)
 		}
 		return res.Apps[0].DoneTime
 	}
-	d1, d2 := run(8), run(23)
-	if diff := d2 - d1; math.Abs(diff-15) > 1e-6 {
-		t.Errorf("restart penalty delta: done %v vs %v (diff %v), want exactly 15s apart", d1, d2, diff)
+	plain, drained := run(false), run(true)
+	// Alone on a node the executor runs at one constant rate after startup,
+	// so the plain run gives the work processed by the drain.
+	rate := 200 / (plain - startupSec)
+	gate := rate*(drainAt-startupSec)/migrateCheckpointGBps + migrateRestartSec
+	if diff := drained - plain; math.Abs(diff-gate) > 1e-6 {
+		t.Errorf("migration delay: done %v vs %v (diff %v), want the %v s gate", plain, drained, diff, gate)
 	}
 }
 
@@ -275,32 +284,31 @@ func TestUnblockNodeOnDepart(t *testing.T) {
 }
 
 // TestBlacklistRetryBudget checks the deterministic backoff policy: with a
-// budget of 2 and a 100s base cool-off the first entry expires after 100s,
-// the second after 200s, and the third is permanent; a zero budget is the
+// budget of 2 and the 240s base cool-off the first entry expires after 240s,
+// the second after 480s, and the third is permanent; a zero budget is the
 // legacy permanent blacklist from the first OOM on.
 func TestBlacklistRetryBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 1
 	cfg.OOMRetryBudget = 2
-	cfg.OOMCoolOffSec = 100
 	c := New(cfg)
 	app := c.AddReadyApp(testJob(t, 10))
 	n := c.Nodes()[0]
 
 	u1 := c.blacklistUntil(app)
-	if u1 != 100 {
-		t.Errorf("first entry expires at %v, want 100", u1)
+	if u1 != 240 {
+		t.Errorf("first entry expires at %v, want 240", u1)
 	}
 	app.blockNode(n, u1)
-	if !app.BlockedOn(n, 99) {
+	if !app.BlockedOn(n, 239) {
 		t.Error("entry should block before its expiry")
 	}
-	if app.BlockedOn(n, 100) {
+	if app.BlockedOn(n, 240) {
 		t.Error("entry should stop blocking at its expiry")
 	}
 
-	if u2 := c.blacklistUntil(app); u2 != 200 {
-		t.Errorf("second entry expires at %v, want 200 (doubled cool-off)", u2)
+	if u2 := c.blacklistUntil(app); u2 != 480 {
+		t.Errorf("second entry expires at %v, want 480 (doubled cool-off)", u2)
 	}
 	if u3 := c.blacklistUntil(app); !math.IsInf(u3, 1) {
 		t.Errorf("third entry = %v, want permanent (+Inf): budget of 2 is spent", u3)

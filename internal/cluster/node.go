@@ -59,10 +59,8 @@ type Node struct {
 
 	state  NodeState
 	cpuCap float64
-	// allocGB is AllocatableGB, fixed at construction from the platform
-	// watermark and the spec; releaseForeign is Config.ReleaseForeignMem.
-	allocGB        float64
-	releaseForeign bool
+	// allocGB is Spec.AllocatableGB, fixed at construction.
+	allocGB float64
 
 	// reservedGB, actualGB and cpuDemand are the node's totals over its
 	// executors and foreign tasks. Every touch point that changes one
@@ -81,21 +79,14 @@ type Node struct {
 }
 
 // newNode builds a node with its CPU capacity normalised against the
-// platform's baseline cores. The platform pressure watermark keeps a safety
-// band below the node's physical limit, exactly like YARN's node-manager
-// resource setting; the allocatable memory it leaves is computed here once.
-func newNode(id int, spec NodeSpec, cfg Config, joinTime float64) *Node {
-	w := cfg.PressureWatermark
-	if w <= 0 || w > 1 {
-		w = 1
-	}
+// reference node's cores and its allocatable memory computed once.
+func newNode(id int, spec NodeSpec, joinTime float64) *Node {
 	return &Node{
 		ID: id, Spec: spec,
 		JoinTime: joinTime, StateTime: joinTime,
-		cpuCap:         float64(spec.Cores) / float64(cfg.baselineCores()),
-		allocGB:        w * spec.UsableGB(),
-		releaseForeign: cfg.ReleaseForeignMem,
-		wakeAt:         math.Inf(1),
+		cpuCap:  float64(spec.Cores) / float64(ReferenceNode().Cores),
+		allocGB: spec.AllocatableGB(),
+		wakeAt:  math.Inf(1),
 	}
 }
 
@@ -118,14 +109,8 @@ func (n *Node) CPUCapacity() float64 { return n.cpuCap }
 
 // recount recomputes the node's stored totals: each sums the executors and
 // then the foreign tasks, in list order, so every total is bit-identical to
-// summing on demand. Under Config.ReleaseForeignMem (the default since the
-// settle-engine golden re-capture) a finished co-runner's working set leaves
-// both memory totals, so the node can un-page once its foreign guest is
-// gone. Clearing the flag restores the historical modeling quirk: a
-// completed foreign task releases its CPU demand but its working set stays
-// resident for the rest of the run — only node failure clears it. Either
-// way a foreign completion marks the node dirty, so the rate bookkeeping
-// stays exact.
+// summing on demand. A finished co-runner leaves all three totals, so the
+// node can un-page once its foreign guest is gone.
 func (n *Node) recount() {
 	var reserved, actual, cpu float64
 	for _, e := range n.Executors {
@@ -134,12 +119,10 @@ func (n *Node) recount() {
 		cpu += e.Demand
 	}
 	for _, f := range n.Foreign {
-		if !f.done {
-			cpu += f.CPULoad
-		}
-		if f.done && n.releaseForeign {
+		if f.done {
 			continue
 		}
+		cpu += f.CPULoad
 		reserved += f.MemoryGB
 		actual += f.MemoryGB
 	}
@@ -147,11 +130,10 @@ func (n *Node) recount() {
 }
 
 // ReservedGB is the total of admission-time memory reservations (plus
-// resident foreign working sets).
+// the working sets of running foreign tasks).
 func (n *Node) ReservedGB() float64 { return n.reservedGB }
 
-// ActualGB is the total true memory use (see recount for foreign working
-// sets).
+// ActualGB is the total true memory use, running foreign tasks included.
 func (n *Node) ActualGB() float64 { return n.actualGB }
 
 // FreeGB is the unreserved allocatable memory left on the node.

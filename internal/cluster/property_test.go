@@ -86,7 +86,7 @@ func TestRunInvariantsProperty(t *testing.T) {
 				return false
 			}
 			// No app can beat the startup latency.
-			if a.Turnaround() < c.Config().StartupSec-1e-6 {
+			if a.Turnaround() < startupSec-1e-6 {
 				return false
 			}
 		}
@@ -117,9 +117,8 @@ func (p *reservationProbe) Prepare(c *Cluster, a *App) ProfilePlan {
 }
 func (p *reservationProbe) Schedule(c *Cluster) {
 	p.inner.Schedule(c)
-	limit := c.Config().AllocatableGB() + 1e-6
 	for _, n := range c.Nodes() {
-		if n.ReservedGB() > limit {
+		if n.ReservedGB() > n.AllocatableGB()+1e-6 {
 			p.failed = true
 		}
 	}
@@ -414,10 +413,10 @@ func buildDiffWorkload(t *testing.T, seed int64) (*Cluster, []Submission, *diffS
 	if r.Intn(2) == 0 {
 		cfg.TraceInterval = 40
 	}
-	// Half the seeds release completed foreign working sets: the memory
-	// sums then move on foreign completion, and the reference rate check
-	// must still agree with the dirty-node pass.
-	cfg.ReleaseForeignMem = r.Intn(2) == 0
+	// This draw once chose whether completed foreign working sets were
+	// released; they always are now, and the draw stays so every seed keeps
+	// the workload it always generated.
+	_ = r.Intn(2)
 	if rackStorm {
 		cfg.MigrateOnDrain = true
 		cfg.OOMRetryBudget = 1 + r.Intn(3)
@@ -706,7 +705,7 @@ func TestGrowValidation(t *testing.T) {
 		}
 	}
 	// Growing beyond free memory is rejected.
-	if err := c.Grow(e, c.Config().AllocatableGB()+20, 80); err == nil {
+	if err := c.Grow(e, n.AllocatableGB()+20, 80); err == nil {
 		t.Error("Grow must respect free memory")
 	}
 	// Valid growth updates reservation, items, and footprints.
@@ -720,7 +719,7 @@ func TestGrowValidation(t *testing.T) {
 	if e.NeedGB <= oldNeed {
 		t.Errorf("need did not grow: %v -> %v", oldNeed, e.NeedGB)
 	}
-	if e.ActualGB > e.ReservedGB*(1+c.Config().OffHeapFrac)+1e-9 {
+	if e.ActualGB > e.ReservedGB*(1+offHeapFrac)+1e-9 {
 		t.Errorf("resident %v exceeds heap cap", e.ActualGB)
 	}
 	// Items clamp at remaining work.
@@ -736,8 +735,6 @@ func TestGrowValidation(t *testing.T) {
 // Grow store on an executor at the edges of its formula, then requires the
 // rate pass that reads it to agree with refCheckRates' fresh evaluation.
 func TestCacheEfficiencyStored(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StartupSec = 0 // rates go live at once, so the factor reaches them
 	b := testBench(t, "SP.Pca")
 	cases := []struct {
 		name        string
@@ -747,18 +744,18 @@ func TestCacheEfficiencyStored(t *testing.T) {
 		want        float64
 	}{
 		// Fair share 50 GB: 30 GB of items keeps (30/50)^gamma above the floor.
-		{"below fair share", 100, 30, 0, math.Pow(30.0/50, cfg.CacheGamma)},
+		{"below fair share", 100, 30, 0, math.Pow(30.0/50, cacheGamma)},
 		// (5/50)^gamma is about 0.50, below the 0.6 floor.
-		{"clamped to floor", 100, 5, 0, cfg.CacheFloor},
+		{"clamped to floor", 100, 5, 0, cacheFloor},
 		// Fair share 0.05 GB equals MinChunkGB. Spawn's chunk check admits
 		// items up to 1e-9 GB short of MinChunkGB, the only way items can sit
 		// below such a small fair share; the factor must still be 1.
-		{"fair share at min chunk", 0.1, cfg.MinChunkGB - 5e-10, 0, 1},
+		{"fair share at min chunk", 0.1, MinChunkGB - 5e-10, 0, 1},
 		{"grow to fair share", 100, 30, 50, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(cfg)
+			c := New(DefaultConfig())
 			app := &App{
 				ID: 0, Job: workload.Job{Bench: b, InputGB: tc.remainingGB},
 				RemainingGB: tc.remainingGB, MaxExecutors: 2, State: StateReady,
@@ -779,6 +776,7 @@ func TestCacheEfficiencyStored(t *testing.T) {
 			if e.cacheEff != tc.want {
 				t.Errorf("stored factor %v, want %v", e.cacheEff, tc.want)
 			}
+			app.startupUntil = c.now // rates go live at once, so the factor reaches them
 			c.recomputeRates()
 			if e.Rate() <= 0 {
 				t.Fatalf("rate %v: the executor never went live", e.Rate())
@@ -797,7 +795,6 @@ func TestCacheEfficiencyStored(t *testing.T) {
 func TestRatePassWalksDirtySetByID(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 64
-	cfg.StartupSec = 0
 	c := New(cfg)
 	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeJoin}); err != nil {
 		t.Fatal(err)
@@ -823,6 +820,7 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 				t.Fatalf("app %d on node %d: %v", id, n.ID, err)
 			}
 		}
+		app.startupUntil = c.now // rates go live at once
 	}
 	for _, n := range nodes {
 		c.markDirty(n)
@@ -917,27 +915,19 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 	})
 
 	t.Run("foreign arrival and completion", func(t *testing.T) {
-		for _, release := range []bool{true, false} {
-			cfg := cfg
-			cfg.ReleaseForeignMem = release
-			c := New(cfg)
-			n := c.Nodes()[0]
-			e := spawn(t, c, newApp(0, workload.Class{}, 100, 2), n, 10, 20)
-			f, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, "AddForeign", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
-			c.completeForeign(f)
-			if !f.Done() {
-				t.Fatal("a zero-work foreign task must complete")
-			}
-			want := totals{10 + 12, e.ActualGB + 12, cpu}
-			if release {
-				want = totals{10, e.ActualGB, cpu}
-			}
-			check(t, fmt.Sprintf("completeForeign (release %v)", release), n, want)
+		c := New(cfg)
+		n := c.Nodes()[0]
+		e := spawn(t, c, newApp(0, workload.Class{}, 100, 2), n, 10, 20)
+		f, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(t, "AddForeign", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
+		c.completeForeign(f)
+		if !f.Done() {
+			t.Fatal("a zero-work foreign task must complete")
+		}
+		check(t, "completeForeign", n, totals{10, e.ActualGB, cpu})
 	})
 
 	t.Run("OOM kill", func(t *testing.T) {
@@ -981,8 +971,8 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		}
 		check(t, "before failure", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
 		c.failNode(n)
-		// The lost co-runner is done, so under the default
-		// ReleaseForeignMem its working set leaves with its CPU demand.
+		// The lost co-runner is done, so its working set leaves with its
+		// CPU demand.
 		check(t, "failNode", n, totals{})
 	})
 

@@ -7,35 +7,25 @@ import (
 	"moespark/internal/workload"
 )
 
-// Direct accounting: with ReleaseForeignMem a completed foreign task's
-// working set leaves both memory sums; without it the set stays resident
-// (the historical quirk).
+// Direct accounting: a completed foreign task's working set leaves both
+// memory sums.
 func TestReleaseForeignMemFreesWorkingSet(t *testing.T) {
-	for _, release := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Nodes = 1
-		cfg.ReleaseForeignMem = release
-		c := New(cfg)
-		f, err := c.AddForeign(0, "hog", 0.3, 40, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.Nodes()[0]
-		if n.ActualGB() != 40 || n.ReservedGB() != 40 {
-			t.Fatalf("release=%v: running foreign task must be resident (actual %v reserved %v)",
-				release, n.ActualGB(), n.ReservedGB())
-		}
-		//moevet:allow settledstate flipping completion directly to probe ReservedGB/ActualGB accounting
-		f.done = true
-		n.recount()
-		want := 40.0
-		if release {
-			want = 0
-		}
-		if n.ActualGB() != want || n.ReservedGB() != want {
-			t.Errorf("release=%v: after completion actual %v reserved %v, want %v",
-				release, n.ActualGB(), n.ReservedGB(), want)
-		}
+	cfg := DefaultConfig()
+	cfg.Nodes = 1
+	c := New(cfg)
+	f, err := c.AddForeign(0, "hog", 0.3, 40, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes()[0]
+	if n.ActualGB() != 40 || n.ReservedGB() != 40 {
+		t.Fatalf("running foreign task must be resident (actual %v reserved %v)", n.ActualGB(), n.ReservedGB())
+	}
+	//moevet:allow settledstate flipping completion directly to probe ReservedGB/ActualGB accounting
+	f.done = true
+	n.recount()
+	if n.ActualGB() != 0 || n.ReservedGB() != 0 {
+		t.Errorf("after completion actual %v reserved %v, want 0", n.ActualGB(), n.ReservedGB())
 	}
 }
 
@@ -57,22 +47,22 @@ func (s pinScheduler) Schedule(c *Cluster) {
 }
 
 // Regression: a big co-runner pushes the node over the pressure watermark;
-// once it completes, a release-enabled node un-pages and the surviving
-// executor speeds up, while the default node stays paging-penalized for the
-// rest of the run.
+// once it completes, the node un-pages and the surviving executor speeds up.
+// The app must therefore finish sooner than next to a co-runner that
+// outlives it. The co-runner has no CPU load, so its completion frees only
+// memory: the speed-up is the un-paging alone.
 func TestReleaseForeignMemUnpagesNode(t *testing.T) {
 	b, err := workload.Find("BDB.PageRank") // log family: footprint >> reservation
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(release bool) (makespan float64, trailingActual float64) {
+	run := func(hogSec float64) (appDone, trailingActual float64) {
 		cfg := DefaultConfig()
 		cfg.Nodes = 1
-		cfg.ReleaseForeignMem = release
 		c := New(cfg)
 		// 45 GB working set + the executor's ~11.5 GB residency exceeds the
 		// 55.2 GB watermark, so the node pages while the hog lives.
-		if _, err := c.AddForeign(0, "hog", 0.4, 45, 200); err != nil {
+		if _, err := c.AddForeign(0, "hog", 0, 45, hogSec); err != nil {
 			t.Fatal(err)
 		}
 		res, err := c.RunOpen([]Submission{{At: 0, Job: workload.Job{Bench: b, InputGB: 16}}},
@@ -80,18 +70,23 @@ func TestReleaseForeignMemUnpagesNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.MakespanSec, c.Nodes()[0].ActualGB()
+		return res.Apps[0].DoneTime, c.Nodes()[0].ActualGB()
 	}
-	keepSpan, keepActual := run(false)
-	relSpan, relActual := run(true)
-	if keepActual != 45 {
-		t.Errorf("default path: completed hog must stay resident, ActualGB = %v", keepActual)
+	shortDone, shortActual := run(200)
+	longDone, _ := run(1e6)
+	if longDone >= 1e6 {
+		t.Fatalf("app done at %v s: the long co-runner must outlive it", longDone)
 	}
-	if relActual != 0 {
-		t.Errorf("release path: completed hog must free its set, ActualGB = %v", relActual)
+	if shortDone <= 200 {
+		t.Fatalf("app done at %v s: it must outlive the short co-runner", shortDone)
 	}
-	if relSpan >= keepSpan {
-		t.Errorf("un-paged node must finish sooner: release %v s vs keep %v s", relSpan, keepSpan)
+	if shortActual != 0 {
+		t.Errorf("completed hog must free its set, ActualGB = %v", shortActual)
+	}
+	// Without the release both runs page to the end and finish within an
+	// ulp of each other, so require a clear margin.
+	if shortDone > 0.9*longDone {
+		t.Errorf("un-paged node must finish markedly sooner: %v s after the co-runner left vs %v s beside it", shortDone, longDone)
 	}
 }
 
@@ -194,13 +189,13 @@ func TestFleetAwareSizing(t *testing.T) {
 	// nodes reserved down (one fully, one to half of MinChunkGB), the third
 	// plus ten little nodes size the fleet at 11 executors, not 2.
 	c = mkFleet(cfg, repeat(big, 3), repeat(little, 24))
-	for i, keep := range []float64{0, cfg.MinChunkGB / 2} {
+	for i, keep := range []float64{0, MinChunkGB / 2} {
 		n := c.Nodes()[i]
 		if _, err := c.AddForeign(n.ID, "hog", 0.1, n.AllocatableGB()-keep, 1000); err != nil {
 			t.Fatal(err)
 		}
-		if n.FreeGB() > cfg.MinChunkGB {
-			t.Fatalf("node %d: %v GB free after reserving, want at most %v", n.ID, n.FreeGB(), cfg.MinChunkGB)
+		if n.FreeGB() > MinChunkGB {
+			t.Fatalf("node %d: %v GB free after reserving, want at most %v", n.ID, n.FreeGB(), MinChunkGB)
 		}
 	}
 	if got := c.AddReadyApp(job).MaxExecutors; got != 11 {

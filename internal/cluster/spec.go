@@ -3,19 +3,21 @@ package cluster
 import (
 	"fmt"
 	"math"
+
+	"moespark/internal/workload"
 )
 
 // NodeSpec is the hardware description of one computing node. The paper's
-// testbed is uniform (every node a 64 GB / 16-thread Xeon with 16 GB swap),
-// but real co-location fleets are heterogeneous: NodeSpec lets every node
-// carry its own capacity and speed, while platform-wide behaviour (penalty
-// shapes, watermarks, startup latency) stays in Config.
+// testbed is uniform (every node a ReferenceNode), but real co-location
+// fleets are heterogeneous: NodeSpec lets every node carry its own capacity
+// and speed, while platform-wide behaviour (penalty shapes, watermark,
+// startup latency) is the package's fixed platform model.
 type NodeSpec struct {
 	// RAMGB is the node's physical memory.
 	RAMGB float64
 	// Cores is the number of hardware threads. CPU demands are expressed as
-	// fractions of a Config.BaselineCores node, so a node with twice the
-	// baseline cores hosts twice the aggregate demand before saturating.
+	// fractions of a ReferenceNode, so a node with twice its cores hosts
+	// twice the aggregate demand before saturating.
 	Cores int
 	// SpeedFactor scales executor processing rates on this node relative to
 	// the paper's reference machine (1.0). Stragglers sit below 1, newer
@@ -61,25 +63,20 @@ func (s NodeSpec) Validate() error {
 	return nil
 }
 
-// DefaultNodeSpec is the per-node view of the platform config: the spec every
-// node gets when the cluster is built homogeneously (the paper's testbed).
-func (c Config) DefaultNodeSpec() NodeSpec {
+// AllocatableGB is the memory a node with this spec advertises for
+// reservations: the pressure watermark keeps a safety band below the
+// physical limit, exactly like YARN's node-manager resource setting.
+func (s NodeSpec) AllocatableGB() float64 { return pressureWatermark * s.UsableGB() }
+
+// specFrom converts one workload node class into a node spec.
+func specFrom(c workload.NodeClass) NodeSpec {
 	return NodeSpec{
 		RAMGB:       c.RAMGB,
-		Cores:       c.baselineCores(),
-		SpeedFactor: 1,
+		Cores:       c.Cores,
+		SpeedFactor: c.SpeedFactor,
 		SwapGB:      c.SwapGB,
 		OSReserveGB: c.OSReserveGB,
+		Rack:        c.Rack,
+		Zone:        c.Zone,
 	}
 }
-
-// baselineCores resolves the reference core count, defaulting to the paper's
-// 16-thread nodes for configs predating the field.
-func (c Config) baselineCores() int {
-	if c.BaselineCores > 0 {
-		return c.BaselineCores
-	}
-	return defaultBaselineCores
-}
-
-const defaultBaselineCores = 16

@@ -9,10 +9,9 @@ import (
 
 func testNodes(t *testing.T, count int) []*Node {
 	t.Helper()
-	cfg := DefaultConfig()
 	nodes := make([]*Node, count)
 	for i := range nodes {
-		nodes[i] = newNode(i, cfg.DefaultNodeSpec(), cfg, 0)
+		nodes[i] = newNode(i, ReferenceNode(), 0)
 	}
 	return nodes
 }
@@ -78,12 +77,11 @@ func TestTraceNextSampleTimeNeverPast(t *testing.T) {
 // TestTraceVaryingNodeCount samples across joins and failures: rows must
 // track the alive node set, and NodeIDs must identify the columns.
 func TestTraceVaryingNodeCount(t *testing.T) {
-	cfg := DefaultConfig()
 	tr := newTrace(10)
 	nodes := testNodes(t, 2)
 	tr.maybeSample(0, nodes)
 
-	nodes = append(nodes, newNode(2, cfg.DefaultNodeSpec(), cfg, 10))
+	nodes = append(nodes, newNode(2, ReferenceNode(), 10))
 	tr.maybeSample(10, nodes)
 
 	nodes[0].state = NodeFailed

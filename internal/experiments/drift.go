@@ -7,6 +7,7 @@ import (
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
 	"moespark/internal/moe"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -156,7 +157,7 @@ func Drift(ctx Context) (DriftResult, error) {
 		oom []int
 	}
 	units := make([]unit, len(loads)*len(driftRates)*streams)
-	err = forEachIndexed(ctx.workers(), len(units), func(item int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
 		wi := item / (len(driftRates) * streams)
 		ri := (item / streams) % len(driftRates)
 		si := item % streams

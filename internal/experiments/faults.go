@@ -6,6 +6,7 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -182,7 +183,7 @@ func Faults(ctx Context) (FaultsResult, error) {
 	}
 	cells := len(set.names) * len(modes)
 	units := make([]unit, streams)
-	err = forEachIndexed(ctx.workers(), len(units), func(si int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(si int) error {
 		streamSeed := ctx.Seed*3_000_017 + int64(si)*8009
 		arrivals, err := workload.PoissonArrivals(faultsApps, faultsRate/3600,
 			rand.New(rand.NewSource(streamSeed)))

@@ -6,6 +6,7 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -166,7 +167,7 @@ func Hetero(ctx Context) (HeteroResult, error) {
 		fail []int
 	}
 	units := make([]unit, len(fleets)*streams)
-	err = forEachIndexed(ctx.workers(), len(units), func(item int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
 		fi, si := item/streams, item%streams
 		fleet := fleets[fi]
 		streamSeed := ctx.Seed*3_000_017 + int64(fi)*8009 + int64(si)

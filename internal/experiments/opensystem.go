@@ -6,6 +6,7 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -99,7 +100,7 @@ func OpenSystem(ctx Context) (OpenSystemResult, error) {
 		oom []int
 	}
 	units := make([]unit, len(openSystemRates)*streams)
-	err = forEachIndexed(ctx.workers(), len(units), func(item int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
 		ri, si := item/streams, item%streams
 		rate := openSystemRates[ri]
 		streamSeed := ctx.Seed*2_000_003 + int64(ri)*4013 + int64(si)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"moespark/internal/cluster"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -27,11 +28,11 @@ type Fig11Row struct {
 
 // profilingSplit estimates the feature-extraction and calibration time for
 // one app from its profiling volumes and effective coordinator rate.
-func profilingSplit(app *cluster.App, cfg cluster.Config) (featureSec, calibSec float64) {
+func profilingSplit(app *cluster.App) (featureSec, calibSec float64) {
 	if app.ProfileGB <= 0 {
 		return 0, 0
 	}
-	rate := app.Job.Bench.ScanRate * cfg.ProfilingRateFactor
+	rate := app.Job.Bench.ScanRate * cluster.ProfilingRateFactor
 	if rate <= 0 {
 		return 0, 0
 	}
@@ -61,7 +62,7 @@ func Fig11(ctx Context) (Fig11Result, error) {
 	type appSplit struct{ feat, calib, turn float64 }
 	mixes := ctx.MixesPerScenario
 	splits := make([][]appSplit, len(workload.Scenarios)*mixes)
-	err = forEachIndexed(ctx.workers(), len(splits), func(item int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(splits), func(item int) error {
 		si, mix := item/mixes, item%mixes
 		sc := workload.Scenarios[si]
 		mixSeed := ctx.Seed*999_983 + int64(si)*733 + int64(mix)
@@ -73,7 +74,7 @@ func Fig11(ctx Context) (Fig11Result, error) {
 		}
 		rows := make([]appSplit, 0, len(res.Apps))
 		for _, a := range res.Apps {
-			f, cal := profilingSplit(a, ctx.Cfg)
+			f, cal := profilingSplit(a)
 			rows = append(rows, appSplit{feat: f, calib: cal, turn: a.Turnaround()})
 		}
 		splits[item] = rows
@@ -155,7 +156,7 @@ func Fig12(ctx Context) (Fig12Result, error) {
 			return Fig12Result{}, fmt.Errorf("experiments: fig12 %s: %w", b.FullName(), err)
 		}
 		a := res.Apps[0]
-		f, cal := profilingSplit(a, ctx.Cfg)
+		f, cal := profilingSplit(a)
 		out.Rows = append(out.Rows, Fig12Row{
 			Name:           b.FullName(),
 			FeatureMin:     f / 60,

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-
-	"moespark/internal/parallel"
-)
+import "runtime"
 
 // workers resolves the experiment worker-pool width: Context.Workers when
 // set, else one worker per available CPU.
@@ -13,11 +9,4 @@ func (c Context) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// forEachIndexed fans the per-mix scenario loops out across cores; see
-// parallel.ForEachIndexed for the determinism contract that keeps parallel
-// runs bit-identical to serial ones.
-func forEachIndexed(workers, n int, fn func(i int) error) error {
-	return parallel.ForEachIndexed(workers, n, fn)
 }

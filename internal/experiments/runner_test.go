@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"moespark/internal/parallel"
 	"moespark/internal/workload"
 )
 
@@ -13,7 +14,7 @@ func TestForEachIndexedCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		var n atomic.Int64
 		seen := make([]bool, 100)
-		if err := forEachIndexed(workers, len(seen), func(i int) error {
+		if err := parallel.ForEachIndexed(workers, len(seen), func(i int) error {
 			seen[i] = true
 			n.Add(1)
 			return nil
@@ -33,7 +34,7 @@ func TestForEachIndexedCoversAllIndices(t *testing.T) {
 
 func TestForEachIndexedReturnsLowestIndexError(t *testing.T) {
 	errBoom := errors.New("boom")
-	err := forEachIndexed(4, 50, func(i int) error {
+	err := parallel.ForEachIndexed(4, 50, func(i int) error {
 		if i == 7 || i == 30 {
 			return errBoom
 		}
@@ -42,7 +43,7 @@ func TestForEachIndexedReturnsLowestIndexError(t *testing.T) {
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("got %v, want boom", err)
 	}
-	if err := forEachIndexed(3, 0, func(int) error { return errBoom }); err != nil {
+	if err := parallel.ForEachIndexed(3, 0, func(int) error { return errBoom }); err != nil {
 		t.Errorf("empty range must not error, got %v", err)
 	}
 }
@@ -68,14 +69,14 @@ func TestParallelRunnerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, parallelGeo, err := runScenarios(parallelCtx, set, scenarios)
+	concurrent, concurrentGeo, err := runScenarios(parallelCtx, set, scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
+	if !reflect.DeepEqual(serial, concurrent) {
 		t.Errorf("scenario results differ between serial and parallel runners")
 	}
-	if !reflect.DeepEqual(serialGeo, parallelGeo) {
+	if !reflect.DeepEqual(serialGeo, concurrentGeo) {
 		t.Errorf("geomean aggregates differ between serial and parallel runners")
 	}
 }

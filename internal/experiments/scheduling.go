@@ -7,6 +7,7 @@ import (
 	"moespark/internal/cluster"
 	"moespark/internal/memfunc"
 	"moespark/internal/metrics"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -70,7 +71,7 @@ func runScenarios(ctx Context, set schemeSet, scenarios []workload.Scenario) ([]
 	mixes := ctx.MixesPerScenario
 	// outcomes[si*mixes+mix][ni] is the comparison for scheme set.names[ni].
 	outcomes := make([][]metrics.Comparison, len(scenarios)*mixes)
-	err := forEachIndexed(ctx.workers(), len(outcomes), func(item int) error {
+	err := parallel.ForEachIndexed(ctx.workers(), len(outcomes), func(item int) error {
 		si, mix := item/mixes, item%mixes
 		sc := scenarios[si]
 		mixSeed := ctx.Seed*1_000_003 + int64(si)*1009 + int64(mix)

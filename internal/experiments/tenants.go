@@ -6,6 +6,7 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
+	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -125,7 +126,7 @@ func Tenants(ctx Context) (TenantsResult, error) {
 		modes [2][]cell // [mode][scheme]
 	}
 	units := make([]unit, len(fleets)*streams)
-	err = forEachIndexed(ctx.workers(), len(units), func(item int) error {
+	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
 		fi, si := item/streams, item%streams
 		fleet := fleets[fi]
 		streamSeed := ctx.Seed*5_000_011 + int64(fi)*9013 + int64(si)

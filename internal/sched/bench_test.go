@@ -21,7 +21,7 @@ func benchCluster(b *testing.B) *cluster.Cluster {
 	bench := workload.Catalog()[0]
 	for _, n := range c.Nodes() {
 		filler := c.AddReadyApp(workload.Job{Bench: bench, InputGB: cfg.ExecutorSpreadGB})
-		if _, err := c.Spawn(filler, n, c.Config().AllocatableGB(), filler.Job.InputGB); err != nil {
+		if _, err := c.Spawn(filler, n, n.AllocatableGB(), filler.Job.InputGB); err != nil {
 			b.Fatalf("filling node %d: %v", n.ID, err)
 		}
 	}
@@ -88,7 +88,7 @@ func benchmarkAdmission(b *testing.B, apps int) {
 		}
 		for _, app := range admitted {
 			est, ok := d.Est.Estimate(app)
-			d.plan(cfg, app, node, free, est, ok)
+			d.plan(app, node, free, est, ok)
 		}
 	}
 }

@@ -201,7 +201,6 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	if !wantsExecutor(app) {
 		return
 	}
-	cfg := c.Config()
 	demand := app.Job.Bench.CPULoad
 	// The estimate is app-level state: fetch it once per placement pass and
 	// thread it through planning and the PredictedGB stamp, so the stamp is
@@ -225,7 +224,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 		if d.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9 {
 			continue
 		}
-		if n.FreeGB() <= cfg.MinChunkGB {
+		if n.FreeGB() <= cluster.MinChunkGB {
 			continue
 		}
 		score := 0.0
@@ -240,7 +239,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 			if !wantsExecutor(app) {
 				return
 			}
-			d.spawnOn(c, &cfg, app, n, est, haveEst)
+			d.spawnOn(c, app, n, est, haveEst)
 		}
 		return
 	}
@@ -248,15 +247,13 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// never reaches are never ordered.
 	d.cand.heapify()
 	for len(d.cand.nodes) > 0 && wantsExecutor(app) {
-		d.spawnOn(c, &cfg, app, d.cand.pop(), est, haveEst)
+		d.spawnOn(c, app, d.cand.pop(), est, haveEst)
 	}
 }
 
-// spawnOn places one executor of app on candidate n when the plan fits. It
-// takes the config by pointer: it runs once per candidate tried, and one
-// copy of the config per candidate (the one plan takes) is enough.
-func (d *Dispatcher) spawnOn(c *cluster.Cluster, cfg *cluster.Config, app *cluster.App, n *cluster.Node, est MemEstimate, haveEst bool) {
-	reserve, items, ok := d.plan(*cfg, app, n, n.FreeGB(), est, haveEst)
+// spawnOn places one executor of app on candidate n when the plan fits.
+func (d *Dispatcher) spawnOn(c *cluster.Cluster, app *cluster.App, n *cluster.Node, est MemEstimate, haveEst bool) {
+	reserve, items, ok := d.plan(app, n, n.FreeGB(), est, haveEst)
 	if !ok {
 		return
 	}
@@ -275,7 +272,7 @@ func (d *Dispatcher) spawnOn(c *cluster.Cluster, cfg *cluster.Config, app *clust
 // plan decides the reservation and data allocation for a prospective
 // executor given the node's free memory and the app's estimate (fetched
 // once by the caller — it is app-level, not node-level, state).
-func (d *Dispatcher) plan(cfg cluster.Config, app *cluster.App, n *cluster.Node, free float64, est MemEstimate, haveEst bool) (reserve, items float64, ok bool) {
+func (d *Dispatcher) plan(app *cluster.App, n *cluster.Node, free float64, est MemEstimate, haveEst bool) (reserve, items float64, ok bool) {
 	share := remainingShare(app)
 	if !haveEst {
 		// No prediction: Spark-default allocation. The first executor on a
@@ -298,7 +295,7 @@ func (d *Dispatcher) plan(cfg cluster.Config, app *cluster.App, n *cluster.Node,
 	}
 	// Shrink the allocation to what fits the free memory.
 	fit := clampItems(est.Items(free/margin), app.RemainingGB)
-	if fit < cfg.MinChunkGB {
+	if fit < cluster.MinChunkGB {
 		// The model claims nothing fits. If the node is otherwise empty and
 		// the application has no executor at all, run it anyway with the
 		// default heap: a mispredicting model must not starve a job forever.

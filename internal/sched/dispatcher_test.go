@@ -71,7 +71,7 @@ func TestPlanShrinksToFreeMemory(t *testing.T) {
 	if probe.firstItems <= 0 || probe.firstItems >= 100 {
 		t.Errorf("first allocation %v, want shrunk into (0, 100)", probe.firstItems)
 	}
-	alloc := c.Config().AllocatableGB()
+	alloc := cluster.ReferenceNode().AllocatableGB()
 	if probe.firstReserve > alloc+1e-9 {
 		t.Errorf("reserve %v exceeds allocatable %v", probe.firstReserve, alloc)
 	}
@@ -148,7 +148,7 @@ func TestFallbackReservationForUnestimatedApp(t *testing.T) {
 	if _, err := c.Run(jobs, probe); err != nil {
 		t.Fatal(err)
 	}
-	wantHalf := c.Config().AllocatableGB() / 2
+	wantHalf := cluster.ReferenceNode().AllocatableGB() / 2
 	if math.Abs(probe.firstReserve-wantHalf) > 1e-6 {
 		t.Errorf("fallback reserve %v, want half-node %v", probe.firstReserve, wantHalf)
 	}

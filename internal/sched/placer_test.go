@@ -60,9 +60,8 @@ func TestFirstFitMatchesNilPlacer(t *testing.T) {
 // TestBestFitPrefersTightestNode gives one candidate less free memory: the
 // best-fit placer must pick it first, while first fit takes scan order.
 func TestBestFitPrefersTightestNode(t *testing.T) {
-	cfg := cluster.DefaultConfig()
-	big := cfg.DefaultNodeSpec()
-	small := cfg.DefaultNodeSpec()
+	big := cluster.ReferenceNode()
+	small := cluster.ReferenceNode()
 	small.RAMGB = 40 // less free memory than the 64 GB nodes
 
 	firstExec := func(p Placer) int {
@@ -87,10 +86,9 @@ func TestBestFitPrefersTightestNode(t *testing.T) {
 // TestSpeedAwarePrefersFastIdleNode puts the fastest machine last in scan
 // order: the speed-aware placer must still pick it.
 func TestSpeedAwarePrefersFastIdleNode(t *testing.T) {
-	cfg := cluster.DefaultConfig()
-	slow := cfg.DefaultNodeSpec()
+	slow := cluster.ReferenceNode()
 	slow.SpeedFactor = 0.5
-	fast := cfg.DefaultNodeSpec()
+	fast := cluster.ReferenceNode()
 	fast.SpeedFactor = 2
 
 	c := heteroCluster(t, []cluster.NodeSpec{slow, slow, fast})

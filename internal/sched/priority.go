@@ -139,7 +139,7 @@ func (p *priority) preemptStarved(c *cluster.Cluster) {
 			// reclaiming an executor frees its demand along with its memory.
 			cpu = app.Job.Bench.CPULoad
 		}
-		if c.PreemptFor(app, p.needGB(c, app), cpu, p.inner.MaxAppsPerNode) > 0 {
+		if c.PreemptFor(app, p.needGB(app), cpu, p.inner.MaxAppsPerNode) > 0 {
 			if p.preempted == nil {
 				p.preempted = map[int]bool{}
 			}
@@ -155,7 +155,6 @@ func (p *priority) preemptStarved(c *cluster.Cluster) {
 // Preemption that fires anyway would kill batch work for a placement that
 // needed none.
 func (p *priority) placeable(c *cluster.Cluster, app *cluster.App) bool {
-	cfg := c.Config()
 	demand := app.Job.Bench.CPULoad
 	var est MemEstimate
 	haveEst := false
@@ -173,10 +172,10 @@ func (p *priority) placeable(c *cluster.Cluster, app *cluster.App) bool {
 			continue
 		}
 		free := n.FreeGB()
-		if free <= cfg.MinChunkGB {
+		if free <= cluster.MinChunkGB {
 			continue
 		}
-		if _, _, ok := p.inner.plan(cfg, app, n, free, est, haveEst); ok {
+		if _, _, ok := p.inner.plan(app, n, free, est, haveEst); ok {
 			return true
 		}
 	}
@@ -185,11 +184,11 @@ func (p *priority) placeable(c *cluster.Cluster, app *cluster.App) bool {
 
 // needGB estimates the reservation the starved application wants for its
 // first executor: the predicted footprint of its fair share under the inner
-// policy's estimator and safety margin, or the platform's default heap
-// (half an allocatable node) when the policy predicts nothing. The engine
-// clamps the demand per node, so an oversized ask degrades to a whole-node
-// takeover rather than unreachability.
-func (p *priority) needGB(c *cluster.Cluster, app *cluster.App) float64 {
+// policy's estimator and safety margin, or the platform's default heap (half
+// an allocatable reference node) when the policy predicts nothing. The
+// engine clamps the demand per node, so an oversized ask degrades to a
+// whole-node takeover rather than unreachability.
+func (p *priority) needGB(app *cluster.App) float64 {
 	if p.inner.Est != nil {
 		if est, ok := p.inner.Est.Estimate(app); ok {
 			if need := est.Footprint(remainingShare(app)) * (1 + p.inner.SafetyMargin); need > 0 {
@@ -197,5 +196,5 @@ func (p *priority) needGB(c *cluster.Cluster, app *cluster.App) float64 {
 			}
 		}
 	}
-	return c.Config().AllocatableGB() / 2
+	return cluster.ReferenceNode().AllocatableGB() / 2
 }

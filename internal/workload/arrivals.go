@@ -69,7 +69,11 @@ func BurstyArrivals(n int, burstRate float64, meanBurst float64, idleSec float64
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: need a positive stream length, got %d", n)
 	}
-	if burstRate <= 0 || meanBurst < 1 || idleSec < 0 {
+	// Written as !(x > 0) and !(x >= y) so NaN fails too, as it does every
+	// comparison. An infinite value would put arrivals at +Inf, collapse
+	// the gaps within a burst, or make one endless burst.
+	if !(burstRate > 0) || !(meanBurst >= 1) || !(idleSec >= 0) ||
+		math.IsInf(burstRate, 0) || math.IsInf(meanBurst, 0) || math.IsInf(idleSec, 0) {
 		return nil, fmt.Errorf("workload: invalid bursty parameters rate=%v meanBurst=%v idle=%v",
 			burstRate, meanBurst, idleSec)
 	}
@@ -106,7 +110,11 @@ func DiurnalArrivals(n int, baseRate, amplitude, periodSec float64, rng *rand.Ra
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: need a positive stream length, got %d", n)
 	}
-	if baseRate <= 0 || amplitude < 0 || amplitude >= 1 || periodSec <= 0 {
+	// NaN fails every comparison, so the checks are written to fail it: a
+	// NaN rate, amplitude or period makes the thinning reject every draw,
+	// and the loop below would never end.
+	if !(baseRate > 0) || !(amplitude >= 0 && amplitude < 1) || !(periodSec > 0) ||
+		math.IsInf(baseRate, 0) || math.IsInf(periodSec, 0) {
 		return nil, fmt.Errorf("workload: invalid diurnal parameters base=%v amp=%v period=%v",
 			baseRate, amplitude, periodSec)
 	}

@@ -166,3 +166,43 @@ func TestArrivalGeneratorsValidateParameters(t *testing.T) {
 		t.Error("zero period must error")
 	}
 }
+
+// TestArrivalGeneratorsRejectNonFinite gives each parameter of the bursty
+// and diurnal generators NaN and both infinities, one row per parameter. A
+// NaN passes a plain "x <= 0" check: a NaN diurnal rate, amplitude or period
+// makes the thinning loop reject every draw forever, and a NaN or infinite
+// bursty parameter puts NaN or +Inf submission times into the stream.
+func TestArrivalGeneratorsRejectNonFinite(t *testing.T) {
+	cases := []struct {
+		param string
+		gen   func(x float64, rng *rand.Rand) ([]Arrival, error)
+	}{
+		{"bursty rate", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return BurstyArrivals(10, x, 5, 120, rng)
+		}},
+		{"bursty mean burst", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return BurstyArrivals(10, 0.5, x, 120, rng)
+		}},
+		{"bursty idle", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return BurstyArrivals(10, 0.5, 5, x, rng)
+		}},
+		{"diurnal base rate", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return DiurnalArrivals(10, x, 0.8, 3600, rng)
+		}},
+		{"diurnal amplitude", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return DiurnalArrivals(10, 0.05, x, 3600, rng)
+		}},
+		{"diurnal period", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return DiurnalArrivals(10, 0.05, 0.8, x, rng)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.param, func(t *testing.T) {
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				if _, err := tc.gen(x, rand.New(rand.NewSource(1))); err == nil {
+					t.Errorf("%s %v accepted", tc.param, x)
+				}
+			}
+		})
+	}
+}

@@ -136,7 +136,8 @@ type (
 
 	// Cluster is the discrete-event simulator of the evaluation platform.
 	Cluster = cluster.Cluster
-	// ClusterConfig describes the simulated platform.
+	// ClusterConfig holds the settings that vary between simulated runs;
+	// the rest of the platform is the paper's testbed, fixed.
 	ClusterConfig = cluster.Config
 	// NodeSpec is one node's hardware description (heterogeneous fleets).
 	NodeSpec = cluster.NodeSpec

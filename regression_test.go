@@ -17,8 +17,9 @@ import (
 // recorded): Run(jobs, sched) is required to stay a behaviour-preserving
 // wrapper over RunOpen with all submissions at t=0. All goldens in this file
 // were re-captured exactly once when the settle-on-rate-change engine landed
-// together with the ReleaseForeignMem/FleetAwareSizing default flips (see
-// README "Engine internals" for why the PR1-5 values could not survive).
+// together with the default flips to releasing foreign working sets and
+// fleet-aware sizing (see README "Engine internals" for why the earlier values
+// could not survive).
 type golden struct {
 	stp, antt, makespan float64
 	oom                 int
@@ -332,7 +333,7 @@ func TestHomogeneousHeteroConstructorEquivalence(t *testing.T) {
 	}
 	specs := make([]cluster.NodeSpec, cfg.Nodes)
 	for i := range specs {
-		specs[i] = cfg.DefaultNodeSpec()
+		specs[i] = cluster.ReferenceNode()
 	}
 	c2, err := cluster.NewHetero(cfg, specs)
 	if err != nil {
