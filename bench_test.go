@@ -2,9 +2,9 @@ package moespark
 
 // The benchmark harness: one testing.B per table and figure of the paper's
 // evaluation (regenerating its rows/series), plus ablation benches for the
-// design choices called out in DESIGN.md. Custom metrics are attached via
-// b.ReportMetric so `go test -bench=.` prints the headline quantities next
-// to the usual ns/op:
+// design choices (see README's "Benchmarks" section). Custom metrics are
+// attached via b.ReportMetric so `go test -bench=.` prints the headline
+// quantities next to the usual ns/op:
 //
 //	STP            normalized system throughput (Equation 1)
 //	ANTTred%       ANTT reduction vs the serial isolated baseline
@@ -286,7 +286,7 @@ func BenchmarkTable5Classifiers(b *testing.B) {
 	b.ReportMetric(knn, "acc%")
 }
 
-// --- Ablation benches (DESIGN.md section 5) ---
+// --- Ablation benches (see README's "Benchmarks" section) ---
 
 // calibrationError measures the mean footprint prediction error at 62.5GB
 // when calibrating with n profiling points (1 uses scaling of the training

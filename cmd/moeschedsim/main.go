@@ -456,7 +456,6 @@ func main() {
 		window        = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
 		classes       = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
 		preempt       = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
-		legacySizing  = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
 		seed          = flag.Int64("seed", 1, "random seed")
@@ -568,9 +567,6 @@ func main() {
 
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = *nodes
-	if *legacySizing {
-		cfg.FleetAwareSizing = false
-	}
 	cfg.MigrateOnDrain = *migrate
 	cfg.OOMRetryBudget = *retryBudget
 	cfg.RefreshFleetSizing = *refreshSizing

@@ -27,17 +27,9 @@ type MLP struct {
 	fitted  bool
 	labels  []int
 	labelIx map[int]int
-	weights []matrixLayer
+	weights network
 	std     standardizer
 }
-
-type matrixLayer struct {
-	in, out int
-	w       []float64 // (in+1) x out, row-major, last row is bias
-}
-
-func (l *matrixLayer) at(i, j int) float64     { return l.w[i*l.out+j] }
-func (l *matrixLayer) add(i, j int, d float64) { l.w[i*l.out+j] += d }
 
 // NewMLP returns an unfitted MLP with the given hidden layout.
 func NewMLP(hidden []int, seed int64) *MLP {
@@ -81,56 +73,17 @@ func (m *MLP) Fit(samples []Sample) error {
 	m.std = fitStandardizer(samples, dim)
 	rng := rand.New(rand.NewSource(m.Seed))
 	sizes := append([]int{dim}, m.Hidden...)
-	sizes = append(sizes, len(labels))
-	m.weights = make([]matrixLayer, len(sizes)-1)
-	for i := range m.weights {
-		in, out := sizes[i], sizes[i+1]
-		l := matrixLayer{in: in, out: out, w: make([]float64, (in+1)*out)}
-		scale := 1 / math.Sqrt(float64(in))
-		for j := range l.w {
-			l.w[j] = rng.NormFloat64() * scale
-		}
-		m.weights[i] = l
-	}
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < m.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, ix := range order {
-			m.backprop(samples[ix])
-		}
-	}
+	m.weights = newNetwork(append(sizes, len(labels)), rng)
+	sgd(rng, len(samples), m.Epochs, func(ix int) { m.backprop(samples[ix]) })
 	m.fitted = true
 	return nil
 }
 
-// forward runs the network, returning every layer's activations
-// (activations[0] is the input, the last entry the softmax output).
+// forward runs the network on a raw input, returning every layer's
+// activations; the last entry holds the class probabilities.
 func (m *MLP) forward(x []float64) [][]float64 {
-	acts := make([][]float64, 0, len(m.weights)+1)
-	acts = append(acts, x)
-	cur := x
-	for li, l := range m.weights {
-		next := make([]float64, l.out)
-		for j := 0; j < l.out; j++ {
-			s := l.at(l.in, j) // bias row
-			for i := 0; i < l.in; i++ {
-				s += l.at(i, j) * cur[i]
-			}
-			next[j] = s
-		}
-		if li < len(m.weights)-1 {
-			for j := range next {
-				next[j] = math.Tanh(next[j])
-			}
-		} else {
-			softmaxInPlace(next)
-		}
-		acts = append(acts, next)
-		cur = next
-	}
+	acts := m.weights.forward(m.std.apply(x))
+	softmaxInPlace(acts[len(acts)-1])
 	return acts
 }
 
@@ -152,36 +105,13 @@ func softmaxInPlace(v []float64) {
 }
 
 func (m *MLP) backprop(s Sample) {
-	acts := m.forward(m.std.apply(s.X))
+	acts := m.forward(s.X)
 	out := acts[len(acts)-1]
 	// Softmax + cross-entropy gradient: delta = p - onehot.
 	delta := make([]float64, len(out))
 	copy(delta, out)
 	delta[m.labelIx[s.Label]] -= 1
-	for li := len(m.weights) - 1; li >= 0; li-- {
-		l := &m.weights[li]
-		prev := acts[li]
-		var prevDelta []float64
-		if li > 0 {
-			prevDelta = make([]float64, l.in)
-			for i := 0; i < l.in; i++ {
-				var g float64
-				for j := 0; j < l.out; j++ {
-					g += l.at(i, j) * delta[j]
-				}
-				// tanh'(a) = 1 - a².
-				prevDelta[i] = g * (1 - prev[i]*prev[i])
-			}
-		}
-		for j := 0; j < l.out; j++ {
-			step := m.LearningRate * delta[j]
-			for i := 0; i < l.in; i++ {
-				l.add(i, j, -step*prev[i])
-			}
-			l.add(l.in, j, -step) // bias
-		}
-		delta = prevDelta
-	}
+	m.weights.backprop(acts, delta, m.LearningRate)
 }
 
 // Predict implements Classifier.
@@ -192,7 +122,7 @@ func (m *MLP) Predict(x []float64) (int, error) {
 	if len(x) != m.dim {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(x), m.dim)
 	}
-	out := m.forward(m.std.apply(x))
+	out := m.forward(x)
 	probs := out[len(out)-1]
 	best, bestP := 0, probs[0]
 	for i, p := range probs[1:] {

@@ -23,7 +23,7 @@ type ANNRegressor struct {
 
 	dim     int
 	fitted  bool
-	weights []matrixLayer
+	weights network
 	std     standardizer
 	// Target normalisation so training is well-conditioned regardless of
 	// footprint scale.
@@ -87,83 +87,17 @@ func (a *ANNRegressor) Fit(samples []RegSample) error {
 	a.std = fitStandardizer(xs, a.dim)
 	rng := rand.New(rand.NewSource(a.Seed))
 	sizes := append([]int{a.dim}, a.Hidden...)
-	sizes = append(sizes, 1)
-	a.weights = make([]matrixLayer, len(sizes)-1)
-	for i := range a.weights {
-		in, out := sizes[i], sizes[i+1]
-		l := matrixLayer{in: in, out: out, w: make([]float64, (in+1)*out)}
-		scale := 1 / math.Sqrt(float64(in))
-		for j := range l.w {
-			l.w[j] = rng.NormFloat64() * scale
-		}
-		a.weights[i] = l
-	}
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < a.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, ix := range order {
-			a.step(samples[ix])
-		}
-	}
+	a.weights = newNetwork(append(sizes, 1), rng)
+	sgd(rng, len(samples), a.Epochs, func(ix int) { a.step(samples[ix]) })
 	a.fitted = true
 	return nil
 }
 
-func (a *ANNRegressor) forward(x []float64) [][]float64 {
-	acts := make([][]float64, 0, len(a.weights)+1)
-	acts = append(acts, x)
-	cur := x
-	for li, l := range a.weights {
-		next := make([]float64, l.out)
-		for j := 0; j < l.out; j++ {
-			s := l.at(l.in, j)
-			for i := 0; i < l.in; i++ {
-				s += l.at(i, j) * cur[i]
-			}
-			next[j] = s
-		}
-		if li < len(a.weights)-1 {
-			for j := range next {
-				next[j] = math.Tanh(next[j])
-			}
-		}
-		acts = append(acts, next)
-		cur = next
-	}
-	return acts
-}
-
 func (a *ANNRegressor) step(s RegSample) {
-	acts := a.forward(a.std.apply(s.X))
+	acts := a.weights.forward(a.std.apply(s.X))
 	pred := acts[len(acts)-1][0]
 	target := (s.Y - a.yMean) / a.yStd
-	delta := []float64{pred - target} // squared-error gradient
-	for li := len(a.weights) - 1; li >= 0; li-- {
-		l := &a.weights[li]
-		prev := acts[li]
-		var prevDelta []float64
-		if li > 0 {
-			prevDelta = make([]float64, l.in)
-			for i := 0; i < l.in; i++ {
-				var g float64
-				for j := 0; j < l.out; j++ {
-					g += l.at(i, j) * delta[j]
-				}
-				prevDelta[i] = g * (1 - prev[i]*prev[i])
-			}
-		}
-		for j := 0; j < l.out; j++ {
-			step := a.LearningRate * delta[j]
-			for i := 0; i < l.in; i++ {
-				l.add(i, j, -step*prev[i])
-			}
-			l.add(l.in, j, -step)
-		}
-		delta = prevDelta
-	}
+	a.weights.backprop(acts, []float64{pred - target}, a.LearningRate) // squared-error gradient
 }
 
 // ErrRegressorNotFitted is returned by Predict before Fit.
@@ -177,6 +111,6 @@ func (a *ANNRegressor) Predict(x []float64) (float64, error) {
 	if len(x) != a.dim {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(x), a.dim)
 	}
-	acts := a.forward(a.std.apply(x))
+	acts := a.weights.forward(a.std.apply(x))
 	return acts[len(acts)-1][0]*a.yStd + a.yMean, nil
 }

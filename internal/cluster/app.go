@@ -186,6 +186,17 @@ func (a *App) blockNode(n *Node, until float64) {
 	a.blockedNodes[n.ID] = until
 }
 
+// CanUse reports whether a new executor of the app may go on n at the given
+// instant: n is available, holds no executor of the app yet, and is not
+// blacklisted for it while it hosts executors (after an OOM kill the app
+// avoids a shared node, but an empty one is fine again: the paper re-runs
+// OOM victims in isolation). Placement, migration and preemption all pick
+// their targets by it; Spawn checks the same rule one condition at a time,
+// so each failure keeps its own error.
+func (a *App) CanUse(n *Node, now float64) bool {
+	return n.Available() && !a.ExecutorOn(n) && !(a.BlockedOn(n, now) && len(n.Executors) > 0)
+}
+
 // ExecutorOn reports whether the app already has an executor on the node.
 // An app holds at most one executor per node, which both lists record, so
 // the shorter list answers.
@@ -271,10 +282,3 @@ type Executor struct {
 	// migration must checkpoint and move.
 	processedGB float64
 }
-
-// Rate returns the executor's current processing rate in GB/s.
-func (e *Executor) Rate() float64 { return e.rate }
-
-// ProcessedGB returns the work this executor has processed so far, exact as
-// of the owning app's last settle point.
-func (e *Executor) ProcessedGB() float64 { return e.processedGB }

@@ -36,16 +36,16 @@ func BenchmarkOpenSystemEngine(b *testing.B) {
 // a classed (latency/batch) arrival stream, so the weighted-admission,
 // node-event and heterogeneous-rate paths are all on the clock. The
 // scheduler is the trivial whole-node policy so the engine dominates. The
-// arrival rate keeps the system loaded but *stable* (in-flight apps plateau
-// near 80 at any stream length): an overloaded queue grows its backlog with
-// the stream, making every engine — indexed or not — intrinsically
-// quadratic, which would measure the workload rather than the engine. For the
-// same reason the run pins the pre-flip reference fleet sizing: under
-// FleetAwareSizing (the DefaultConfig default since the settle-engine
-// re-capture) apps admitted into the saturated fleet get smaller executor
-// fleets, which tips this workload just past stability — the in-flight set
-// drifts from ~80 at 10k apps to ~180 at 100k and the scaling ratio starts
-// measuring backlog growth instead of the event loop.
+// arrival rate keeps the system loaded but *stable* (in-flight apps average
+// about 20 at both 10k and 100k apps): an overloaded queue grows its backlog
+// with the stream, making every engine — indexed or not — intrinsically
+// quadratic, which would measure the workload rather than the engine. For
+// the same reason the run sets RefreshFleetSizing: fleets are sized from
+// the nodes free at admission, and without it an app admitted into the
+// saturated fleet keeps its small executor fleet for life, which tips this
+// workload past stability (the in-flight average drifts from about 80 at
+// 10k apps to about 180 at 100k) and the scaling ratio measures backlog
+// growth instead of the event loop.
 func scaleRun(b *testing.B, apps int) {
 	b.Helper()
 	const nodes = 64
@@ -70,7 +70,7 @@ func scaleRun(b *testing.B, apps int) {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.FleetAwareSizing = false // stability: see the comment above
+	cfg.RefreshFleetSizing = true // stability: see the comment above
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := NewHetero(cfg, specs)
@@ -211,7 +211,6 @@ func colocationRun(b *testing.B, apps int) {
 	cfg := DefaultConfig()
 	cfg.ExecutorSpreadGB = 3  // size executor fleets at many small chunks
 	cfg.MaxExecutorNodes = 96 // let every app reach the whole fleet
-	cfg.FleetAwareSizing = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := NewHetero(cfg, specs)

@@ -76,6 +76,51 @@ func TestConfigNodesFor(t *testing.T) {
 	}
 }
 
+// TestNewHeteroValidatesConfig checks that NewHetero rejects every Config
+// setting no run can use, NaN and infinities included, accepts the boundary
+// values, and that New panics on the same settings.
+func TestNewHeteroValidatesConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Config)
+		bad  bool
+	}{
+		{"default", func(*Config) {}, false},
+		{"zero spread", func(c *Config) { c.ExecutorSpreadGB = 0 }, true},
+		{"negative spread", func(c *Config) { c.ExecutorSpreadGB = -16 }, true},
+		{"NaN spread", func(c *Config) { c.ExecutorSpreadGB = nan }, true},
+		{"infinite spread", func(c *Config) { c.ExecutorSpreadGB = inf }, true},
+		{"one executor node", func(c *Config) { c.MaxExecutorNodes = 1 }, false},
+		{"zero executor nodes", func(c *Config) { c.MaxExecutorNodes = 0 }, true},
+		{"negative executor nodes", func(c *Config) { c.MaxExecutorNodes = -1 }, true},
+		{"positive trace interval", func(c *Config) { c.TraceInterval = 30 }, false},
+		{"negative trace interval", func(c *Config) { c.TraceInterval = -1 }, true},
+		{"NaN trace interval", func(c *Config) { c.TraceInterval = nan }, true},
+		{"infinite trace interval", func(c *Config) { c.TraceInterval = inf }, true},
+		{"retry budget", func(c *Config) { c.OOMRetryBudget = 2 }, false},
+		{"negative retry budget", func(c *Config) { c.OOMRetryBudget = -1 }, true},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if _, err := NewHetero(cfg, []NodeSpec{ReferenceNode()}); (err != nil) != tc.bad {
+			t.Errorf("%s: NewHetero error %v, want error %v", tc.name, err, tc.bad)
+		}
+		if !tc.bad {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New did not panic", tc.name)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
 // TestConfigAllocatable pins the reference node's memory layout: 60 of its
 // 64 GB are usable, and the 0.92 pressure watermark leaves 55.2 GB for
 // reservations on every node of a default cluster.
@@ -254,8 +299,8 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 	c.foreign = append(c.foreign, hog)
 
 	c.recomputeRates()
-	if c.TotalOOMKills() != 1 {
-		t.Fatalf("OOM kills = %d, want 1", c.TotalOOMKills())
+	if c.totalOOM != 1 {
+		t.Fatalf("OOM kills = %d, want 1", c.totalOOM)
 	}
 	if len(app.Executors) != 0 {
 		t.Error("victim executor not removed")
@@ -279,6 +324,68 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 	n.recount()
 	if _, err := c.Spawn(app, n, 10, 60); err != nil {
 		t.Errorf("isolation re-run on empty blacklisted node should work: %v", err)
+	}
+}
+
+// TestAppCanUse pins the node-eligibility rule that placement, migration and
+// preemption share, and checks that Spawn, which tests the same conditions
+// one at a time, accepts exactly the nodes the rule accepts.
+func TestAppCanUse(t *testing.T) {
+	b := testBench(t, "HB.Sort")
+	newApp := func(id int) *App {
+		return &App{
+			ID: id, Job: workload.Job{Bench: b, InputGB: 100},
+			RemainingGB: 100, MaxExecutors: 4, State: StateReady,
+			ReadyTime: 0, StartTime: -1, DoneTime: -1,
+		}
+	}
+	// share puts another app's executor on n.
+	share := func(t *testing.T, c *Cluster, n *Node) {
+		t.Helper()
+		if _, err := c.Spawn(newApp(1), n, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, c *Cluster, app *App, n *Node)
+		want  bool
+	}{
+		{"empty node", func(*testing.T, *Cluster, *App, *Node) {}, true},
+		{"draining node", func(_ *testing.T, _ *Cluster, _ *App, n *Node) { n.state = NodeDraining }, false},
+		{"failed node", func(_ *testing.T, _ *Cluster, _ *App, n *Node) { n.state = NodeFailed }, false},
+		{"node hosts the app", func(t *testing.T, c *Cluster, app *App, n *Node) {
+			if _, err := c.Spawn(app, n, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"node hosts another app", func(t *testing.T, c *Cluster, _ *App, n *Node) { share(t, c, n) }, true},
+		{"blacklisted shared node", func(t *testing.T, c *Cluster, app *App, n *Node) {
+			app.blockNode(n, permanentBlock)
+			share(t, c, n)
+		}, false},
+		{"blacklisted empty node", func(_ *testing.T, _ *Cluster, app *App, n *Node) { app.blockNode(n, permanentBlock) }, true},
+		{"cooling-off shared node", func(t *testing.T, c *Cluster, app *App, n *Node) {
+			app.blockNode(n, c.Now()+1)
+			share(t, c, n)
+		}, false},
+		{"lapsed entry on shared node", func(t *testing.T, c *Cluster, app *App, n *Node) {
+			app.blockNode(n, c.Now())
+			share(t, c, n)
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(DefaultConfig())
+			app, n := newApp(0), c.Nodes()[0]
+			tc.setup(t, c, app, n)
+			if got := app.CanUse(n, c.Now()); got != tc.want {
+				t.Errorf("CanUse = %v, want %v", got, tc.want)
+			}
+			if _, err := c.Spawn(app, n, 1, 1); (err == nil) != tc.want {
+				t.Errorf("Spawn error %v, want accepted %v", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -419,36 +526,6 @@ func TestTraceSamplesUtilization(t *testing.T) {
 				t.Fatalf("utilization %v out of range", u)
 			}
 		}
-	}
-}
-
-func TestResourceMonitorWindowing(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
-	m := NewResourceMonitor(c, 300)
-	m.Observe()
-	if m.CPULoad(0) != 0 {
-		t.Errorf("idle cluster CPU = %v", m.CPULoad(0))
-	}
-	// Place an executor manually and advance the clock via a short run.
-	b := testBench(t, "HB.Sort")
-	app := &App{ID: 0, Job: workload.Job{Bench: b, InputGB: 10}, RemainingGB: 10, MaxExecutors: 1, State: StateReady}
-	if _, err := c.Spawn(app, c.Nodes()[0], 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	m.Observe()
-	// Zero elapsed time: EMA must not jump fully.
-	if m.CPULoad(0) >= b.CPULoad {
-		t.Errorf("windowed CPU %v jumped immediately to %v", m.CPULoad(0), b.CPULoad)
-	}
-	// Instant monitor follows immediately.
-	mi := NewResourceMonitor(c, 0)
-	mi.Observe()
-	if math.Abs(mi.CPULoad(0)-b.CPULoad) > 1e-9 {
-		t.Errorf("instant monitor CPU %v, want %v", mi.CPULoad(0), b.CPULoad)
-	}
-	if mi.MemoryGB(0) <= 0 {
-		t.Error("instant monitor memory should be positive")
 	}
 }
 

@@ -14,7 +14,12 @@
 // the contention behaviour that separates the co-location policies.
 package cluster
 
-import "moespark/internal/workload"
+import (
+	"fmt"
+	"math"
+
+	"moespark/internal/workload"
+)
 
 // The platform model is the paper's testbed (Section 5.1), one value per
 // quantity: every run uses the constants below, and every node of a cluster
@@ -101,24 +106,19 @@ type Config struct {
 	// MaxExecutorNodes caps how many nodes a single application spreads
 	// over (Spark dynamic allocation).
 	MaxExecutorNodes int
-	// ExecutorSpreadGB is the input volume one executor is sized for when
-	// deciding an app's executor fleet: fleet = ceil(input/ExecutorSpreadGB).
+	// ExecutorSpreadGB is the input volume one executor on a reference node
+	// is sized for. Cluster.fleetFor credits each node free at admission
+	// with this volume scaled by its allocatable memory; NodesFor applies it
+	// as if every node were a free reference node.
 	ExecutorSpreadGB float64
-	// FleetAwareSizing, when set, sizes each application's executor fleet
-	// from the specs of nodes actually free at admission instead of assuming
-	// ExecutorSpreadGB-per-reference-node (see Cluster.fleetFor). On by
-	// default since the settle-engine golden re-capture; clear it to restore
-	// the reference formula NodesFor unconditionally. On a uniform reference
-	// fleet with enough free nodes the two agree.
-	FleetAwareSizing bool
-	// RefreshFleetSizing, when set with FleetAwareSizing, re-derives each
-	// in-flight application's executor-fleet cap at every scheduling event
-	// instead of freezing it at admission, ratcheting the cap upward (never
-	// down) as capacity frees (see Cluster.refreshFleetCaps). Without it, a
-	// job admitted into a transiently packed fleet — a storm window, an
-	// arrival burst — keeps its one-or-two-executor cap for life and crawls
-	// on an otherwise idle cluster. Off by default: the historical goldens
-	// pin admission-time-only sizing, straggler pathology included.
+	// RefreshFleetSizing, when set, re-derives each in-flight application's
+	// executor-fleet cap at every scheduling event instead of freezing it at
+	// admission, ratcheting the cap upward (never down) as capacity frees
+	// (see Cluster.refreshFleetCaps). Without it, a job admitted into a
+	// transiently packed fleet — a storm window, an arrival burst — keeps
+	// its one-or-two-executor cap for life and crawls on an otherwise idle
+	// cluster. Off by default: the historical goldens pin admission-time-only
+	// sizing, straggler pathology included.
 	RefreshFleetSizing bool
 	// TraceInterval, when positive, samples per-node utilization every so
 	// many simulated seconds (Figure 7).
@@ -142,7 +142,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's platform: 40 reference nodes, one
-// executor per 16 GB of input on up to every node, fleet-aware sizing, and
+// executor per 16 GB of input on a reference node, up to every node, and
 // the resilience features (drain migration, OOM retry budgets) off, since
 // turning them on moves every golden that includes a drain or an OOM kill.
 func DefaultConfig() Config {
@@ -150,12 +150,29 @@ func DefaultConfig() Config {
 		Nodes:            40,
 		MaxExecutorNodes: 40,
 		ExecutorSpreadGB: 16,
-		FleetAwareSizing: true,
 	}
 }
 
+// validate rejects settings that no run can use. Each check is written so
+// that a NaN fails it.
+func (c Config) validate() error {
+	switch {
+	case !(c.ExecutorSpreadGB > 0) || math.IsInf(c.ExecutorSpreadGB, 1):
+		return fmt.Errorf("cluster: ExecutorSpreadGB %v, want a positive finite volume", c.ExecutorSpreadGB)
+	case c.MaxExecutorNodes < 1:
+		return fmt.Errorf("cluster: MaxExecutorNodes %d, want at least 1", c.MaxExecutorNodes)
+	case !(c.TraceInterval >= 0) || math.IsInf(c.TraceInterval, 1):
+		return fmt.Errorf("cluster: TraceInterval %v, want a non-negative finite interval", c.TraceInterval)
+	case c.OOMRetryBudget < 0:
+		return fmt.Errorf("cluster: OOMRetryBudget %d, want a non-negative budget", c.OOMRetryBudget)
+	}
+	return nil
+}
+
 // NodesFor returns the executor-fleet size Spark's dynamic allocation picks
-// for an input of the given size.
+// for an input of the given size on a free fleet of reference nodes. It
+// sizes the isolated run (Cluster.IsolatedTime) and the fleet of an app
+// admitted when no node is eligible (Cluster.fleetFor).
 func (c Config) NodesFor(inputGB float64) int {
 	n := int((inputGB + c.ExecutorSpreadGB - 1) / c.ExecutorSpreadGB)
 	if inputGB > 0 && n < 1 {

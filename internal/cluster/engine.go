@@ -138,11 +138,12 @@ type Cluster struct {
 }
 
 // New creates an idle homogeneous cluster: cfg.Nodes nodes, each a
-// ReferenceNode (the paper's testbed). A non-positive cfg.Nodes is a
-// programmer error and panics with the underlying cause; New used to swallow
-// it and return a zero-node cluster whose Run later died with a misleading
-// "simulation stalled" message. Callers that construct configs from untrusted
-// input should use NewHetero, which returns the error instead.
+// ReferenceNode (the paper's testbed). A non-positive cfg.Nodes, or any
+// setting NewHetero rejects, is a programmer error and panics with the
+// underlying cause; New used to swallow it and return a zero-node cluster
+// whose Run later died with a misleading "simulation stalled" message.
+// Callers that construct configs from untrusted input should use NewHetero,
+// which returns the error instead.
 func New(cfg Config) *Cluster {
 	specs := make([]NodeSpec, cfg.Nodes)
 	for i := range specs {
@@ -158,10 +159,13 @@ func New(cfg Config) *Cluster {
 // NewHetero creates an idle heterogeneous cluster with one node per spec
 // (the spec slice overrides cfg.Nodes). Platform-wide behaviour — penalty
 // shapes, watermark, startup latency — is the package's fixed platform
-// model.
+// model. An invalid setting in cfg or a spec is an error.
 func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("cluster: need at least one node spec")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	c := &Cluster{cfg: cfg}
 	c.nodes = make([]*Node, len(specs))
@@ -185,9 +189,6 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the platform configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Now returns the current simulation time in seconds.
 func (c *Cluster) Now() float64 { return c.now }
 
@@ -196,37 +197,6 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Apps returns all submitted applications in FCFS order.
 func (c *Cluster) Apps() []*App { return c.apps }
-
-// TotalOOMKills counts executors killed for overflowing RAM+swap.
-func (c *Cluster) TotalOOMKills() int { return c.totalOOM }
-
-// TotalFailKills counts executors killed by node failures.
-func (c *Cluster) TotalFailKills() int { return c.totalFailKills }
-
-// TotalPreemptKills counts executors killed by higher-priority preemption.
-func (c *Cluster) TotalPreemptKills() int { return c.totalPreemptKills }
-
-// TotalMigrations counts executors gracefully moved off draining nodes.
-func (c *Cluster) TotalMigrations() int { return c.totalMigrations }
-
-// TotalOOMRetries counts OOM blacklist entries granted a cool-off expiry
-// under Config.OOMRetryBudget.
-func (c *Cluster) TotalOOMRetries() int { return c.totalRetries }
-
-// TotalLostWorkGB is the reprocessing work charged back across all kills
-// (OOM, node failure, preemption): the sum of actual RemainingGB increases.
-func (c *Cluster) TotalLostWorkGB() float64 { return c.totalLostGB }
-
-// AvailableNodes counts nodes currently accepting placements.
-func (c *Cluster) AvailableNodes() int {
-	var n int
-	for _, node := range c.nodes {
-		if node.Available() {
-			n++
-		}
-	}
-	return n
-}
 
 // WaitingApps returns the ready-or-running applications that still have
 // unassigned work and spare executor slots, in weighted FCFS order:
@@ -277,16 +247,15 @@ func (c *Cluster) AddReadyApp(job workload.Job) *App {
 	return a
 }
 
-// fleetFor sizes an application's executor fleet at admission. With
-// Config.FleetAwareSizing set (the default), the fleet is sized from the
-// specs of nodes actually free at admission: each placeable node contributes
-// a spread share proportional to its allocatable memory, and the fleet is
-// the fewest largest-first nodes whose shares cover the input (every
-// eligible node, when even that is not enough). Without it the platform
-// formula Config.NodesFor applies, which assumes every executor lands on a
-// reference-sized node — wrong on big/little fleets, where a little node
-// carries far less than ExecutorSpreadGB and a big node far more. On a
-// uniform reference fleet with enough free nodes both paths agree.
+// fleetFor sizes an application's executor fleet from the specs of the
+// nodes free at admission: each placeable node contributes a spread share
+// proportional to its allocatable memory, and the fleet is the fewest
+// largest-first nodes whose shares cover the input (every eligible node,
+// when even that is not enough), capped at MaxExecutorNodes. A little node
+// carries far less than ExecutorSpreadGB and a big node far more; on a
+// uniform reference fleet with enough free nodes the fleet is
+// ceil(input/ExecutorSpreadGB). With no eligible node, Config.NodesFor
+// applies.
 //
 // The walk follows bySpread, so it meets eligible nodes largest share first
 // and stops as soon as the input is covered or MaxExecutorNodes is reached:
@@ -294,9 +263,6 @@ func (c *Cluster) AddReadyApp(job workload.Job) *App {
 // the same order as sorting every eligible node's share (refFleetFor), so
 // the size is bit-identical to that sort's.
 func (c *Cluster) fleetFor(inputGB float64) int {
-	if !c.cfg.FleetAwareSizing {
-		return c.cfg.NodesFor(inputGB)
-	}
 	const eps = 1e-9
 	k, covered := 0, 0.0
 	for _, e := range c.bySpread {
@@ -349,11 +315,8 @@ func (c *Cluster) indexSpread(n *Node) {
 // reference-formula size is skipped, so admissions that saw a free fleet —
 // every closed-system run — are bit-for-bit unchanged either way.
 func (c *Cluster) refreshFleetCaps() {
-	if !c.cfg.RefreshFleetSizing || !c.cfg.FleetAwareSizing {
-		// Off (historical admission-time-only sizing), or the static
-		// platform formula applies, which does not depend on free capacity
-		// and is already final.
-		return
+	if !c.cfg.RefreshFleetSizing {
+		return // historical admission-time-only sizing
 	}
 	for _, a := range c.active {
 		if a.State != StateReady && a.State != StateRunning {
@@ -965,7 +928,7 @@ func (c *Cluster) PreemptFor(app *App, needGB, cpuDemand float64, maxAppsPerNode
 	bestNode := -1
 	c.bestVictimBuf = c.bestVictimBuf[:0]
 	for i, n := range c.nodes {
-		if !n.Available() || app.ExecutorOn(n) || (app.BlockedOn(n, c.now) && len(n.Executors) > 0) {
+		if !app.CanUse(n, c.now) {
 			continue
 		}
 		target := needGB

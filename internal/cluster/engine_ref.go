@@ -157,9 +157,6 @@ func (c *Cluster) refWaitingApps() []*App {
 // share, insertion-sorted descending over the whole fleet, then summed
 // largest first until the input is covered.
 func (c *Cluster) refFleetFor(inputGB float64) int {
-	if !c.cfg.FleetAwareSizing {
-		return c.cfg.NodesFor(inputGB)
-	}
 	refAlloc := ReferenceNode().AllocatableGB()
 	var shares []float64
 	for _, n := range c.nodes {

@@ -53,22 +53,16 @@ func (c *Cluster) migrateFrom(n *Node) {
 }
 
 // migrateExecutor checkpoints one executor and moves it to the first
-// feasible node in node-scan order: available, not already hosting an
-// executor of the app, not blacklisted for it (unless empty, mirroring
-// Spawn), and with enough free memory for the executor's reservation as is.
-// Returns false when no node qualifies and the executor stays where it is.
+// feasible node in node-scan order: one the app can use (App.CanUse, which
+// rules out the executor's own node) with enough free memory for the
+// executor's reservation as is. Returns false when no node qualifies and
+// the executor stays where it is.
 func (c *Cluster) migrateExecutor(e *Executor) bool {
 	const eps = 1e-9
 	app := e.App
 	var target *Node
 	for _, cand := range c.nodes {
-		if !cand.Available() || cand == e.Node || app.ExecutorOn(cand) {
-			continue
-		}
-		if app.BlockedOn(cand, c.now) && len(cand.Executors) > 0 {
-			continue
-		}
-		if e.ReservedGB > cand.FreeGB()+eps {
+		if !app.CanUse(cand, c.now) || e.ReservedGB > cand.FreeGB()+eps {
 			continue
 		}
 		target = cand

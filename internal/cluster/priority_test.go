@@ -63,7 +63,7 @@ func TestUntaggedSubmissionsKeepFCFS(t *testing.T) {
 
 // TestPreemptChargeback preempts an executor directly: the kill must reuse
 // the reclaimExecutor charge-back (remaining work restored), count in
-// App.PreemptKills and TotalPreemptKills, and validate class rules.
+// App.PreemptKills and the cluster total, and validate class rules.
 func TestPreemptChargeback(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 1
@@ -92,8 +92,8 @@ func TestPreemptChargeback(t *testing.T) {
 	if err := c.Preempt(e, hi); err != nil {
 		t.Fatal(err)
 	}
-	if victim.PreemptKills != 1 || c.TotalPreemptKills() != 1 {
-		t.Errorf("preempt kills = %d/%d, want 1/1", victim.PreemptKills, c.TotalPreemptKills())
+	if victim.PreemptKills != 1 || c.totalPreemptKills != 1 {
+		t.Errorf("preempt kills = %d/%d, want 1/1", victim.PreemptKills, c.totalPreemptKills)
 	}
 	if len(victim.Executors) != 0 || len(n.Executors) != 0 {
 		t.Error("victim executor not removed")
@@ -176,8 +176,8 @@ func TestPreemptForFreesOneNode(t *testing.T) {
 		t.Errorf("takeover should empty node 0: b1 kills=%d, %d executors left",
 			b1.PreemptKills, len(n0.Executors))
 	}
-	if c.TotalPreemptKills() != 2 {
-		t.Errorf("total preempt kills = %d, want 2", c.TotalPreemptKills())
+	if c.totalPreemptKills != 2 {
+		t.Errorf("total preempt kills = %d, want 2", c.totalPreemptKills)
 	}
 }
 

@@ -778,8 +778,8 @@ func TestCacheEfficiencyStored(t *testing.T) {
 			}
 			app.startupUntil = c.now // rates go live at once, so the factor reaches them
 			c.recomputeRates()
-			if e.Rate() <= 0 {
-				t.Fatalf("rate %v: the executor never went live", e.Rate())
+			if e.rate <= 0 {
+				t.Fatalf("rate %v: the executor never went live", e.rate)
 			}
 			if diff := c.refCheckRates(); diff != "" {
 				t.Error(diff)
@@ -830,8 +830,8 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 		t.Fatal(diff)
 	}
 	for _, e := range nodes[64].Executors {
-		if e.Rate() <= 0 {
-			t.Fatalf("joined node's executor rate %v: the second word was not walked", e.Rate())
+		if e.rate <= 0 {
+			t.Fatalf("joined node's executor rate %v: the second word was not walked", e.rate)
 		}
 	}
 	for w, word := range c.dirty {
@@ -941,8 +941,8 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		}
 		check(t, "AddForeign hog", n, totals{10 + 80, e.ActualGB + 80, cpu + 0.2})
 		c.recomputeRates()
-		if c.TotalOOMKills() != 1 {
-			t.Fatalf("OOM kills %d, want 1", c.TotalOOMKills())
+		if c.totalOOM != 1 {
+			t.Fatalf("OOM kills %d, want 1", c.totalOOM)
 		}
 		check(t, "OOM kill", n, totals{80, 80, 0.2})
 		checkShrunk(t, "OOM kill", a, 0)

@@ -90,24 +90,21 @@ func TestReleaseForeignMemUnpagesNode(t *testing.T) {
 	}
 }
 
-// The fleet-aware sizing must read the specs of nodes actually free at
-// admission: a little-node fleet needs far more executors than the
-// reference formula assumes, a big-node fleet fewer, and unavailable nodes
-// don't count. Clearing the flag keeps the reference formula everywhere.
+// Fleet sizing must read the specs of nodes actually free at admission: a
+// little-node fleet needs far more executors than the reference formula
+// assumes, a big-node fleet fewer, and unavailable nodes don't count.
 func TestFleetAwareSizing(t *testing.T) {
 	b, err := workload.Find("SP.Gmm")
 	if err != nil {
 		t.Fatal(err)
 	}
 	job := workload.Job{Bench: b, InputGB: 64}
-	mkCluster := func(spec NodeSpec, nodes int, aware bool) *Cluster {
-		cfg := DefaultConfig()
-		cfg.FleetAwareSizing = aware
+	mkCluster := func(spec NodeSpec, nodes int) *Cluster {
 		specs := make([]NodeSpec, nodes)
 		for i := range specs {
 			specs[i] = spec
 		}
-		c, err := NewHetero(cfg, specs)
+		c, err := NewHetero(DefaultConfig(), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,30 +113,27 @@ func TestFleetAwareSizing(t *testing.T) {
 	little := NodeSpec{RAMGB: 16, Cores: 8, SpeedFactor: 1, SwapGB: 8, OSReserveGB: 4}
 	big := NodeSpec{RAMGB: 128, Cores: 32, SpeedFactor: 1.2, SwapGB: 16, OSReserveGB: 4}
 
-	// Reference formula, regardless of fleet: ceil(64/16) = 4 executors.
-	if got := mkCluster(little, 24, false).AddReadyApp(job).MaxExecutors; got != 4 {
-		t.Errorf("reference sizing on little fleet: %d executors, want 4", got)
+	// Little nodes: each contributes 16 GB scaled by 11.04/55.2 allocatable
+	// = 3.2 GB, so 64 GB needs 20 of them (the reference formula would
+	// start 4).
+	if got := mkCluster(little, 24).AddReadyApp(job).MaxExecutors; got != 20 {
+		t.Errorf("sizing on little fleet: %d executors, want 20", got)
 	}
-	// Aware sizing on little nodes: each contributes 16 GB scaled by
-	// 11.04/55.2 allocatable = 3.2 GB, so 64 GB needs 20 of them.
-	if got := mkCluster(little, 24, true).AddReadyApp(job).MaxExecutors; got != 20 {
-		t.Errorf("aware sizing on little fleet: %d executors, want 20", got)
-	}
-	// Aware sizing on big nodes: each contributes 16 * 114.08/55.2 ≈ 33 GB,
-	// so 2 executors cover 64 GB (the reference formula would start 4).
-	if got := mkCluster(big, 24, true).AddReadyApp(job).MaxExecutors; got != 2 {
-		t.Errorf("aware sizing on big fleet: %d executors, want 2", got)
+	// Big nodes: each contributes 16 * 114.08/55.2 ≈ 33 GB, so 2 executors
+	// cover 64 GB (the reference formula would start 4).
+	if got := mkCluster(big, 24).AddReadyApp(job).MaxExecutors; got != 2 {
+		t.Errorf("sizing on big fleet: %d executors, want 2", got)
 	}
 	// Unavailable nodes are not free at admission: with only 10 little
 	// nodes placeable, the fleet caps there.
-	c := mkCluster(little, 24, true)
+	c := mkCluster(little, 24)
 	for i, n := range c.Nodes() {
 		if i >= 10 {
 			n.state = NodeDraining
 		}
 	}
 	if got := c.AddReadyApp(job).MaxExecutors; got != 10 {
-		t.Errorf("aware sizing with 10 free nodes: %d executors, want 10", got)
+		t.Errorf("sizing with 10 free nodes: %d executors, want 10", got)
 	}
 
 	// Mixed fleets: the walk must take the largest shares first, whatever

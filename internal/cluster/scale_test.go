@@ -88,9 +88,7 @@ func runFleetScale(t *testing.T, apps, nodes int) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.FleetAwareSizing = false // fixed fleets keep the load profile flat
-	c, err := NewHetero(cfg, specs)
+	c, err := NewHetero(DefaultConfig(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

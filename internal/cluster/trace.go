@@ -76,71 +76,3 @@ func (t *Trace) MeanUtilization() float64 {
 	}
 	return sum / float64(n)
 }
-
-// ResourceMonitor is the paper's per-node daemon view: it reports memory and
-// CPU readings averaged over a reporting window (the paper uses 5 minutes).
-// The scheduler consults it rather than poking nodes directly. With a zero
-// window it reports instantaneous values.
-type ResourceMonitor struct {
-	c      *Cluster
-	window float64
-
-	// exponential-moving-average state, keyed by node ID so joins and
-	// failures keep readings attached to the right machine.
-	emaCPU map[int]float64
-	emaMem map[int]float64
-	last   float64
-	seeded bool
-}
-
-// NewResourceMonitor attaches a monitor with the given averaging window (in
-// seconds) to the cluster.
-func NewResourceMonitor(c *Cluster, windowSec float64) *ResourceMonitor {
-	return &ResourceMonitor{
-		c:      c,
-		window: windowSec,
-		emaCPU: make(map[int]float64, len(c.nodes)),
-		emaMem: make(map[int]float64, len(c.nodes)),
-	}
-}
-
-// Observe folds the current node state into the windowed averages; the
-// engine-driving code calls it on scheduling events. Nodes joining
-// mid-window seed from their first reading; failed nodes keep their last
-// reading.
-func (m *ResourceMonitor) Observe() {
-	now := m.c.Now()
-	alpha := 1.0
-	if m.seeded && m.window > 0 {
-		dt := now - m.last
-		if dt < 0 {
-			dt = 0
-		}
-		alpha = dt / m.window
-		if alpha > 1 {
-			alpha = 1
-		}
-	}
-	for _, n := range m.c.nodes {
-		if n.state == NodeFailed || n.state == NodeRemoved {
-			continue
-		}
-		cpu := n.CPUDemand()
-		mem := n.ActualGB()
-		if _, ok := m.emaCPU[n.ID]; !ok {
-			m.emaCPU[n.ID] = cpu
-			m.emaMem[n.ID] = mem
-			continue
-		}
-		m.emaCPU[n.ID] += alpha * (cpu - m.emaCPU[n.ID])
-		m.emaMem[n.ID] += alpha * (mem - m.emaMem[n.ID])
-	}
-	m.seeded = true
-	m.last = now
-}
-
-// CPULoad returns the windowed CPU load of a node.
-func (m *ResourceMonitor) CPULoad(nodeID int) float64 { return m.emaCPU[nodeID] }
-
-// MemoryGB returns the windowed actual memory use of a node.
-func (m *ResourceMonitor) MemoryGB(nodeID int) float64 { return m.emaMem[nodeID] }

@@ -105,6 +105,3 @@ func (s Static) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, 
 
 // Observe implements Predictor as a no-op.
 func (Static) Observe(Observation) {}
-
-// Model returns the wrapped model.
-func (s Static) Model() *Model { return s.model }

@@ -117,7 +117,6 @@ func moeScaleRun(b *testing.B, apps int) {
 		b.Fatal(err)
 	}
 	cfg := cluster.DefaultConfig()
-	cfg.FleetAwareSizing = false
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

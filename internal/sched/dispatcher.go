@@ -212,10 +212,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	}
 	d.cand.reset()
 	for _, n := range c.Nodes() {
-		if !n.Available() {
-			continue
-		}
-		if app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
+		if !app.CanUse(n, c.Now()) {
 			continue
 		}
 		if d.MaxAppsPerNode > 0 && n.AppCount() >= d.MaxAppsPerNode {

@@ -7,9 +7,8 @@ import (
 // Placer scores candidate nodes for an executor placement. The dispatcher
 // gathers the nodes that pass its admission checks (availability, memory,
 // CPU, per-node app caps), asks the Placer to score each, and attempts
-// placements in descending score order; ties keep node-scan order, so a
-// constant-scoring Placer reproduces the classic first-fit dispatcher
-// exactly.
+// placements in descending score order; ties keep node-scan order. A nil
+// Placer is first fit: candidates in node-scan order, unscored.
 type Placer interface {
 	// Name identifies the placement strategy in reports.
 	Name() string
@@ -17,18 +16,6 @@ type Placer interface {
 	// score is consulted only among nodes that already passed admission.
 	Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node) float64
 }
-
-// firstFit scores every node equally: placements happen in node-scan order,
-// byte-for-byte the dispatcher's historical behaviour.
-type firstFit struct{}
-
-// NewFirstFit returns the default placement strategy: first fit in node-scan
-// order, identical to the pre-Placer dispatcher.
-func NewFirstFit() Placer { return firstFit{} }
-
-func (firstFit) Name() string { return "first-fit" }
-
-func (firstFit) Score(*cluster.Cluster, *cluster.App, *cluster.Node) float64 { return 0 }
 
 // bestFitMemory prefers the candidate with the least free memory — classic
 // best-fit bin packing, which keeps big contiguous holes open for

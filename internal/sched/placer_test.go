@@ -27,38 +27,9 @@ func placerJob(t *testing.T, gb float64) workload.Job {
 	return workload.Job{Bench: b, InputGB: gb}
 }
 
-// TestFirstFitMatchesNilPlacer runs a full seeded mix under the nil
-// (historical) placer and the explicit first-fit placer: results must be
-// bit-identical, which is the contract the default rides on.
-func TestFirstFitMatchesNilPlacer(t *testing.T) {
-	sc, err := workload.ScenarioByLabel("L8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := workload.RandomMix(sc, rand.New(rand.NewSource(3)))
-	run := func(p Placer) *cluster.Result {
-		d := NewOracle()
-		d.Placer = p
-		c := cluster.New(cluster.DefaultConfig())
-		res, err := c.Run(mix, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(nil), run(NewFirstFit())
-	if a.MakespanSec != b.MakespanSec {
-		t.Errorf("makespan %v vs %v", a.MakespanSec, b.MakespanSec)
-	}
-	for i := range a.Apps {
-		if a.Apps[i].DoneTime != b.Apps[i].DoneTime {
-			t.Errorf("app %d done %v vs %v", i, a.Apps[i].DoneTime, b.Apps[i].DoneTime)
-		}
-	}
-}
-
 // TestBestFitPrefersTightestNode gives one candidate less free memory: the
-// best-fit placer must pick it first, while first fit takes scan order.
+// best-fit placer must pick it first, while first fit (a nil placer) takes
+// scan order.
 func TestBestFitPrefersTightestNode(t *testing.T) {
 	big := cluster.ReferenceNode()
 	small := cluster.ReferenceNode()
@@ -75,7 +46,7 @@ func TestBestFitPrefersTightestNode(t *testing.T) {
 		}
 		return app.Executors[0].Node.ID
 	}
-	if got := firstExec(NewFirstFit()); got != 0 {
+	if got := firstExec(nil); got != 0 {
 		t.Errorf("first fit placed on node %d, want 0 (scan order)", got)
 	}
 	if got := firstExec(NewBestFitMemory()); got != 2 {

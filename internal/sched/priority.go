@@ -162,7 +162,7 @@ func (p *priority) placeable(c *cluster.Cluster, app *cluster.App) bool {
 		est, haveEst = p.inner.Est.Estimate(app)
 	}
 	for _, n := range c.Nodes() {
-		if !n.Available() || app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
+		if !app.CanUse(n, c.Now()) {
 			continue
 		}
 		if p.inner.MaxAppsPerNode > 0 && n.AppCount() >= p.inner.MaxAppsPerNode {

@@ -32,8 +32,8 @@
 //     non-stationary workloads where adaptation pays,
 //   - the paper's co-location schedulers (Pairwise, Quasar, MoE, Oracle,
 //     OnlineSearch, unified single-model baselines), each accepting a
-//     pluggable placement scorer (first-fit, best-fit-memory, speed-aware),
-//     and
+//     pluggable placement scorer (best-fit-memory, speed-aware; none means
+//     first fit), and
 //   - the evaluation harness that regenerates every table and figure of the
 //     paper (see internal/experiments and cmd/reproduce).
 //
@@ -150,7 +150,8 @@ type (
 	// Scheduler is a co-location policy driving the simulator.
 	Scheduler = cluster.Scheduler
 	// Dispatcher is the configurable job dispatcher behind every scheduler
-	// constructor; its Placer field selects the placement scorer.
+	// constructor; its Placer field selects the placement scorer, and a nil
+	// Placer places first fit in node-scan order.
 	Dispatcher = sched.Dispatcher
 	// Placer scores candidate nodes for executor placement.
 	Placer = sched.Placer
@@ -277,10 +278,9 @@ func StormEvents(nodeCount, drains, fails int, start, span, rejoinDelay float64,
 	return cluster.StormEvents(nodeCount, drains, fails, start, span, rejoinDelay, rng)
 }
 
-// Placement scorers for Dispatcher.Placer: first fit (the default
-// behaviour), tightest-memory-fit bin packing, and speed-aware placement for
-// heterogeneous fleets.
-func NewFirstFitPlacer() Placer      { return sched.NewFirstFit() }
+// Placement scorers for Dispatcher.Placer: tightest-memory-fit bin packing,
+// and speed-aware placement for heterogeneous fleets. A nil Placer, the
+// default, is first fit in node-scan order.
 func NewBestFitMemoryPlacer() Placer { return sched.NewBestFitMemory() }
 func NewSpeedAwarePlacer() Placer    { return sched.NewSpeedAware() }
 

@@ -121,9 +121,9 @@ func TestClosedBatchEquivalence(t *testing.T) {
 // openGolden holds per-run reference values for the open-system engine on a
 // homogeneous default fleet with no node events; the engine must reproduce
 // them bit-for-bit. Re-captured with the settle-engine + default-flip sweep:
-// FleetAwareSizing now reads free-node capacity at admission, so apps
-// admitted into a busy fleet get smaller executor fleets than the reference
-// formula gave — under the Pairwise scheme that stretches the loaded tail
+// fleet sizing now reads free-node capacity at admission, so apps admitted
+// into a busy fleet get smaller executor fleets than the reference formula
+// gave — under the Pairwise scheme that stretches the loaded tail
 // substantially (the old makespan was 1832.87; stragglers admitted at peak
 // now crawl on 1-2 executors).
 type openGolden struct {
@@ -284,36 +284,6 @@ func TestTenantsMixGolden(t *testing.T) {
 	}
 	if qs[1].PreemptKills != g.preemptKills {
 		t.Errorf("batch absorbed %d preempt kills, golden %d", qs[1].PreemptKills, g.preemptKills)
-	}
-}
-
-// TestFirstFitPlacerMatchesDefault pins the Placer refactor: a Dispatcher
-// with the explicit first-fit Placer must place exactly like the nil
-// (historical scan-order) default, bit-for-bit.
-func TestFirstFitPlacerMatchesDefault(t *testing.T) {
-	t4, err := workload.Table4Mix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(p sched.Placer) *cluster.Result {
-		d := sched.NewOracle()
-		d.Placer = p
-		c := cluster.New(cluster.DefaultConfig())
-		res, err := c.Run(t4, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	legacy := run(nil)
-	scored := run(sched.NewFirstFit())
-	if legacy.MakespanSec != scored.MakespanSec {
-		t.Errorf("makespan %v (nil placer) vs %v (first-fit placer)", legacy.MakespanSec, scored.MakespanSec)
-	}
-	for i := range legacy.Apps {
-		if legacy.Apps[i].DoneTime != scored.Apps[i].DoneTime {
-			t.Errorf("app %d done %v vs %v", i, legacy.Apps[i].DoneTime, scored.Apps[i].DoneTime)
-		}
 	}
 }
 
