@@ -113,17 +113,13 @@ func (s standardizer) apply(x []float64) []float64 {
 	return out
 }
 
-// LeaveOneOutAccuracy evaluates a classifier factory with leave-one-out
-// cross-validation, the protocol the paper uses for Table 5 and Figure 17.
-// The factory must return a fresh, unfitted classifier on every call.
-func LeaveOneOutAccuracy(factory func() Classifier, samples []Sample) (float64, error) {
-	return LeaveOneOutAccuracyParallel(factory, samples, 1)
-}
-
-// LeaveOneOutAccuracyParallel is LeaveOneOutAccuracy fanned out over a pool
-// of workers. Folds are independent — every factory call returns a fresh
-// classifier with its own seeded rng — so the accuracy is identical to the
-// serial evaluation for any worker count. workers <= 1 runs serially.
+// LeaveOneOutAccuracyParallel evaluates a classifier factory with
+// leave-one-out cross-validation, the protocol the paper uses for Table 5
+// and Figure 17, fanned out over a pool of workers. The factory must return
+// a fresh, unfitted classifier on every call. Folds are independent — every
+// factory call returns a fresh classifier with its own seeded rng — so the
+// accuracy is identical to the serial evaluation for any worker count.
+// workers <= 1 runs serially.
 func LeaveOneOutAccuracyParallel(factory func() Classifier, samples []Sample, workers int) (float64, error) {
 	if len(samples) < 2 {
 		return 0, ErrNoSamples

@@ -254,14 +254,14 @@ func TestSingleClassRejectedWhereRequired(t *testing.T) {
 func TestLeaveOneOutAccuracy(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	samples := threeBlobs(r, 24, 4, 0.4)
-	acc, err := LeaveOneOutAccuracy(func() Classifier { return NewKNN(1) }, samples)
+	acc, err := LeaveOneOutAccuracyParallel(func() Classifier { return NewKNN(1) }, samples, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc < 0.9 {
 		t.Errorf("LOOCV accuracy = %v, want >= 0.9", acc)
 	}
-	if _, err := LeaveOneOutAccuracy(func() Classifier { return NewKNN(1) }, samples[:1]); !errors.Is(err, ErrNoSamples) {
+	if _, err := LeaveOneOutAccuracyParallel(func() Classifier { return NewKNN(1) }, samples[:1], 1); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("short LOOCV: %v", err)
 	}
 }

@@ -582,6 +582,24 @@ type Submission struct {
 	Class workload.Class
 }
 
+// validate rejects a submission the engine cannot run: a time that is not
+// finite and non-negative, a job with no benchmark or with an input that is
+// not positive and finite, and a class weight that is negative or not finite
+// (the rule workload.TagArrivals applies).
+func (s Submission) validate() error {
+	switch {
+	case !(s.At >= 0) || math.IsInf(s.At, 0):
+		return fmt.Errorf("invalid time %v", s.At)
+	case s.Job.Bench == nil:
+		return errors.New("job has no benchmark")
+	case !(s.Job.InputGB > 0) || math.IsInf(s.Job.InputGB, 0):
+		return fmt.Errorf("invalid input of %v GB", s.Job.InputGB)
+	case !(s.Class.Weight >= 0) || math.IsInf(s.Class.Weight, 0):
+		return fmt.Errorf("invalid class weight %v", s.Class.Weight)
+	}
+	return nil
+}
+
 // Submissions lifts a workload arrival stream into engine submissions,
 // carrying any tenant class tags along.
 func Submissions(arrivals []workload.Arrival) []Submission {
@@ -609,14 +627,16 @@ func (c *Cluster) Run(jobs []workload.Job, sched Scheduler) (*Result, error) {
 // profiling runs from there, and the recorded SubmitTime yields real per-app
 // waiting times. Submissions may be given in any order; ties are admitted
 // highest class weight first, then original order (weighted FCFS — plain
-// FCFS when no submission carries a class).
+// FCFS when no submission carries a class). A submission with a negative or
+// non-finite time, no benchmark, an input that is not positive and finite,
+// or a negative or non-finite class weight is an error naming its index.
 func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 	if len(subs) == 0 && len(c.foreign) == 0 {
 		return nil, errors.New("cluster: nothing to run")
 	}
-	for _, s := range subs {
-		if s.At < 0 || math.IsNaN(s.At) || math.IsInf(s.At, 0) {
-			return nil, fmt.Errorf("cluster: invalid submission time %v", s.At)
+	for i, s := range subs {
+		if err := s.validate(); err != nil {
+			return nil, fmt.Errorf("cluster: submission %d: %w", i, err)
 		}
 	}
 	c.observer, _ = sched.(Observer)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -238,6 +239,16 @@ func TestStormEventsDeterministic(t *testing.T) {
 	if _, err := StormEvents(4, 2, 2, 0, 100, 0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("fleet-exhausting storm accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range [][3]float64{
+		{-1, 100, 10}, {0, 0, 10}, {0, 100, -1},
+		{nan, 100, 10}, {0, nan, 10}, {0, 100, nan},
+		{inf, 100, 10}, {0, inf, 10}, {0, 100, inf}, {-inf, 100, 10}, {0, -inf, 10},
+	} {
+		if _, err := StormEvents(40, 1, 1, w[0], w[1], w[2], rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("invalid window %v accepted", w)
+		}
+	}
 }
 
 // rackedTestSpecs builds a small racked uniform fleet for storm tests.
@@ -375,7 +386,12 @@ func TestRackStormEventsValidation(t *testing.T) {
 	if _, err := RackStormEvents(specs, 2, 2, 0, 10, 0, 0, rng()); err == nil {
 		t.Error("fleet-exhausting storm accepted")
 	}
-	for _, w := range [][4]float64{{-1, 10, 0, 0}, {0, 0, 0, 0}, {0, 10, -1, 0}, {0, 10, 0, -1}} {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range [][4]float64{
+		{-1, 10, 0, 0}, {0, 0, 0, 0}, {0, 10, -1, 0}, {0, 10, 0, -1},
+		{nan, 10, 0, 0}, {0, nan, 0, 0}, {0, 10, nan, 0}, {0, 10, 0, nan},
+		{inf, 10, 0, 0}, {0, inf, 0, 0}, {0, 10, inf, 0}, {0, 10, 0, inf},
+	} {
 		if _, err := RackStormEvents(specs, 1, 1, w[0], w[1], w[2], w[3], rng()); err == nil {
 			t.Errorf("invalid window %v accepted", w)
 		}

@@ -36,7 +36,10 @@ func StormEvents(nodeCount, drains, fails int, start, span, rejoinDelay float64,
 	if drains+fails >= nodeCount {
 		return nil, fmt.Errorf("cluster: storm of %d events would exhaust the %d-node fleet", drains+fails, nodeCount)
 	}
-	if start < 0 || span <= 0 || rejoinDelay < 0 {
+	// Written as !(x >= 0) so NaN fails too; an infinite value would put
+	// events at +Inf.
+	if !(start >= 0) || !(span > 0) || !(rejoinDelay >= 0) ||
+		math.IsInf(start, 0) || math.IsInf(span, 0) || math.IsInf(rejoinDelay, 0) {
 		return nil, fmt.Errorf("cluster: invalid storm window start=%v span=%v rejoin=%v", start, span, rejoinDelay)
 	}
 	perm := rng.Perm(nodeCount)
@@ -88,7 +91,8 @@ func RackStormEvents(specs []NodeSpec, drainRacks, failRacks int, start, span, w
 	if drainRacks+failRacks >= len(racks) {
 		return nil, fmt.Errorf("cluster: storm over %d racks would exhaust the %d-rack fleet", drainRacks+failRacks, len(racks))
 	}
-	if start < 0 || span <= 0 || warnSec < 0 || rejoinDelay < 0 {
+	if !(start >= 0) || !(span > 0) || !(warnSec >= 0) || !(rejoinDelay >= 0) ||
+		math.IsInf(start, 0) || math.IsInf(span, 0) || math.IsInf(warnSec, 0) || math.IsInf(rejoinDelay, 0) {
 		return nil, fmt.Errorf("cluster: invalid storm window start=%v span=%v warn=%v rejoin=%v", start, span, warnSec, rejoinDelay)
 	}
 	perm := rng.Perm(len(racks))

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"moespark/internal/workload"
@@ -94,11 +95,31 @@ func TestRunOpenSortsSubmissions(t *testing.T) {
 }
 
 func TestRunOpenRejectsInvalidTimes(t *testing.T) {
-	j1, _ := openJobs(t)
-	for _, at := range []float64{-1, math.Inf(1), math.NaN()} {
+	j1, j2 := openJobs(t)
+	withInput := func(gb float64) workload.Job { j := j2; j.InputGB = gb; return j }
+	cases := []struct {
+		name string
+		sub  Submission
+	}{
+		{"negative time", Submission{At: -1, Job: j2}},
+		{"infinite time", Submission{At: math.Inf(1), Job: j2}},
+		{"NaN time", Submission{At: math.NaN(), Job: j2}},
+		{"no benchmark", Submission{At: 10, Job: workload.Job{InputGB: 30}}},
+		{"infinite input", Submission{At: 10, Job: withInput(math.Inf(1))}},
+		{"NaN input", Submission{At: 10, Job: withInput(math.NaN())}},
+		{"negative input", Submission{At: 10, Job: withInput(-5)}},
+		{"zero input", Submission{At: 10, Job: withInput(0)}},
+		{"NaN class weight", Submission{At: 10, Job: j2, Class: workload.Class{Name: "x", Weight: math.NaN()}}},
+		{"infinite class weight", Submission{At: 10, Job: j2, Class: workload.Class{Name: "x", Weight: math.Inf(1)}}},
+		{"negative class weight", Submission{At: 10, Job: j2, Class: workload.Class{Name: "x", Weight: -1}}},
+	}
+	for _, tc := range cases {
+		// The bad submission follows a good one: the error must come from
+		// the check and name it, not from a stall or a panic mid-run.
 		c := New(DefaultConfig())
-		if _, err := c.RunOpen([]Submission{{At: at, Job: j1}}, &prepTimeScheduler{}); err == nil {
-			t.Errorf("submission time %v must be rejected", at)
+		_, err := c.RunOpen([]Submission{{At: 0, Job: j1}, tc.sub}, &prepTimeScheduler{})
+		if err == nil || !strings.Contains(err.Error(), "submission 1:") {
+			t.Errorf("%s: got error %v, want one naming submission 1", tc.name, err)
 		}
 	}
 	c := New(DefaultConfig())

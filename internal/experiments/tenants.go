@@ -75,7 +75,7 @@ type TenantsModeMetrics struct {
 }
 
 // tenantsSchemes returns the dispatcher factories of the study; dispatchers
-// (not opaque schedulers) because each run wraps one in sched.NewPriority.
+// (not opaque schedulers) because each run lifts one through sched.NewPriority.
 func tenantsSchemes(ctx Context) ([]string, map[string]func(int64) *sched.Dispatcher, error) {
 	moeModel, _, err := trainedMoE(ctx, nil, 401)
 	if err != nil {

@@ -145,13 +145,6 @@ func TestPCATransformDimensions(t *testing.T) {
 	if _, err := pca.Transform([]float64{1}); err == nil {
 		t.Error("expected dimension error")
 	}
-	all, err := pca.TransformAll(x)
-	if err != nil {
-		t.Fatalf("TransformAll: %v", err)
-	}
-	if all.Rows != 30 || all.Cols != 4 {
-		t.Errorf("TransformAll dims %dx%d, want 30x4", all.Rows, all.Cols)
-	}
 }
 
 // Property: PCA projection preserves pairwise distances when all components

@@ -109,19 +109,6 @@ func (p *PCA) TransformInto(sample, out []float64) error {
 	return nil
 }
 
-// TransformAll projects every row of x.
-func (p *PCA) TransformAll(x *Matrix) (*Matrix, error) {
-	out := NewMatrix(x.Rows, p.K)
-	for i := 0; i < x.Rows; i++ {
-		t, err := p.Transform(x.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Data[i*p.K:(i+1)*p.K], t)
-	}
-	return out, nil
-}
-
 // ExplainedRatio returns, for each component of the full decomposition, the
 // fraction of total variance it explains (Figure 4a of the paper).
 func (p *PCA) ExplainedRatio() []float64 {

@@ -87,7 +87,7 @@ func benchmarkAdmission(b *testing.B, apps int) {
 			d.Prepare(c, app)
 		}
 		for _, app := range admitted {
-			est, ok := d.Est.Estimate(app)
+			est, ok := estimateOf(app)
 			d.plan(app, node, free, est, ok)
 		}
 	}

@@ -32,6 +32,18 @@ type Dispatcher struct {
 	// CheckCPU enforces the dispatcher's aggregate-CPU admission rule.
 	CheckCPU bool
 
+	// preempt, set only on a NewPriority copy, makes Schedule reclaim
+	// memory for starved high-priority arrivals before placing.
+	preempt bool
+	// preempted remembers which apps already fired their arrival-time
+	// preemption (by app ID): each high-priority arrival reclaims memory at
+	// most once, so a job that stays unplaceable for other reasons (CPU
+	// admission, blacklists) cannot grind down batch work event after event.
+	// App IDs restart at 0 per cluster, so the map is cleared whenever the
+	// dispatcher is pointed at a new cluster (lastRun).
+	preempted map[int]bool
+	lastRun   *cluster.Cluster
+
 	// Reusable scratch buffers: Schedule sits on the simulation's hottest
 	// path, and regrowing these every call shows up in the placement
 	// benchmark.
@@ -60,13 +72,22 @@ func (d *Dispatcher) Prepare(_ *cluster.Cluster, app *cluster.App) cluster.Profi
 // dropped otherwise. Forwarding only ever updates model state, never cluster
 // state, so non-adaptive estimators behave exactly as before.
 func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, outcome cluster.ExecOutcome) {
-	if obs, ok := d.Est.(ObservingEstimator); ok {
+	if obs, ok := d.Est.(observingEstimator); ok {
 		obs.Observe(e, outcome)
 	}
 }
 
-// Schedule implements cluster.Scheduler.
+// Schedule implements cluster.Scheduler. A preempting copy first reclaims
+// memory for starved high-priority arrivals, so the freed memory is still
+// free when the placement passes walk the weight-ordered queue.
 func (d *Dispatcher) Schedule(c *cluster.Cluster) {
+	if d.preempt {
+		if d.lastRun != c {
+			d.lastRun = c
+			clear(d.preempted)
+		}
+		d.preemptStarved(c)
+	}
 	if d.Serial {
 		d.scheduleSerial(c)
 		return
@@ -124,7 +145,7 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster, app *cluster.App) {
 		}
 		if !haveEst {
 			var ok bool
-			if est, ok = d.Est.Estimate(app); !ok {
+			if est, ok = estimateOf(app); !ok {
 				return
 			}
 			haveEst = true
@@ -205,23 +226,10 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// The estimate is app-level state: fetch it once per placement pass and
 	// thread it through planning and the PredictedGB stamp, so the stamp is
 	// guaranteed to come from the same estimate the plan used.
-	var est MemEstimate
-	haveEst := false
-	if d.Est != nil {
-		est, haveEst = d.Est.Estimate(app)
-	}
+	est, haveEst := estimateOf(app)
 	d.cand.reset()
 	for _, n := range c.Nodes() {
-		if !app.CanUse(n, c.Now()) {
-			continue
-		}
-		if d.MaxAppsPerNode > 0 && n.AppCount() >= d.MaxAppsPerNode {
-			continue
-		}
-		if d.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9 {
-			continue
-		}
-		if n.FreeGB() <= cluster.MinChunkGB {
+		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
 			continue
 		}
 		score := 0.0
@@ -246,6 +254,16 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	for len(d.cand.nodes) > 0 && wantsExecutor(app) {
 		d.spawnOn(c, app, d.cand.pop(), est, haveEst)
 	}
+}
+
+// admits applies the dispatcher's own admission rules to a node the app can
+// use: the per-node app cap, the aggregate-CPU rule for an executor of the
+// given demand, and the minimum free memory. It is kept small enough to
+// inline into placeApp and placeable, the two node scans on the hot path.
+func (d *Dispatcher) admits(n *cluster.Node, demand float64) bool {
+	return (d.MaxAppsPerNode <= 0 || n.AppCount() < d.MaxAppsPerNode) &&
+		!(d.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9) &&
+		!(n.FreeGB() <= cluster.MinChunkGB)
 }
 
 // spawnOn places one executor of app on candidate n when the plan fits.

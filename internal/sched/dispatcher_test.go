@@ -15,12 +15,10 @@ type staticEstimator struct {
 	fn memfunc.Func
 }
 
-func (s staticEstimator) Name() string { return "static" }
 func (s staticEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	app.Estimate = funcEstimate(s.fn)
 	return cluster.ProfilePlan{}
 }
-func (s staticEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }
 
 func singleNodeCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
@@ -156,9 +154,7 @@ func TestFallbackReservationForUnestimatedApp(t *testing.T) {
 
 type nilEstimator struct{}
 
-func (nilEstimator) Name() string                              { return "nil" }
-func (nilEstimator) Prepare(*cluster.App) cluster.ProfilePlan  { return cluster.ProfilePlan{} }
-func (nilEstimator) Estimate(*cluster.App) (MemEstimate, bool) { return MemEstimate{}, false }
+func (nilEstimator) Prepare(*cluster.App) cluster.ProfilePlan { return cluster.ProfilePlan{} }
 
 func TestStarvationFallbackOnEmptyNode(t *testing.T) {
 	// An estimator claiming nothing ever fits must not starve the app: on an
@@ -213,34 +209,22 @@ func TestCalibSizesRespectCaps(t *testing.T) {
 	}
 }
 
-// countingEstimator is a staticEstimator that counts its Estimate calls.
-type countingEstimator struct {
-	staticEstimator
-	calls int
-}
-
-func (e *countingEstimator) Estimate(app *cluster.App) (MemEstimate, bool) {
-	e.calls++
-	return e.staticEstimator.Estimate(app)
-}
-
 // TestGrowthPassSkipsAppsWithoutShrunkenExecutors runs the growth pass over
 // a running app whose only executor holds its full fair share, and over one
-// whose shrunken executor has no room to grow: the pass must fetch neither
-// app's estimate. An app with a shrunken executor on a node with room still
-// has its estimate fetched and its executor grown.
+// whose shrunken executor has no room to grow: neither may change. An app
+// with a shrunken executor on a node with room has its executor grown.
 func TestGrowthPassSkipsAppsWithoutShrunkenExecutors(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 3
 	c := cluster.New(cfg)
-	est := &countingEstimator{staticEstimator: staticEstimator{fn: memfunc.Func{Family: memfunc.LinearPower, M: 1, B: 0.2}}}
+	est := staticEstimator{fn: memfunc.Func{Family: memfunc.LinearPower, M: 1, B: 0.2}}
 	d := &Dispatcher{PolicyName: "test", Est: est}
 	b, err := workload.Find("SP.Pca")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One executor slot per app, so no app is waiting and the placement
-	// passes never fetch an estimate.
+	// One executor slot per app, so no app is waiting and only the growth
+	// pass can touch the executors.
 	start := func(n *cluster.Node, reserveGB, itemsGB float64) *cluster.Executor {
 		t.Helper()
 		app := c.AddReadyApp(workload.Job{Bench: b, InputGB: 40})
@@ -258,16 +242,69 @@ func TestGrowthPassSkipsAppsWithoutShrunkenExecutors(t *testing.T) {
 	}
 	boxedIn := start(c.Nodes()[1], c.Nodes()[1].AllocatableGB(), 10)
 	d.Schedule(c)
-	if est.calls != 0 {
-		t.Fatalf("growth pass over apps that cannot grow fetched an estimate %d times", est.calls)
+	if full.ItemsGB != 40 || boxedIn.ItemsGB != 10 {
+		t.Fatalf("growth pass over apps that cannot grow changed them: full %v (want 40), boxed in %v (want 10)",
+			full.ItemsGB, boxedIn.ItemsGB)
 	}
 	shrunk := start(c.Nodes()[2], 5, 10)
 	d.Schedule(c)
-	if est.calls != 1 {
-		t.Errorf("estimate fetched %d times, want once for the app that can grow", est.calls)
-	}
 	if shrunk.ItemsGB <= 10 || full.ItemsGB != 40 || boxedIn.ItemsGB != 10 {
 		t.Errorf("items after the growth pass: shrunken %v (want grown), full %v (want 40), boxed in %v (want 10)",
 			shrunk.ItemsGB, full.ItemsGB, boxedIn.ItemsGB)
+	}
+}
+
+// TestAdmitsRejectsAtEachBoundary drives each admission rule to its edge:
+// the app count at MaxAppsPerNode, CPU demand one ulp past capacity + 1e-9,
+// and free memory at MinChunkGB are rejected; one step inside each is
+// admitted, and a rule that is off admits past its edge.
+func TestAdmitsRejectsAtEachBoundary(t *testing.T) {
+	// On a reference node free memory cannot land exactly on MinChunkGB in
+	// floating point; on a node this small it can.
+	ref := cluster.ReferenceNode()
+	tiny := ref
+	tiny.RAMGB, tiny.OSReserveGB = 0.1, 0
+	c, err := cluster.NewHetero(cluster.DefaultConfig(), []cluster.NodeSpec{ref, ref, tiny, tiny})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, busy, tight, roomy := c.Nodes()[0], c.Nodes()[1], c.Nodes()[2], c.Nodes()[3]
+	spawn := func(n *cluster.Node, reserveGB float64) {
+		t.Helper()
+		app := c.AddReadyApp(workload.Job{Bench: testBench(t), InputGB: 10})
+		if _, err := c.Spawn(app, n, reserveGB, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawn(busy, 1)
+	spawn(busy, 1)
+	edge := tight.AllocatableGB() - cluster.MinChunkGB
+	spawn(tight, edge)
+	spawn(roomy, math.Nextafter(edge, 0))
+	if tight.FreeGB() != cluster.MinChunkGB || !(roomy.FreeGB() > cluster.MinChunkGB) {
+		t.Fatalf("setup: free %v and %v GB, want exactly and just above %v", tight.FreeGB(), roomy.FreeGB(), cluster.MinChunkGB)
+	}
+	cpuEdge := idle.CPUCapacity() + 1e-9
+	pastCPU := math.Nextafter(cpuEdge, math.Inf(1))
+	cases := []struct {
+		name   string
+		d      Dispatcher
+		n      *cluster.Node
+		demand float64
+		want   bool
+	}{
+		{"app count below cap", Dispatcher{MaxAppsPerNode: 3}, busy, 0, true},
+		{"app count at cap", Dispatcher{MaxAppsPerNode: 2}, busy, 0, false},
+		{"app count uncapped", Dispatcher{}, busy, 0, true},
+		{"CPU demand at capacity+1e-9", Dispatcher{CheckCPU: true}, idle, cpuEdge, true},
+		{"CPU demand past capacity+1e-9", Dispatcher{CheckCPU: true}, idle, pastCPU, false},
+		{"CPU rule off", Dispatcher{}, idle, pastCPU, true},
+		{"free memory at MinChunkGB", Dispatcher{}, tight, 0, false},
+		{"free memory above MinChunkGB", Dispatcher{}, roomy, 0, true},
+	}
+	for _, tc := range cases {
+		if got := tc.d.admits(tc.n, tc.demand); got != tc.want {
+			t.Errorf("%s: admits = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

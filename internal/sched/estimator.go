@@ -20,30 +20,24 @@ import (
 	"moespark/internal/memfunc"
 )
 
-// Estimator plans profiling for an application and predicts executor memory
-// footprints for it. Implementations store their per-app state in
-// App.Estimate.
+// Estimator plans profiling for an application and installs its memory
+// prediction, a MemEstimate, into App.Estimate; the dispatcher reads it back
+// with estimateOf. An app left without a usable estimate is placed with the
+// conservative pairwise-style reservation.
 type Estimator interface {
-	// Name identifies the estimator.
-	Name() string
 	// Prepare is invoked once at submission. It returns the profiling plan
 	// charged to the coordinating node, and typically installs a
 	// MemEstimate into app.Estimate.
 	Prepare(app *cluster.App) cluster.ProfilePlan
-	// Estimate returns the app's memory estimate, or ok=false when the
-	// estimator has no usable prediction (the dispatcher then falls back to
-	// conservative pairwise-style reservation).
-	Estimate(app *cluster.App) (MemEstimate, bool)
 }
 
-// ObservingEstimator is an Estimator that consumes the engine's
+// observingEstimator is an Estimator that consumes the engine's
 // predicted-vs-actual footprint reports (the cluster.Observer flow): the
 // dispatcher forwards each observed executor outcome so the estimator's
-// model can recalibrate mid-stream.
-type ObservingEstimator interface {
-	Estimator
-	// Observe is invoked once per executor whose true footprint became
-	// known (app completion or OOM kill). It must not mutate the cluster.
+// model can recalibrate mid-stream. Observe is invoked once per executor
+// whose true footprint became known (app completion or OOM kill); it must
+// not mutate the cluster.
+type observingEstimator interface {
 	Observe(e *cluster.Executor, outcome cluster.ExecOutcome)
 }
 

@@ -10,8 +10,6 @@ import (
 // placements in descending score order; ties keep node-scan order. A nil
 // Placer is first fit: candidates in node-scan order, unscored.
 type Placer interface {
-	// Name identifies the placement strategy in reports.
-	Name() string
 	// Score rates placing an executor of app on n; higher is better. The
 	// score is consulted only among nodes that already passed admission.
 	Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node) float64
@@ -24,8 +22,6 @@ type bestFitMemory struct{}
 
 // NewBestFitMemory returns the tightest-fit-first placement strategy.
 func NewBestFitMemory() Placer { return bestFitMemory{} }
-
-func (bestFitMemory) Name() string { return "best-fit-memory" }
 
 func (bestFitMemory) Score(_ *cluster.Cluster, _ *cluster.App, n *cluster.Node) float64 {
 	return -n.FreeGB()
@@ -42,8 +38,6 @@ type speedAware struct{}
 // NewSpeedAware returns the speed-aware placement strategy for
 // heterogeneous fleets.
 func NewSpeedAware() Placer { return speedAware{} }
-
-func (speedAware) Name() string { return "speed-aware" }
 
 func (speedAware) Score(_ *cluster.Cluster, _ *cluster.App, n *cluster.Node) float64 {
 	return n.Spec.SpeedFactor / (1 + n.CPUDemand()/n.CPUCapacity())
@@ -67,8 +61,6 @@ type rackSpread struct {
 // NewRackSpread returns the failure-domain-aware placement strategy with
 // the default locality weight.
 func NewRackSpread() Placer { return rackSpread{locality: 0.25} }
-
-func (rackSpread) Name() string { return "rack-spread" }
 
 func (p rackSpread) Score(_ *cluster.Cluster, app *cluster.App, n *cluster.Node) float64 {
 	score := 0.0

@@ -56,14 +56,10 @@ func NewOracle() *Dispatcher {
 	return &Dispatcher{PolicyName: "Oracle", Est: oracleEstimator{}, CheckCPU: true}
 }
 
-func (oracleEstimator) Name() string { return "Oracle" }
-
 func (oracleEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	app.Estimate = funcEstimate(app.Job.Bench.Truth)
 	return cluster.ProfilePlan{}
 }
-
-func (oracleEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }
 
 // moeEstimator is the paper's runtime predictor generalised over the online
 // prediction pipeline: feature extraction on a ~100MB slice, expert
@@ -106,8 +102,6 @@ func NewMoEPredictor(p moe.Predictor, rng *rand.Rand) *Dispatcher {
 	}
 }
 
-func (e *moeEstimator) Name() string { return e.pred.Name() }
-
 // Prepare profiles the app and gates it. The profiling inputs are drawn
 // from the shared rng in a fixed order — feature counters, then the two
 // calibration points — that every golden depends on. A confident prediction
@@ -145,9 +139,7 @@ func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	return plan
 }
 
-func (e *moeEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }
-
-// Observe implements ObservingEstimator: the executor's realised footprint
+// Observe implements observingEstimator: the executor's realised footprint
 // is set against the prediction its app was planned with and fed back
 // through the prediction pipeline.
 func (e *moeEstimator) Observe(ex *cluster.Executor, outcome cluster.ExecOutcome) {
@@ -193,8 +185,6 @@ func NewOnlineSearch(rng *rand.Rand) *Dispatcher {
 	}
 }
 
-func (e *onlineSearchEstimator) Name() string { return "OnlineSearch" }
-
 func (e *onlineSearchEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	// The converged search is accurate but slightly biased per app.
 	bias := 1 + e.rng.NormFloat64()*0.03
@@ -206,10 +196,6 @@ func (e *onlineSearchEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	// the final converged pass contributes to the output.
 	volume := math.Min(onlineSearchFrac*app.Job.InputGB, onlineSearchCapGB)
 	return cluster.ProfilePlan{VolumeGB: volume, ContributesGB: volume * 0.2}
-}
-
-func (e *onlineSearchEstimator) Estimate(app *cluster.App) (MemEstimate, bool) {
-	return estimateOf(app)
 }
 
 // unifiedEstimator calibrates one fixed curve family for every application
@@ -230,8 +216,6 @@ func NewUnified(family memfunc.Family, rng *rand.Rand) *Dispatcher {
 	}
 }
 
-func (e *unifiedEstimator) Name() string { return "Unified-" + e.family.String() }
-
 func (e *unifiedEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	b := app.Job.Bench
 	s1, s2 := calibSizes(app.Job.InputGB)
@@ -246,5 +230,3 @@ func (e *unifiedEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	app.Estimate = funcEstimate(fn)
 	return cluster.ContributingProfile(featureProfileGB + s1 + s2)
 }
-
-func (e *unifiedEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }

@@ -106,25 +106,48 @@ func TestPrioritySingleClassIdentical(t *testing.T) {
 	}
 }
 
-// TestNewPriorityLeavesInnerUntouched pins the wrapper's no-mutation
-// contract: wrapping must not change the caller's dispatcher (its placer in
-// particular), and wrapping twice must not stack penalties.
+// TestNewPriorityLeavesInnerUntouched pins the copy's no-mutation contract:
+// lifting must not change the caller's dispatcher (its placer in
+// particular, so lifting it again does not stack penalties), and running the
+// preempting copy must leave the original running exactly like a fresh
+// unlifted dispatcher.
 func TestNewPriorityLeavesInnerUntouched(t *testing.T) {
-	d := NewOracle()
-	placer := NewBestFitMemory()
-	d.Placer = placer
-	_ = NewPriority(d, true)
+	withBestFit := func() *Dispatcher {
+		d := NewOracle()
+		d.Placer = NewBestFitMemory()
+		return d
+	}
+	d := withBestFit()
+	placer := d.Placer
+	s := NewPriority(d, true)
 	if d.Placer != placer {
 		t.Fatalf("NewPriority replaced the caller's placer with %T", d.Placer)
 	}
-	// The original dispatcher still runs exactly as configured.
-	mix, err := workload.Table4Mix()
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := s.(*Dispatcher); !ok {
+		t.Fatalf("NewPriority returned %T, want a *Dispatcher", s)
 	}
-	c := cluster.New(cluster.DefaultConfig())
-	if _, err := c.Run(mix, d); err != nil {
-		t.Fatal(err)
+	run := func(s cluster.Scheduler) *cluster.Result {
+		t.Helper()
+		res, err := cluster.New(cluster.DefaultConfig()).RunOpen(classedStream(t, 40, 200, 19), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if run(s).PreemptKills == 0 {
+		t.Fatal("stream should force preemption")
+	}
+	got, want := run(d), run(withBestFit())
+	if got.PreemptKills != 0 || len(got.Apps) != len(want.Apps) {
+		t.Fatalf("original after the copy ran: %d preempt kills, %d apps; want 0 and %d",
+			got.PreemptKills, len(got.Apps), len(want.Apps))
+	}
+	for i, w := range want.Apps {
+		g := got.Apps[i]
+		if g.StartTime != w.StartTime || g.DoneTime != w.DoneTime || g.OOMKills != w.OOMKills {
+			t.Errorf("app %d: start %v done %v OOM kills %d, fresh dispatcher gives %v, %v, %d",
+				i, g.StartTime, g.DoneTime, g.OOMKills, w.StartTime, w.DoneTime, w.OOMKills)
+		}
 	}
 }
 

@@ -106,8 +106,6 @@ func NewQuasar(model *QuasarModel, rng *rand.Rand) *Dispatcher {
 	}
 }
 
-func (e *quasarEstimator) Name() string { return "Quasar" }
-
 func (e *quasarEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	raw := app.Job.Bench.Counters(e.rng)
 	fn, err := e.model.Curve(raw)
@@ -117,8 +115,6 @@ func (e *quasarEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	// Quasar profiles the incoming workload briefly to classify it.
 	return cluster.ContributingProfile(featureProfileGB)
 }
-
-func (e *quasarEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }
 
 // ANNBaseline is the Figure 9 "ANN" unified baseline: one feed-forward
 // regression network mapping (runtime features, input size) directly to a
@@ -200,8 +196,6 @@ func NewUnifiedANN(model *ANNBaseline, rng *rand.Rand) *Dispatcher {
 	}
 }
 
-func (e *annEstimator) Name() string { return "Unified-ANN" }
-
 func (e *annEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	raw := app.Job.Bench.Counters(e.rng)
 	remainingCap := app.Job.InputGB
@@ -215,5 +209,3 @@ func (e *annEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	)
 	return cluster.ContributingProfile(featureProfileGB)
 }
-
-func (e *annEstimator) Estimate(app *cluster.App) (MemEstimate, bool) { return estimateOf(app) }

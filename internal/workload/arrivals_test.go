@@ -195,6 +195,12 @@ func TestArrivalGeneratorsRejectNonFinite(t *testing.T) {
 		{"diurnal period", func(x float64, rng *rand.Rand) ([]Arrival, error) {
 			return DiurnalArrivals(10, 0.05, 0.8, x, rng)
 		}},
+		{"growth start", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return GrowthArrivals(10, 0.05, x, 2, 0, rng)
+		}},
+		{"growth factor", func(x float64, rng *rand.Rand) ([]Arrival, error) {
+			return GrowthArrivals(10, 0.05, 5, x, 0, rng)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.param, func(t *testing.T) {

@@ -53,7 +53,7 @@ func GrowthArrivals(n int, ratePerSec, startGB, growth, skew float64, rng *rand.
 	if ratePerSec <= 0 || math.IsInf(ratePerSec, 0) || math.IsNaN(ratePerSec) {
 		return nil, fmt.Errorf("workload: invalid arrival rate %v jobs/sec", ratePerSec)
 	}
-	if startGB <= 0 || growth < 1 || math.IsNaN(startGB) || math.IsNaN(growth) || math.IsInf(growth, 0) {
+	if !(startGB > 0) || !(growth >= 1) || math.IsInf(startGB, 0) || math.IsInf(growth, 0) {
 		return nil, fmt.Errorf("workload: invalid growth drift start=%v growth=%v", startGB, growth)
 	}
 	if math.IsNaN(skew) || math.Abs(skew) > 1 {

@@ -59,10 +59,10 @@
 // Closed-batch Run is a thin wrapper over RunOpen with every submission at
 // t=0 and produces identical results to the pre-open-system engine.
 //
-// Multi-tenant priority classes: tag the stream with tenant classes, wrap
-// any scheduler in the priority layer (weighted FCFS, class-aware placement,
-// optional preemption of preemptible executors with OOM-style charge-back),
-// and read per-class queueing metrics:
+// Multi-tenant priority classes: tag the stream with tenant classes, take a
+// priority copy of any dispatcher-based scheme (weighted FCFS, class-aware
+// placement, optional preemption of preemptible executors with OOM-style
+// charge-back), and read per-class queueing metrics:
 //
 //	tagged, err := moespark.TagArrivals(arrivals, moespark.LatencyBatchMix(0.3), rng)
 //	...
@@ -73,7 +73,7 @@
 //	fmt.Println(byClass[0].Class, byClass[0].P99SojournSec, res.PreemptKills)
 //
 // Untagged streams behave bit-for-bit like runs predating priority classes,
-// even under the priority wrapper.
+// even under a priority copy.
 //
 // See examples/ for complete programs.
 package moespark
@@ -292,7 +292,7 @@ func MeasureImbalance(res *Result) (Imbalance, error) {
 
 // Scheduler constructors for the paper's comparative schemes. Each returns
 // the concrete *Dispatcher (which implements Scheduler) so it can be tuned —
-// e.g. given a Placer — or wrapped in NewPriorityScheduler.
+// e.g. given a Placer — or lifted by NewPriorityScheduler.
 func NewIsolatedScheduler() *Dispatcher { return sched.NewIsolated() }
 
 // NewPairwiseScheduler returns the pairwise co-location baseline.
@@ -407,12 +407,13 @@ func LatencyBatchMix(latencyFrac float64) []ClassShare {
 	return workload.LatencyBatchMix(latencyFrac)
 }
 
-// NewPriorityScheduler wraps any dispatcher-based scheme with multi-tenant
-// priority scheduling: weighted-FCFS admission, class-aware placement, and —
-// when preempt is set — arrival-time preemption of preemptible
-// lower-priority executors (lost work is charged back exactly like an OOM
-// kill and reported in Result.PreemptKills). Single-class runs are
-// bit-for-bit identical to the unwrapped scheme.
+// NewPriorityScheduler returns a copy of a dispatcher-based scheme with
+// multi-tenant priority scheduling: weighted-FCFS admission, class-aware
+// placement, and — when preempt is set — arrival-time preemption of
+// preemptible lower-priority executors (lost work is charged back exactly
+// like an OOM kill and reported in Result.PreemptKills). The given
+// dispatcher is left untouched. Single-class runs are bit-for-bit identical
+// to the original scheme.
 func NewPriorityScheduler(d *Dispatcher, preempt bool) Scheduler {
 	return sched.NewPriority(d, preempt)
 }
