@@ -7,7 +7,6 @@ import (
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
 	"moespark/internal/moe"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -108,114 +107,66 @@ func driftWorkloads() []driftWorkload {
 	}
 }
 
-// driftSchemes builds the comparison set: the same trained model behind the
-// static and the adaptive prediction pipeline, plus the ground-truth Oracle
-// as the no-prediction-error reference.
-func driftSchemes(ctx Context) (schemeSet, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 401)
-	if err != nil {
-		return schemeSet{}, err
-	}
-	return schemeSet{
-		names: []string{"MoE-static", "MoE-adaptive", "Oracle"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"MoE-static": func(seed int64) cluster.Scheduler {
-				d := sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-				d.PolicyName = "MoE-static"
-				return d
-			},
-			"MoE-adaptive": func(seed int64) cluster.Scheduler {
-				// A fresh Adaptive per run: its recalibration state is
-				// per-stream, never shared across runs or schemes.
-				return sched.NewAdaptiveMoE(moeModel, moe.AdaptiveConfig{}, rand.New(rand.NewSource(seed)))
-			},
-			"Oracle": func(int64) cluster.Scheduler { return sched.NewOracle() },
-		},
-	}, nil
-}
-
 // Drift runs the adaptation study: for each drift scenario and offered load,
 // several independent streams are replayed through the event engine under
-// the static and adaptive MoE pipelines (same trained model, same rng
-// streams — the runs differ only through the feedback loop), and queueing
-// metrics are averaged. (workload, rate, stream) units fan out over the
-// concurrent runner with per-unit seeds; every scheduler is constructed
-// inside its unit, so results are identical at any worker count.
+// the same trained model behind the static and the adaptive prediction
+// pipeline, plus the ground-truth Oracle as the no-prediction-error
+// reference, and queueing metrics are pooled across streams.
 func Drift(ctx Context) (DriftResult, error) {
 	ctx = ctx.withDefaults()
-	set, err := driftSchemes(ctx)
+	moeModel, _, err := trainedMoE(ctx, nil, 401)
 	if err != nil {
 		return DriftResult{}, err
 	}
+	set := schemeSet{
+		moeScheme(moeModel).variant("MoE-static", nil),
+		{"MoE-adaptive", func(seed int64) *sched.Dispatcher {
+			// A fresh Adaptive per run: its recalibration state is
+			// per-stream, never shared across runs or schemes.
+			return sched.NewAdaptiveMoE(moeModel, moe.AdaptiveConfig{}, rand.New(rand.NewSource(seed)))
+		}},
+		{"Oracle", func(int64) *sched.Dispatcher { return sched.NewOracle() }},
+	}
 	loads := driftWorkloads()
-	streams := ctx.MixesPerScenario / 8
-	if streams < 1 {
-		streams = 1
+	streams := max(ctx.MixesPerScenario/8, 1)
+	// Point p is workload p/len(driftRates) at rate p%len(driftRates).
+	point := func(p int) (driftWorkload, float64) {
+		return loads[p/len(driftRates)], driftRates[p%len(driftRates)]
 	}
-	type unit struct {
-		qs  []metrics.QueueMetrics
-		oom []int
-	}
-	units := make([]unit, len(loads)*len(driftRates)*streams)
-	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
-		wi := item / (len(driftRates) * streams)
-		ri := (item / streams) % len(driftRates)
-		si := item % streams
-		rate := driftRates[ri]
-		streamSeed := ctx.Seed*5_000_011 + int64(wi)*16001 + int64(ri)*4057 + int64(si)
-		arrivals, err := loads[wi].stream(rate, streamSeed)
+	cells, err := runGrid(ctx, grid{
+		points: len(loads) * len(driftRates), streams: streams, cells: len(set),
+		seed: func(p, si int) int64 {
+			return ctx.Seed*5_000_011 + int64(p/len(driftRates))*16001 + int64(p%len(driftRates))*4057 + int64(si)
+		},
+		draw: func(p int, seed int64) (env, error) {
+			load, rate := point(p)
+			arrivals, err := load.stream(rate, seed)
+			return env{cfg: ctx.Cfg, subs: cluster.Submissions(arrivals)}, err
+		},
+	}, func(p, ni int, e env, seed int64) (DriftSchemeResult, error) {
+		// One scheduler seed for every scheme: the static and adaptive arms
+		// draw identical profiling-noise streams, so they differ only
+		// through the feedback loop.
+		_, res, err := e.replay(set[ni].build(seed + 101))
 		if err != nil {
-			return err
+			load, rate := point(p)
+			return DriftSchemeResult{}, fmt.Errorf("experiments: drift %s %.0f jobs/h under %s: %w",
+				load.name, rate, set[ni].name, err)
 		}
-		subs := cluster.Submissions(arrivals)
-		u := unit{qs: make([]metrics.QueueMetrics, len(set.names)), oom: make([]int, len(set.names))}
-		for ni, name := range set.names {
-			c := cluster.New(ctx.Cfg)
-			// One scheduler seed for every scheme: the static and adaptive
-			// arms draw identical profiling-noise streams, so they differ
-			// only through the feedback loop.
-			res, err := c.RunOpen(subs, set.factories[name](streamSeed+101))
-			if err != nil {
-				return fmt.Errorf("experiments: drift %s %.0f jobs/h under %s: %w", loads[wi].name, rate, name, err)
-			}
-			q, err := metrics.Queueing(res, 0)
-			if err != nil {
-				return err
-			}
-			u.qs[ni] = q
-			u.oom[ni] = res.OOMKills
-		}
-		units[item] = u
-		return nil
+		q, err := metrics.Queueing(res, 0)
+		return DriftSchemeResult{
+			Scheme: set[ni].name, MeanSojournSec: q.MeanSojournSec, P95SojournSec: q.P95SojournSec,
+			P99SojournSec: q.P99SojournSec, ThroughputJobsPerHour: q.ThroughputJobsPerHour, OOMKills: res.OOMKills,
+		}, err
 	})
 	if err != nil {
 		return DriftResult{}, err
 	}
-
 	out := DriftResult{AppsPerStream: driftApps, Streams: streams}
 	for wi, load := range loads {
 		wr := DriftWorkloadResult{Workload: load.name}
 		for ri, rate := range driftRates {
-			point := DriftRatePoint{JobsPerHour: rate}
-			for ni, name := range set.names {
-				var agg DriftSchemeResult
-				agg.Scheme = name
-				for si := 0; si < streams; si++ {
-					u := units[(wi*len(driftRates)+ri)*streams+si]
-					agg.MeanSojournSec += u.qs[ni].MeanSojournSec
-					agg.P95SojournSec += u.qs[ni].P95SojournSec
-					agg.P99SojournSec += u.qs[ni].P99SojournSec
-					agg.ThroughputJobsPerHour += u.qs[ni].ThroughputJobsPerHour
-					agg.OOMKills += u.oom[ni]
-				}
-				n := float64(streams)
-				agg.MeanSojournSec /= n
-				agg.P95SojournSec /= n
-				agg.P99SojournSec /= n
-				agg.ThroughputJobsPerHour /= n
-				point.Schemes = append(point.Schemes, agg)
-			}
-			wr.Rates = append(wr.Rates, point)
+			wr.Rates = append(wr.Rates, DriftRatePoint{JobsPerHour: rate, Schemes: pooled(cells[wi*len(driftRates)+ri])})
 		}
 		out.Workloads = append(out.Workloads, wr)
 	}

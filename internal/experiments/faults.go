@@ -6,7 +6,6 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -117,30 +116,6 @@ func faultsModes() []faultsMode {
 	}
 }
 
-// faultsSchemes compares the paper's MoE dispatcher against its
-// failure-domain-aware variant (rack-spread placement), isolating what
-// topology-aware placement buys on top of migration and retries.
-func faultsSchemes(ctx Context) (schemeSet, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 401)
-	if err != nil {
-		return schemeSet{}, err
-	}
-	return schemeSet{
-		names: []string{"MoE", "MoE-spread"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE-spread": func(seed int64) cluster.Scheduler {
-				d := sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-				d.PolicyName = "MoE-spread"
-				d.Placer = sched.NewRackSpread()
-				return d
-			},
-		},
-	}, nil
-}
-
 // faultsSpecs builds the racked fleet: uniform paper nodes labelled into
 // faultsRacks racks across faultsZones zones.
 func faultsSpecs() ([]cluster.NodeSpec, error) {
@@ -158,87 +133,65 @@ func faultsSpecs() ([]cluster.NodeSpec, error) {
 // Faults runs the failure-domain resilience study: for each independent
 // Poisson stream, the same rack storm is replayed under every scheme and
 // resilience mode, and lost work, sojourn tails, goodput and recovery are
-// aggregated. (stream) units fan out over the concurrent runner with
-// per-unit seeds, so results are bit-identical at any worker count.
+// pooled across streams. The schemes are the paper's MoE dispatcher and its
+// failure-domain-aware variant (rack-spread placement), which isolates what
+// topology-aware placement buys on top of migration and retries.
 func Faults(ctx Context) (FaultsResult, error) {
 	ctx = ctx.withDefaults()
-	set, err := faultsSchemes(ctx)
+	moeModel, _, err := trainedMoE(ctx, nil, 401)
 	if err != nil {
 		return FaultsResult{}, err
 	}
+	moe := moeScheme(moeModel)
+	set := schemeSet{moe, moe.variant("MoE-spread", sched.NewRackSpread())}
 	modes := faultsModes()
-	streams := ctx.MixesPerScenario / 8
-	if streams < 1 {
-		streams = 1
-	}
 	// Fleet caps ratchet with freed capacity in every mode: a storm-window
 	// admission otherwise keeps a one-executor cap for life, and that
 	// straggler — not fault handling — would dominate the sojourn tail.
 	cfg := ctx.Cfg
 	cfg.RefreshFleetSizing = true
-
-	type unit struct {
-		qs  []metrics.QueueMetrics
-		fis []metrics.FaultImpact
-	}
-	cells := len(set.names) * len(modes)
-	units := make([]unit, streams)
-	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(si int) error {
-		streamSeed := ctx.Seed*3_000_017 + int64(si)*8009
-		arrivals, err := workload.PoissonArrivals(faultsApps, faultsRate/3600,
-			rand.New(rand.NewSource(streamSeed)))
-		if err != nil {
-			return err
-		}
-		subs := cluster.Submissions(arrivals)
-		specs, err := faultsSpecs()
-		if err != nil {
-			return err
-		}
-		u := unit{
-			qs:  make([]metrics.QueueMetrics, cells),
-			fis: make([]metrics.FaultImpact, cells),
-		}
-		for ni, name := range set.names {
-			for mi, mode := range modes {
-				c, err := cluster.NewHetero(mode.apply(cfg), specs)
-				if err != nil {
-					return err
-				}
-				// A fresh source per run replays the identical storm for
-				// every (scheme, mode) cell of the stream.
-				evs, err := cluster.RackStormEvents(specs, faultsDrainRacks, faultsFailRacks,
-					faultsStormStart, faultsStormSpan, faultsWarnSec, faultsRejoinSec,
-					rand.New(rand.NewSource(streamSeed+997)))
-				if err != nil {
-					return err
-				}
-				if err := c.ScheduleNodeEvents(evs...); err != nil {
-					return err
-				}
-				res, err := c.RunOpen(subs, set.factories[name](streamSeed+int64(len(name))))
-				if err != nil {
-					return fmt.Errorf("experiments: faults %s/%s: %w", name, mode.name, err)
-				}
-				q, err := metrics.Queueing(res, 0)
-				if err != nil {
-					return err
-				}
-				fi, err := metrics.Faults(res, faultsStormStart, faultsWindowEnd)
-				if err != nil {
-					return err
-				}
-				u.qs[ni*len(modes)+mi] = q
-				u.fis[ni*len(modes)+mi] = fi
+	streams := max(ctx.MixesPerScenario/8, 1)
+	// Cell ni*len(modes)+mi runs scheme ni in mode mi.
+	cells, err := runGrid(ctx, grid{
+		points: 1, streams: streams, cells: len(set) * len(modes),
+		seed: func(_, si int) int64 { return ctx.Seed*3_000_017 + int64(si)*8009 },
+		draw: func(_ int, seed int64) (env, error) {
+			arrivals, err := workload.PoissonArrivals(faultsApps, faultsRate/3600, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				return env{}, err
 			}
+			specs, err := faultsSpecs()
+			if err != nil {
+				return env{}, err
+			}
+			// Every (scheme, mode) cell of the stream replays this storm.
+			evs, err := cluster.RackStormEvents(specs, faultsDrainRacks, faultsFailRacks,
+				faultsStormStart, faultsStormSpan, faultsWarnSec, faultsRejoinSec,
+				rand.New(rand.NewSource(seed+997)))
+			return env{specs: specs, events: evs, subs: cluster.Submissions(arrivals)}, err
+		},
+	}, func(_, c int, e env, seed int64) (FaultsModeResult, error) {
+		s, mode := set[c/len(modes)], modes[c%len(modes)]
+		e.cfg = mode.apply(cfg)
+		_, res, err := e.replay(s.salted(seed))
+		if err != nil {
+			return FaultsModeResult{}, fmt.Errorf("experiments: faults %s/%s: %w", s.name, mode.name, err)
 		}
-		units[si] = u
-		return nil
+		q, err := metrics.Queueing(res, 0)
+		if err != nil {
+			return FaultsModeResult{}, err
+		}
+		fi, err := metrics.Faults(res, faultsStormStart, faultsWindowEnd)
+		return FaultsModeResult{
+			Mode: mode.name, LostWorkGB: fi.LostWorkGB, GoodputFrac: fi.GoodputFrac,
+			MeanSojournSec: q.MeanSojournSec, P99SojournSec: q.P99SojournSec, RecoverySec: fi.RecoverySec,
+			ThroughputJobsPerHour: q.ThroughputJobsPerHour, Migrations: fi.Migrations,
+			OOMRetries: fi.OOMRetries, FailKills: fi.FailKills,
+		}, err
 	})
 	if err != nil {
 		return FaultsResult{}, err
 	}
-
 	out := FaultsResult{
 		AppsPerStream:  faultsApps,
 		Streams:        streams,
@@ -248,35 +201,9 @@ func Faults(ctx Context) (FaultsResult, error) {
 		WindowStartSec: faultsStormStart,
 		WindowEndSec:   faultsWindowEnd,
 	}
-	for ni, name := range set.names {
-		sr := FaultsSchemeResult{Scheme: name}
-		for mi, mode := range modes {
-			var agg FaultsModeResult
-			agg.Mode = mode.name
-			for si := 0; si < streams; si++ {
-				u := units[si]
-				q := u.qs[ni*len(modes)+mi]
-				fi := u.fis[ni*len(modes)+mi]
-				agg.LostWorkGB += fi.LostWorkGB
-				agg.GoodputFrac += fi.GoodputFrac
-				agg.MeanSojournSec += q.MeanSojournSec
-				agg.P99SojournSec += q.P99SojournSec
-				agg.RecoverySec += fi.RecoverySec
-				agg.ThroughputJobsPerHour += q.ThroughputJobsPerHour
-				agg.Migrations += fi.Migrations
-				agg.OOMRetries += fi.OOMRetries
-				agg.FailKills += fi.FailKills
-			}
-			n := float64(streams)
-			agg.LostWorkGB /= n
-			agg.GoodputFrac /= n
-			agg.MeanSojournSec /= n
-			agg.P99SojournSec /= n
-			agg.RecoverySec /= n
-			agg.ThroughputJobsPerHour /= n
-			sr.Modes = append(sr.Modes, agg)
-		}
-		out.Schemes = append(out.Schemes, sr)
+	for ni, s := range set {
+		modeCells := cells[0][ni*len(modes) : (ni+1)*len(modes)]
+		out.Schemes = append(out.Schemes, FaultsSchemeResult{Scheme: s.name, Modes: pooled(modeCells)})
 	}
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -69,12 +68,26 @@ type HeteroSchemeResult struct {
 // events, derived deterministically from a seed.
 type heteroFleet struct {
 	name   string
-	specs  func(seed int64, cfg cluster.Config) ([]cluster.NodeSpec, error)
-	events func(seed int64, cfg cluster.Config) ([]cluster.NodeEvent, error)
+	specs  func(seed int64) ([]cluster.NodeSpec, error)
+	events func(seed int64) ([]cluster.NodeEvent, error)
+}
+
+// env is the fleet's fresh-cluster description for the stream subs of a
+// unit seeded seed.
+func (f heteroFleet) env(cfg cluster.Config, seed int64, subs []cluster.Submission) (env, error) {
+	specs, err := f.specs(seed + 77)
+	if err != nil {
+		return env{}, err
+	}
+	e := env{cfg: cfg, specs: specs, subs: subs}
+	if f.events != nil {
+		e.events, err = f.events(seed + 177)
+	}
+	return e, err
 }
 
 func heteroFleets() []heteroFleet {
-	uniform := func(int64, cluster.Config) ([]cluster.NodeSpec, error) {
+	uniform := func(int64) ([]cluster.NodeSpec, error) {
 		fleet, err := workload.UniformFleet(40, workload.PaperNode())
 		if err != nil {
 			return nil, err
@@ -83,7 +96,7 @@ func heteroFleets() []heteroFleet {
 	}
 	return []heteroFleet{
 		{name: "uniform", specs: uniform},
-		{name: "bimodal", specs: func(seed int64, _ cluster.Config) ([]cluster.NodeSpec, error) {
+		{name: "bimodal", specs: func(seed int64) ([]cluster.NodeSpec, error) {
 			fleet, err := workload.BimodalFleet(40, workload.BigNode(), workload.LittleNode(), 0.5,
 				rand.New(rand.NewSource(seed)))
 			if err != nil {
@@ -91,7 +104,7 @@ func heteroFleets() []heteroFleet {
 			}
 			return cluster.SpecsFrom(fleet), nil
 		}},
-		{name: "stragglers", specs: func(seed int64, _ cluster.Config) ([]cluster.NodeSpec, error) {
+		{name: "stragglers", specs: func(seed int64) ([]cluster.NodeSpec, error) {
 			fleet, err := workload.StragglerFleet(40, workload.PaperNode(), 0.25, 0.4,
 				rand.New(rand.NewSource(seed)))
 			if err != nil {
@@ -99,7 +112,7 @@ func heteroFleets() []heteroFleet {
 			}
 			return cluster.SpecsFrom(fleet), nil
 		}},
-		{name: "storm", specs: uniform, events: func(seed int64, _ cluster.Config) ([]cluster.NodeEvent, error) {
+		{name: "storm", specs: uniform, events: func(seed int64) ([]cluster.NodeEvent, error) {
 			// Mid-run churn: 4 rolling drains and 3 hard failures inside
 			// [400s, 1300s), each backfilled by a default-spec join 120s
 			// later.
@@ -108,146 +121,56 @@ func heteroFleets() []heteroFleet {
 	}
 }
 
-// heteroSchemes is the open-system scheme set plus a speed-aware-placement
-// MoE variant, which shows what the Placer interface buys on non-uniform
-// hardware.
-func heteroSchemes(ctx Context) (schemeSet, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 301)
-	if err != nil {
-		return schemeSet{}, err
-	}
-	quasarModel, err := sched.TrainQuasar(workload.TrainingSet(), ctx.rng(302))
-	if err != nil {
-		return schemeSet{}, err
-	}
-	return schemeSet{
-		names: []string{"Isolated", "Pairwise", "Quasar", "MoE", "MoE-speed"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"Isolated": func(int64) cluster.Scheduler { return sched.NewIsolated() },
-			"Pairwise": func(int64) cluster.Scheduler { return sched.NewPairwise() },
-			"Quasar": func(seed int64) cluster.Scheduler {
-				return sched.NewQuasar(quasarModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE-speed": func(seed int64) cluster.Scheduler {
-				d := sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-				d.PolicyName = "MoE-speed"
-				d.Placer = sched.NewSpeedAware()
-				return d
-			},
-		},
-	}, nil
-}
-
 // Hetero runs the heterogeneous-fleet comparison: for each fleet scenario,
 // several independent Poisson streams are replayed through the event engine
 // under each scheme, and throughput, sojourn tails and fleet-imbalance
-// metrics are averaged. (fleet, stream) units fan out over the concurrent
-// runner with per-unit seeds.
+// metrics are pooled across streams. The scheme set is the open-system one
+// plus a speed-aware-placement MoE variant, which shows what the Placer
+// interface buys on non-uniform hardware.
 func Hetero(ctx Context) (HeteroResult, error) {
 	ctx = ctx.withDefaults()
-	set, err := heteroSchemes(ctx)
+	set, err := openSystemSchemes(ctx, 301, 302)
 	if err != nil {
 		return HeteroResult{}, err
 	}
+	moe := set[len(set)-1] // the open-system set ends with MoE
+	set = append(set, moe.variant("MoE-speed", sched.NewSpeedAware()))
 	fleets := heteroFleets()
-	streams := ctx.MixesPerScenario / 8
-	if streams < 1 {
-		streams = 1
-	}
+	streams := max(ctx.MixesPerScenario/8, 1)
 	cfg := ctx.Cfg
 	cfg.TraceInterval = heteroTraceInterval
-
-	type unit struct {
-		qs   []metrics.QueueMetrics
-		cv   []float64
-		oom  []int
-		fail []int
-	}
-	units := make([]unit, len(fleets)*streams)
-	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
-		fi, si := item/streams, item%streams
-		fleet := fleets[fi]
-		streamSeed := ctx.Seed*3_000_017 + int64(fi)*8009 + int64(si)
-		arrivals, err := workload.PoissonArrivals(heteroApps, heteroRate/3600,
-			rand.New(rand.NewSource(streamSeed)))
+	cells, err := runGrid(ctx, grid{
+		points: len(fleets), streams: streams, cells: len(set),
+		seed: func(fi, si int) int64 { return ctx.Seed*3_000_017 + int64(fi)*8009 + int64(si) },
+		draw: func(fi int, seed int64) (env, error) {
+			arrivals, err := workload.PoissonArrivals(heteroApps, heteroRate/3600, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				return env{}, err
+			}
+			return fleets[fi].env(cfg, seed, cluster.Submissions(arrivals))
+		},
+	}, func(fi, ni int, e env, seed int64) (HeteroSchemeResult, error) {
+		_, res, err := e.replay(set[ni].salted(seed))
 		if err != nil {
-			return err
+			return HeteroSchemeResult{}, fmt.Errorf("experiments: hetero fleet %s under %s: %w",
+				fleets[fi].name, set[ni].name, err)
 		}
-		subs := cluster.Submissions(arrivals)
-		specs, err := fleet.specs(streamSeed+77, cfg)
+		q, err := metrics.Queueing(res, 0)
 		if err != nil {
-			return err
+			return HeteroSchemeResult{}, err
 		}
-		u := unit{
-			qs:   make([]metrics.QueueMetrics, len(set.names)),
-			cv:   make([]float64, len(set.names)),
-			oom:  make([]int, len(set.names)),
-			fail: make([]int, len(set.names)),
-		}
-		for ni, name := range set.names {
-			c, err := cluster.NewHetero(cfg, specs)
-			if err != nil {
-				return err
-			}
-			if fleet.events != nil {
-				evs, err := fleet.events(streamSeed+177, cfg)
-				if err != nil {
-					return err
-				}
-				if err := c.ScheduleNodeEvents(evs...); err != nil {
-					return err
-				}
-			}
-			res, err := c.RunOpen(subs, set.factories[name](streamSeed+int64(len(name))))
-			if err != nil {
-				return fmt.Errorf("experiments: hetero fleet %s under %s: %w", fleet.name, name, err)
-			}
-			q, err := metrics.Queueing(res, 0)
-			if err != nil {
-				return err
-			}
-			im, err := metrics.UtilizationImbalance(res.Trace)
-			if err != nil {
-				return err
-			}
-			u.qs[ni] = q
-			u.cv[ni] = im.MeanCV
-			u.oom[ni] = res.OOMKills
-			u.fail[ni] = res.FailKills
-		}
-		units[item] = u
-		return nil
+		im, err := metrics.UtilizationImbalance(res.Trace)
+		return HeteroSchemeResult{
+			Scheme: set[ni].name, ThroughputJobsPerHour: q.ThroughputJobsPerHour, MeanSojournSec: q.MeanSojournSec,
+			P95SojournSec: q.P95SojournSec, UtilizationCV: im.MeanCV, OOMKills: res.OOMKills, FailKills: res.FailKills,
+		}, err
 	})
 	if err != nil {
 		return HeteroResult{}, err
 	}
-
 	out := HeteroResult{AppsPerStream: heteroApps, Streams: streams, RatePerHour: heteroRate}
 	for fi, fleet := range fleets {
-		fr := HeteroFleetResult{Fleet: fleet.name, Nodes: 40}
-		for ni, name := range set.names {
-			var agg HeteroSchemeResult
-			agg.Scheme = name
-			for si := 0; si < streams; si++ {
-				u := units[fi*streams+si]
-				agg.ThroughputJobsPerHour += u.qs[ni].ThroughputJobsPerHour
-				agg.MeanSojournSec += u.qs[ni].MeanSojournSec
-				agg.P95SojournSec += u.qs[ni].P95SojournSec
-				agg.UtilizationCV += u.cv[ni]
-				agg.OOMKills += u.oom[ni]
-				agg.FailKills += u.fail[ni]
-			}
-			n := float64(streams)
-			agg.ThroughputJobsPerHour /= n
-			agg.MeanSojournSec /= n
-			agg.P95SojournSec /= n
-			agg.UtilizationCV /= n
-			fr.Schemes = append(fr.Schemes, agg)
-		}
-		out.Fleets = append(out.Fleets, fr)
+		out.Fleets = append(out.Fleets, HeteroFleetResult{Fleet: fleet.name, Nodes: 40, Schemes: pooled(cells[fi])})
 	}
 	return out, nil
 }

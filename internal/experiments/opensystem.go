@@ -6,7 +6,6 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -57,101 +56,64 @@ type OpenSchemeResult struct {
 	OOMKills int
 }
 
-func openSystemSchemes(ctx Context) (schemeSet, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 201)
+// openSystemSchemes is the open-stream comparison: the isolated and
+// pairwise baselines, and Quasar and MoE trained from the context's rng at
+// the given offsets.
+func openSystemSchemes(ctx Context, moeOffset, quasarOffset int64) (schemeSet, error) {
+	moeModel, _, err := trainedMoE(ctx, nil, moeOffset)
 	if err != nil {
-		return schemeSet{}, err
+		return nil, err
 	}
-	quasarModel, err := sched.TrainQuasar(workload.TrainingSet(), ctx.rng(202))
+	quasarModel, err := sched.TrainQuasar(workload.TrainingSet(), ctx.rng(quasarOffset))
 	if err != nil {
-		return schemeSet{}, err
+		return nil, err
 	}
 	return schemeSet{
-		names: []string{"Isolated", "Pairwise", "Quasar", "MoE"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"Isolated": func(int64) cluster.Scheduler { return sched.NewIsolated() },
-			"Pairwise": func(int64) cluster.Scheduler { return sched.NewPairwise() },
-			"Quasar": func(seed int64) cluster.Scheduler {
-				return sched.NewQuasar(quasarModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-		},
+		{"Isolated", func(int64) *sched.Dispatcher { return sched.NewIsolated() }},
+		{"Pairwise", func(int64) *sched.Dispatcher { return sched.NewPairwise() }},
+		{"Quasar", func(seed int64) *sched.Dispatcher {
+			return sched.NewQuasar(quasarModel, rand.New(rand.NewSource(seed)))
+		}},
+		moeScheme(moeModel),
 	}, nil
 }
 
 // OpenSystem runs the open-system comparison: for each arrival rate, several
 // independent Poisson streams are replayed through the event engine under
-// each scheme, and the queueing metrics are averaged. (rate, stream) units
-// fan out over the concurrent runner with per-unit seeds.
+// each scheme, and the queueing metrics are pooled across streams.
 func OpenSystem(ctx Context) (OpenSystemResult, error) {
 	ctx = ctx.withDefaults()
-	set, err := openSystemSchemes(ctx)
+	set, err := openSystemSchemes(ctx, 201, 202)
 	if err != nil {
 		return OpenSystemResult{}, err
 	}
-	streams := ctx.MixesPerScenario / 4
-	if streams < 1 {
-		streams = 1
-	}
-	type unit struct {
-		qs  []metrics.QueueMetrics // per scheme
-		oom []int
-	}
-	units := make([]unit, len(openSystemRates)*streams)
-	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
-		ri, si := item/streams, item%streams
-		rate := openSystemRates[ri]
-		streamSeed := ctx.Seed*2_000_003 + int64(ri)*4013 + int64(si)
-		arrivals, err := workload.PoissonArrivals(openSystemApps, rate/3600, rand.New(rand.NewSource(streamSeed)))
+	streams := max(ctx.MixesPerScenario/4, 1)
+	cells, err := runGrid(ctx, grid{
+		points: len(openSystemRates), streams: streams, cells: len(set),
+		seed: func(ri, si int) int64 { return ctx.Seed*2_000_003 + int64(ri)*4013 + int64(si) },
+		draw: func(ri int, seed int64) (env, error) {
+			arrivals, err := workload.PoissonArrivals(openSystemApps, openSystemRates[ri]/3600,
+				rand.New(rand.NewSource(seed)))
+			return env{cfg: ctx.Cfg, subs: cluster.Submissions(arrivals)}, err
+		},
+	}, func(ri, ni int, e env, seed int64) (OpenSchemeResult, error) {
+		_, res, err := e.replay(set[ni].salted(seed))
 		if err != nil {
-			return err
+			return OpenSchemeResult{}, fmt.Errorf("experiments: open system %.0f jobs/h under %s: %w",
+				openSystemRates[ri], set[ni].name, err)
 		}
-		subs := cluster.Submissions(arrivals)
-		u := unit{qs: make([]metrics.QueueMetrics, len(set.names)), oom: make([]int, len(set.names))}
-		for ni, name := range set.names {
-			c := cluster.New(ctx.Cfg)
-			res, err := c.RunOpen(subs, set.factories[name](streamSeed+int64(len(name))))
-			if err != nil {
-				return fmt.Errorf("experiments: open system %.0f jobs/h under %s: %w", rate, name, err)
-			}
-			q, err := metrics.Queueing(res, 0)
-			if err != nil {
-				return err
-			}
-			u.qs[ni] = q
-			u.oom[ni] = res.OOMKills
-		}
-		units[item] = u
-		return nil
+		q, err := metrics.Queueing(res, 0)
+		return OpenSchemeResult{
+			Scheme: set[ni].name, MeanWaitSec: q.MeanWaitSec, MeanSojournSec: q.MeanSojournSec,
+			P95SojournSec: q.P95SojournSec, ThroughputJobsPerHour: q.ThroughputJobsPerHour, OOMKills: res.OOMKills,
+		}, err
 	})
 	if err != nil {
 		return OpenSystemResult{}, err
 	}
-
 	out := OpenSystemResult{AppsPerStream: openSystemApps, Streams: streams}
 	for ri, rate := range openSystemRates {
-		point := OpenRatePoint{JobsPerHour: rate}
-		for ni, name := range set.names {
-			var agg OpenSchemeResult
-			agg.Scheme = name
-			for si := 0; si < streams; si++ {
-				u := units[ri*streams+si]
-				agg.MeanWaitSec += u.qs[ni].MeanWaitSec
-				agg.MeanSojournSec += u.qs[ni].MeanSojournSec
-				agg.P95SojournSec += u.qs[ni].P95SojournSec
-				agg.ThroughputJobsPerHour += u.qs[ni].ThroughputJobsPerHour
-				agg.OOMKills += u.oom[ni]
-			}
-			n := float64(streams)
-			agg.MeanWaitSec /= n
-			agg.MeanSojournSec /= n
-			agg.P95SojournSec /= n
-			agg.ThroughputJobsPerHour /= n
-			point.Schemes = append(point.Schemes, agg)
-		}
-		out.Rates = append(out.Rates, point)
+		out.Rates = append(out.Rates, OpenRatePoint{JobsPerHour: rate, Schemes: pooled(cells[ri])})
 	}
 	return out, nil
 }

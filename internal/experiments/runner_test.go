@@ -80,3 +80,23 @@ func TestParallelRunnerMatchesSerial(t *testing.T) {
 		t.Errorf("geomean aggregates differ between serial and parallel runners")
 	}
 }
+
+// TestPoolAveragesFloatsAndSumsCounters pins the studies' pooling rule:
+// floats are summed in stream order and divided once, ints are summed, and
+// other fields keep the first stream's value.
+func TestPoolAveragesFloatsAndSumsCounters(t *testing.T) {
+	type cell struct {
+		Name  string
+		Value float64
+		Count int
+	}
+	a, b, c := 0.1, 0.2, 0.3
+	got := pool([]cell{{"first", a, 1}, {"second", b, 2}, {"third", c, 4}})
+	want := cell{"first", (a + b + c) / 3, 7}
+	if got != want {
+		t.Errorf("pool = %+v, want %+v", got, want)
+	}
+	if one := pool([]cell{{"only", a, 3}}); one != (cell{"only", a, 3}) {
+		t.Errorf("pooling one stream changed it: %+v", one)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"moespark/internal/cluster"
 	"moespark/internal/memfunc"
 	"moespark/internal/metrics"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -33,93 +32,54 @@ type Fig6Result struct {
 	Geomean map[string]metrics.Aggregate
 }
 
-// schemeSet builds fresh policy factories; models are trained once.
-type schemeSet struct {
-	names     []string
-	factories map[string]func(mixSeed int64) cluster.Scheduler
-}
-
+// standardSchemes is Figure 6's comparison: the open-system schemes without
+// the isolated baseline, plus the ground-truth Oracle.
 func standardSchemes(ctx Context) (schemeSet, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 61)
+	set, err := openSystemSchemes(ctx, 61, 62)
 	if err != nil {
-		return schemeSet{}, err
+		return nil, err
 	}
-	quasarModel, err := sched.TrainQuasar(workload.TrainingSet(), ctx.rng(62))
-	if err != nil {
-		return schemeSet{}, err
-	}
-	return schemeSet{
-		names: []string{"Pairwise", "Quasar", "MoE", "Oracle"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"Pairwise": func(int64) cluster.Scheduler { return sched.NewPairwise() },
-			"Quasar": func(seed int64) cluster.Scheduler {
-				return sched.NewQuasar(quasarModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-			"Oracle": func(int64) cluster.Scheduler { return sched.NewOracle() },
-		},
-	}, nil
+	return append(set[1:], scheme{"Oracle", func(int64) *sched.Dispatcher { return sched.NewOracle() }}), nil
 }
 
-// runScenarios evaluates each scheme on MixesPerScenario mixes per scenario.
-// The (scenario, mix) units fan out over the concurrent runner; each unit is
-// seeded independently and writes to its own slot, so the aggregates are
-// bit-identical to the serial loop for any worker count.
+// runScenarios evaluates each scheme on MixesPerScenario mixes per scenario,
+// one grid unit per (scenario, mix), and aggregates each scheme's
+// comparisons per scenario and, across all scenarios, into its geomean.
 func runScenarios(ctx Context, set schemeSet, scenarios []workload.Scenario) ([]ScenarioResult, map[string]metrics.Aggregate, error) {
-	mixes := ctx.MixesPerScenario
-	// outcomes[si*mixes+mix][ni] is the comparison for scheme set.names[ni].
-	outcomes := make([][]metrics.Comparison, len(scenarios)*mixes)
-	err := parallel.ForEachIndexed(ctx.workers(), len(outcomes), func(item int) error {
-		si, mix := item/mixes, item%mixes
-		sc := scenarios[si]
-		mixSeed := ctx.Seed*1_000_003 + int64(si)*1009 + int64(mix)
-		jobs := workload.RandomMix(sc, rand.New(rand.NewSource(mixSeed)))
-		cmps := make([]metrics.Comparison, len(set.names))
-		for ni, name := range set.names {
-			c := cluster.New(ctx.Cfg)
-			res, err := c.Run(jobs, set.factories[name](mixSeed+int64(len(name))))
-			if err != nil {
-				return fmt.Errorf("experiments: %s under %s: %w", sc.Label, name, err)
-			}
-			run, err := metrics.FromResult(c, res)
-			if err != nil {
-				return err
-			}
-			cmps[ni] = metrics.Compare(run, metrics.SerialBaseline(c, jobs))
+	cmps, err := runGrid(ctx, grid{
+		points: len(scenarios), streams: ctx.MixesPerScenario, cells: len(set),
+		seed: func(si, mix int) int64 { return ctx.Seed*1_000_003 + int64(si)*1009 + int64(mix) },
+		draw: func(si int, seed int64) (env, error) {
+			return env{cfg: ctx.Cfg, jobs: workload.RandomMix(scenarios[si], rand.New(rand.NewSource(seed)))}, nil
+		},
+	}, func(si, ni int, e env, seed int64) (metrics.Comparison, error) {
+		c, res, err := e.replay(set[ni].salted(seed))
+		if err != nil {
+			return metrics.Comparison{}, fmt.Errorf("experiments: %s under %s: %w", scenarios[si].Label, set[ni].name, err)
 		}
-		outcomes[item] = cmps
-		return nil
+		run, err := metrics.FromResult(c, res)
+		if err != nil {
+			return metrics.Comparison{}, err
+		}
+		return metrics.Compare(run, metrics.SerialBaseline(c, e.jobs)), nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Aggregate in the serial path's exact iteration order.
 	out := make([]ScenarioResult, 0, len(scenarios))
-	all := map[string][]metrics.Comparison{}
+	all := make([][]metrics.Comparison, len(set))
 	for si, sc := range scenarios {
-		perScheme := map[string][]metrics.Comparison{}
-		for mix := 0; mix < mixes; mix++ {
-			for ni, name := range set.names {
-				cmp := outcomes[si*mixes+mix][ni]
-				perScheme[name] = append(perScheme[name], cmp)
-				all[name] = append(all[name], cmp)
-			}
-		}
 		sr := ScenarioResult{Label: sc.Label, Apps: sc.Apps}
-		for _, name := range set.names {
-			sr.Schemes = append(sr.Schemes, SchemeResult{
-				Scheme:    name,
-				Aggregate: metrics.AggregateComparisons(perScheme[name]),
-			})
+		for ni, s := range set {
+			all[ni] = append(all[ni], cmps[si][ni]...)
+			agg := metrics.AggregateComparisons(cmps[si][ni])
+			sr.Schemes = append(sr.Schemes, SchemeResult{Scheme: s.name, Aggregate: agg})
 		}
 		out = append(out, sr)
 	}
 	geo := map[string]metrics.Aggregate{}
-	for _, name := range set.names {
-		geo[name] = metrics.AggregateComparisons(all[name])
+	for ni, s := range set {
+		geo[s.name] = metrics.AggregateComparisons(all[ni])
 	}
 	return out, geo, nil
 }
@@ -221,24 +181,19 @@ func Fig9(ctx Context) (Fig9Result, error) {
 		return Fig9Result{}, err
 	}
 	set := schemeSet{
-		names: []string{"Linear", "Exponential", "NapierianLog", "ANN", "MoE"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"Linear": func(seed int64) cluster.Scheduler {
-				return sched.NewUnified(memfunc.LinearPower, rand.New(rand.NewSource(seed)))
-			},
-			"Exponential": func(seed int64) cluster.Scheduler {
-				return sched.NewUnified(memfunc.Exponential, rand.New(rand.NewSource(seed)))
-			},
-			"NapierianLog": func(seed int64) cluster.Scheduler {
-				return sched.NewUnified(memfunc.NapierianLog, rand.New(rand.NewSource(seed)))
-			},
-			"ANN": func(seed int64) cluster.Scheduler {
-				return sched.NewUnifiedANN(annModel, rand.New(rand.NewSource(seed)))
-			},
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-		},
+		{"Linear", func(seed int64) *sched.Dispatcher {
+			return sched.NewUnified(memfunc.LinearPower, rand.New(rand.NewSource(seed)))
+		}},
+		{"Exponential", func(seed int64) *sched.Dispatcher {
+			return sched.NewUnified(memfunc.Exponential, rand.New(rand.NewSource(seed)))
+		}},
+		{"NapierianLog", func(seed int64) *sched.Dispatcher {
+			return sched.NewUnified(memfunc.NapierianLog, rand.New(rand.NewSource(seed)))
+		}},
+		{"ANN", func(seed int64) *sched.Dispatcher {
+			return sched.NewUnifiedANN(annModel, rand.New(rand.NewSource(seed)))
+		}},
+		moeScheme(moeModel),
 	}
 	scenarios, geo, err := runScenarios(ctx, set, workload.Scenarios)
 	if err != nil {
@@ -270,15 +225,10 @@ func Fig10(ctx Context) (Fig10Result, error) {
 		return Fig10Result{}, err
 	}
 	set := schemeSet{
-		names: []string{"OnlineSearch", "MoE"},
-		factories: map[string]func(int64) cluster.Scheduler{
-			"OnlineSearch": func(seed int64) cluster.Scheduler {
-				return sched.NewOnlineSearch(rand.New(rand.NewSource(seed)))
-			},
-			"MoE": func(seed int64) cluster.Scheduler {
-				return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-			},
-		},
+		{"OnlineSearch", func(seed int64) *sched.Dispatcher {
+			return sched.NewOnlineSearch(rand.New(rand.NewSource(seed)))
+		}},
+		moeScheme(moeModel),
 	}
 	scenarios, geo, err := runScenarios(ctx, set, workload.Scenarios)
 	if err != nil {

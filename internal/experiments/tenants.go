@@ -6,7 +6,6 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
-	"moespark/internal/parallel"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -74,150 +73,72 @@ type TenantsModeMetrics struct {
 	PreemptKills int
 }
 
-// tenantsSchemes returns the dispatcher factories of the study; dispatchers
-// (not opaque schedulers) because each run lifts one through sched.NewPriority.
-func tenantsSchemes(ctx Context) ([]string, map[string]func(int64) *sched.Dispatcher, error) {
-	moeModel, _, err := trainedMoE(ctx, nil, 401)
-	if err != nil {
-		return nil, nil, err
-	}
-	quasarModel, err := sched.TrainQuasar(workload.TrainingSet(), ctx.rng(402))
-	if err != nil {
-		return nil, nil, err
-	}
-	names := []string{"Isolated", "Pairwise", "Quasar", "MoE"}
-	factories := map[string]func(int64) *sched.Dispatcher{
-		"Isolated": func(int64) *sched.Dispatcher { return sched.NewIsolated() },
-		"Pairwise": func(int64) *sched.Dispatcher { return sched.NewPairwise() },
-		"Quasar": func(seed int64) *sched.Dispatcher {
-			return sched.NewQuasar(quasarModel, rand.New(rand.NewSource(seed)))
-		},
-		"MoE": func(seed int64) *sched.Dispatcher {
-			return sched.NewMoE(moeModel, rand.New(rand.NewSource(seed)))
-		},
-	}
-	return names, factories, nil
-}
-
 // Tenants runs the multi-tenant priority study: for each heterogeneous fleet
 // scenario, several independent classed Poisson streams are replayed under
-// each scheme with and without preemption, and per-class queueing metrics
-// are averaged. (fleet, stream) units fan out over the concurrent runner
-// with per-unit seeds, so results are identical at any worker count.
+// each scheme with and without preemption (each run lifts the scheme's
+// dispatcher through sched.NewPriority), and per-class queueing metrics are
+// pooled across streams.
 func Tenants(ctx Context) (TenantsResult, error) {
 	ctx = ctx.withDefaults()
-	names, factories, err := tenantsSchemes(ctx)
+	set, err := openSystemSchemes(ctx, 401, 402)
 	if err != nil {
 		return TenantsResult{}, err
 	}
 	fleets := heteroFleets()
-	streams := ctx.MixesPerScenario / 8
-	if streams < 1 {
-		streams = 1
-	}
-	cfg := ctx.Cfg
-
-	type cell struct {
-		lat, batch metrics.ClassQueueMetrics
-		throughput float64
-		preempts   int
-	}
-	type unit struct {
-		modes [2][]cell // [mode][scheme]
-	}
-	units := make([]unit, len(fleets)*streams)
-	err = parallel.ForEachIndexed(ctx.workers(), len(units), func(item int) error {
-		fi, si := item/streams, item%streams
-		fleet := fleets[fi]
-		streamSeed := ctx.Seed*5_000_011 + int64(fi)*9013 + int64(si)
-		rng := rand.New(rand.NewSource(streamSeed))
-		arrivals, err := workload.PoissonArrivals(tenantsApps, tenantsRate/3600, rng)
+	streams := max(ctx.MixesPerScenario/8, 1)
+	// Cell 2*ni runs scheme ni with priority classes only, cell 2*ni+1 adds
+	// preemption.
+	cells, err := runGrid(ctx, grid{
+		points: len(fleets), streams: streams, cells: 2 * len(set),
+		seed: func(fi, si int) int64 { return ctx.Seed*5_000_011 + int64(fi)*9013 + int64(si) },
+		draw: func(fi int, seed int64) (env, error) {
+			rng := rand.New(rand.NewSource(seed))
+			arrivals, err := workload.PoissonArrivals(tenantsApps, tenantsRate/3600, rng)
+			if err != nil {
+				return env{}, err
+			}
+			tagged, err := workload.TagArrivals(arrivals, workload.LatencyBatchMix(tenantsLatencyFrac), rng)
+			if err != nil {
+				return env{}, err
+			}
+			return fleets[fi].env(ctx.Cfg, seed, cluster.Submissions(tagged))
+		},
+	}, func(fi, c int, e env, seed int64) (TenantsModeMetrics, error) {
+		s, preempt := set[c/2], c%2 == 1
+		_, res, err := e.replay(sched.NewPriority(s.salted(seed), preempt))
 		if err != nil {
-			return err
+			return TenantsModeMetrics{}, fmt.Errorf("experiments: tenants fleet %s under %s (preempt=%v): %w",
+				fleets[fi].name, s.name, preempt, err)
 		}
-		tagged, err := workload.TagArrivals(arrivals, workload.LatencyBatchMix(tenantsLatencyFrac), rng)
+		byClass, err := metrics.QueueingByClass(res, 0)
 		if err != nil {
-			return err
+			return TenantsModeMetrics{}, err
 		}
-		subs := cluster.Submissions(tagged)
-		specs, err := fleet.specs(streamSeed+77, cfg)
-		if err != nil {
-			return err
-		}
-		u := unit{}
-		for mode := 0; mode < 2; mode++ {
-			u.modes[mode] = make([]cell, len(names))
-			for ni, name := range names {
-				c, err := cluster.NewHetero(cfg, specs)
-				if err != nil {
-					return err
-				}
-				if fleet.events != nil {
-					evs, err := fleet.events(streamSeed+177, cfg)
-					if err != nil {
-						return err
-					}
-					if err := c.ScheduleNodeEvents(evs...); err != nil {
-						return err
-					}
-				}
-				s := sched.NewPriority(factories[name](streamSeed+int64(len(name))), mode == 1)
-				res, err := c.RunOpen(subs, s)
-				if err != nil {
-					return fmt.Errorf("experiments: tenants fleet %s under %s (preempt=%v): %w",
-						fleet.name, name, mode == 1, err)
-				}
-				byClass, err := metrics.QueueingByClass(res, 0)
-				if err != nil {
-					return err
-				}
-				q, err := metrics.Queueing(res, 0)
-				if err != nil {
-					return err
-				}
-				cl := cell{throughput: q.ThroughputJobsPerHour, preempts: res.PreemptKills}
-				for _, cq := range byClass {
-					switch cq.Class {
-					case "latency":
-						cl.lat = cq
-					case "batch":
-						cl.batch = cq
-					}
-				}
-				u.modes[mode][ni] = cl
+		q, err := metrics.Queueing(res, 0)
+		m := TenantsModeMetrics{ThroughputJobsPerHour: q.ThroughputJobsPerHour, PreemptKills: res.PreemptKills}
+		for _, cq := range byClass {
+			switch cq.Class {
+			case "latency":
+				m.LatencyP99Sec, m.LatencyMeanWaitSec = cq.P99SojournSec, cq.MeanWaitSec
+			case "batch":
+				m.BatchP99Sec = cq.P99SojournSec
 			}
 		}
-		units[item] = u
-		return nil
+		return m, err
 	})
 	if err != nil {
 		return TenantsResult{}, err
 	}
-
 	out := TenantsResult{
 		AppsPerStream: tenantsApps, Streams: streams,
 		RatePerHour: tenantsRate, LatencyFrac: tenantsLatencyFrac,
 	}
 	for fi, fleet := range fleets {
 		fr := TenantsFleetResult{Fleet: fleet.name}
-		for ni, name := range names {
-			sr := TenantsSchemeResult{Scheme: name}
-			for mode, agg := range []*TenantsModeMetrics{&sr.NoPreempt, &sr.Preempt} {
-				for si := 0; si < streams; si++ {
-					cl := units[fi*streams+si].modes[mode][ni]
-					agg.LatencyP99Sec += cl.lat.P99SojournSec
-					agg.LatencyMeanWaitSec += cl.lat.MeanWaitSec
-					agg.BatchP99Sec += cl.batch.P99SojournSec
-					agg.ThroughputJobsPerHour += cl.throughput
-					agg.PreemptKills += cl.preempts
-				}
-				n := float64(streams)
-				agg.LatencyP99Sec /= n
-				agg.LatencyMeanWaitSec /= n
-				agg.BatchP99Sec /= n
-				agg.ThroughputJobsPerHour /= n
-			}
-			fr.Schemes = append(fr.Schemes, sr)
+		for ni, s := range set {
+			fr.Schemes = append(fr.Schemes, TenantsSchemeResult{
+				Scheme: s.name, NoPreempt: pool(cells[fi][2*ni]), Preempt: pool(cells[fi][2*ni+1]),
+			})
 		}
 		out.Fleets = append(out.Fleets, fr)
 	}

@@ -52,9 +52,13 @@ type ThroughputWindow struct {
 
 // Queueing computes the open-system metrics for a finished run. windowSec,
 // when positive, additionally samples completion throughput in windows of
-// that length from the first submission to the last completion.
+// that length from the first submission to the last completion; 0 samples
+// none, and a negative or non-finite window is an error.
 func Queueing(res *cluster.Result, windowSec float64) (QueueMetrics, error) {
 	var q QueueMetrics
+	if !(windowSec >= 0) || math.IsInf(windowSec, 1) {
+		return q, fmt.Errorf("metrics: throughput window %v s must be finite and non-negative", windowSec)
+	}
 	if res == nil || len(res.Apps) == 0 {
 		return q, errors.New("metrics: empty run")
 	}

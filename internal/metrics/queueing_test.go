@@ -133,6 +133,26 @@ func TestQueueingNoWindowsWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestQueueingRejectsBadWindow: a window must be finite and non-negative.
+// Before the check, +Inf returned one window starting at NaN (0·Inf), and
+// NaN or a negative window silently meant "no windows".
+func TestQueueingRejectsBadWindow(t *testing.T) {
+	res := &cluster.Result{Apps: []*cluster.App{mkApp(t, 0, 10, 100)}}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -math.SmallestNonzeroFloat64} {
+		if q, err := Queueing(res, w); err == nil {
+			t.Errorf("window %v accepted: %+v", w, q)
+		}
+		if qs, err := QueueingByClass(res, w); err == nil {
+			t.Errorf("window %v accepted by class: %+v", w, qs)
+		}
+	}
+	for _, w := range []float64{0, 50, math.MaxFloat64} {
+		if _, err := Queueing(res, w); err != nil {
+			t.Errorf("window %v rejected: %v", w, err)
+		}
+	}
+}
+
 // TestThroughputWindowBoundaries is the regression table for the two window
 // bugs: completions landing exactly on a window boundary were credited to
 // the *following* window even though the earlier window's EndSec claimed to

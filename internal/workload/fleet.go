@@ -115,7 +115,7 @@ func StragglerFleet(n int, base NodeClass, stragglerFrac, minSpeed float64, rng 
 	if stragglerFrac < 0 || stragglerFrac > 1 || math.IsNaN(stragglerFrac) {
 		return nil, fmt.Errorf("workload: straggler fraction %v outside [0,1]", stragglerFrac)
 	}
-	if minSpeed <= 0 || minSpeed >= base.SpeedFactor {
+	if !(minSpeed > 0 && minSpeed < base.SpeedFactor) {
 		return nil, fmt.Errorf("workload: straggler floor speed %v must lie in (0, %v)", minSpeed, base.SpeedFactor)
 	}
 	fleet := make([]NodeClass, n)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -76,6 +77,31 @@ func TestStragglerFleetTail(t *testing.T) {
 	}
 	if _, err := StragglerFleet(10, PaperNode(), 0.25, 1.5, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("floor speed above base accepted")
+	}
+}
+
+// TestStragglerFleetRejectsBadFloor: the floor speed must lie in
+// (0, base speed); NaN and ±Inf fail that check, and so does any floor
+// against a NaN base speed.
+func TestStragglerFleetRejectsBadFloor(t *testing.T) {
+	nanBase := PaperNode()
+	nanBase.SpeedFactor = math.NaN()
+	for _, tc := range []struct {
+		name     string
+		base     NodeClass
+		minSpeed float64
+	}{
+		{"NaN floor", PaperNode(), math.NaN()},
+		{"+Inf floor", PaperNode(), math.Inf(1)},
+		{"-Inf floor", PaperNode(), math.Inf(-1)},
+		{"zero floor", PaperNode(), 0},
+		{"floor at base speed", PaperNode(), PaperNode().SpeedFactor},
+		{"NaN base speed", nanBase, 0.4},
+	} {
+		fleet, err := StragglerFleet(10, tc.base, 0.5, tc.minSpeed, rand.New(rand.NewSource(1)))
+		if err == nil {
+			t.Errorf("%s accepted: %+v", tc.name, fleet)
+		}
 	}
 }
 

@@ -433,7 +433,7 @@ func Measure(c *Cluster, res *Result) (RunMetrics, error) { return metrics.FromR
 
 // MeasureQueueing computes the open-system queueing metrics (wait, sojourn
 // percentiles, throughput) for a finished run; windowSec > 0 adds windowed
-// throughput samples.
+// throughput samples, and a negative or non-finite window is an error.
 func MeasureQueueing(res *Result, windowSec float64) (QueueMetrics, error) {
 	return metrics.Queueing(res, windowSec)
 }
