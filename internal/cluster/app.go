@@ -219,8 +219,8 @@ func (a *App) ExecutorOn(n *Node) bool {
 
 // ShrunkenExecutors returns how many of the app's executors hold fewer items
 // than their fair share (ItemsGB < FairShareGB): the only ones a scheduler
-// can grow. Spawn, Grow and removeExecutor keep the count; writing ItemsGB,
-// FairShareGB or Executors directly leaves it stale.
+// can grow. Spawn, Grow, removeExecutor and app completion keep the count;
+// writing ItemsGB, FairShareGB or Executors directly leaves it stale.
 func (a *App) ShrunkenExecutors() int { return a.shrunk }
 
 // countShrunk adds delta to the app's shrunken-executor count when e holds

@@ -185,21 +185,21 @@ func (s *colocationScheduler) Schedule(c *Cluster) {
 	}
 }
 
-// colocationRun is one co-location-heavy open-system run: a 96-node uniform
-// fleet where small ExecutorSpreadGB sizing fans each app across up to a
-// dozen nodes. Unlike scaleRun — whose whole-node executors leave the rate
-// pass a small slice of each event — the rate recomputation dominates here.
-func colocationRun(b *testing.B, apps int) {
-	b.Helper()
+// colocationStream is the co-location-heavy open-system workload: a 96-node
+// uniform fleet where small ExecutorSpreadGB sizing fans each app across up
+// to a dozen nodes. Unlike scaleRun — whose whole-node executors leave the
+// rate pass a small slice of each event — the rate recomputation dominates
+// here.
+func colocationStream(tb testing.TB, apps int) (Config, []NodeSpec, []Submission) {
+	tb.Helper()
 	const nodes = 96
 	fleet, err := workload.UniformFleet(nodes, workload.BigNode())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	specs := SpecsFrom(fleet)
 	arrivals, err := workload.PoissonArrivals(apps, 0.06, rand.New(rand.NewSource(7)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Stretch every input so each app wants an executor on a large slice of
 	// the fleet: arrivals, startup-gate expiries and completions then all
@@ -207,10 +207,16 @@ func colocationRun(b *testing.B, apps int) {
 	for i := range arrivals {
 		arrivals[i].Job.InputGB = 450 + 20*float64(i%5)
 	}
-	subs := Submissions(arrivals)
 	cfg := DefaultConfig()
 	cfg.ExecutorSpreadGB = 3  // size executor fleets at many small chunks
 	cfg.MaxExecutorNodes = 96 // let every app reach the whole fleet
+	return cfg, SpecsFrom(fleet), Submissions(arrivals)
+}
+
+// colocationRun times colocationStream under colocationScheduler.
+func colocationRun(b *testing.B, apps int) {
+	b.Helper()
+	cfg, specs, subs := colocationStream(b, apps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := NewHetero(cfg, specs)

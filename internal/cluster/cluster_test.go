@@ -498,6 +498,43 @@ func TestForeignAloneFinishesOnTime(t *testing.T) {
 	}
 }
 
+func TestAddForeignRejectsInvalidArguments(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name              string
+		cpu, memGB, workS float64
+	}{
+		{"negative memory", 0.5, -10, 100},
+		{"NaN memory", 0.5, nan, 100},
+		{"infinite memory", 0.5, inf, 100},
+		{"negative CPU load", -0.5, 10, 100},
+		{"NaN CPU load", nan, 10, 100},
+		{"infinite CPU load", inf, 10, 100},
+		{"zero work", 0.5, 10, 0},
+		{"negative work", 0.5, 10, -100},
+		{"NaN work", 0.5, 10, nan},
+		{"infinite work", 0.5, 10, inf},
+	}
+	for _, tc := range cases {
+		// The error must come before the node is touched: a negative working
+		// set used to credit the node free memory, a NaN one to make it NaN,
+		// and a NaN load or work to stall the run.
+		c := New(DefaultConfig())
+		n := c.Nodes()[0]
+		free := n.FreeGB()
+		if f, err := c.AddForeign(0, "x", tc.cpu, tc.memGB, tc.workS); err == nil || f != nil {
+			t.Errorf("%s: got task %v, error %v; want an error", tc.name, f, err)
+		}
+		if n.FreeGB() != free || len(n.Foreign) != 0 || len(c.foreign) != 0 {
+			t.Errorf("%s: rejected task touched node 0 (free %v GB, was %v)", tc.name, n.FreeGB(), free)
+		}
+	}
+	// An idle guest with no working set is valid.
+	if _, err := New(DefaultConfig()).AddForeign(0, "idle", 0, 0, 1); err != nil {
+		t.Errorf("zero CPU load and memory rejected: %v", err)
+	}
+}
+
 func TestTraceSamplesUtilization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceInterval = 30

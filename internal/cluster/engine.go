@@ -49,7 +49,9 @@ const (
 // inside the event loop and must not mutate the cluster (no Spawn, Grow or
 // Preempt); it exists to feed prediction error back into adaptive models.
 // Executors complete in deterministic engine order, so observer-driven model
-// updates are reproducible.
+// updates are reproducible. The executor is released right after Observe
+// returns and recycled by a later Spawn, so Observe must copy what it needs
+// and keep no *Executor past the call.
 type Observer interface {
 	Observe(c *Cluster, e *Executor, outcome ExecOutcome)
 }
@@ -123,6 +125,11 @@ type Cluster struct {
 	// during the feasibility scan so the kill phase never rescans the node.
 	victimBuf     []*Executor
 	bestVictimBuf []*Executor
+	// freeExecs and freeFleets recycle what finished executors leave behind
+	// (see recycle.go): released executors, and the App.Executors backing
+	// arrays of completed apps indexed by capacity.
+	freeExecs  []*Executor
+	freeFleets [][][]*Executor
 	// bySpread is every node with its spread share (see spreadShare),
 	// largest share first, ties in node order: the walk order of fleetFor.
 	// Shares are fixed per node, so it is built once and only joins touch
@@ -333,10 +340,19 @@ func (c *Cluster) refreshFleetCaps() {
 
 // AddForeign pins a foreign co-runner task (e.g. a PARSEC benchmark) to a
 // node, typically before the run starts. A task added by a mid-run driver
-// starts at the cluster's current clock, not at t=0.
+// starts at the cluster's current clock, not at t=0. The CPU load and
+// working set must be finite and non-negative and the work finite and
+// positive; a bad value is an error and leaves the node untouched.
 func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec float64) (*ForeignTask, error) {
 	if nodeID < 0 || nodeID >= len(c.nodes) {
 		return nil, fmt.Errorf("cluster: node %d out of range", nodeID)
+	}
+	// Written as !(x >= 0) so NaN fails too: a negative working set would
+	// credit the node free memory, and a NaN or infinite load or work would
+	// leave the task without a finite deadline.
+	if !(cpuLoad >= 0) || !(memoryGB >= 0) || !(workSec > 0) ||
+		math.IsInf(cpuLoad, 1) || math.IsInf(memoryGB, 1) || math.IsInf(workSec, 1) {
+		return nil, fmt.Errorf("cluster: invalid foreign task %q: CPU load %v, memory %v GB, work %v s", name, cpuLoad, memoryGB, workSec)
 	}
 	f := &ForeignTask{
 		Name: name, Node: c.nodes[nodeID], CPULoad: cpuLoad,
@@ -379,6 +395,12 @@ var (
 // comes from the workload ground truth for itemsGB; the reservation is what
 // admission control charges against the node. A NaN or negative size is
 // rejected before anything is touched.
+//
+// The returned executor belongs to the cluster, which recycles it once it
+// is freed (app completion, a kill or a drain handoff). A scheduler may use
+// it within the Schedule call that spawned it, and must keep no *Executor
+// past that call: reach live executors through Node.Executors or
+// App.Executors instead.
 func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Executor, error) {
 	const eps = 1e-9
 	// Written as !(x >= 0) so NaN fails too: every comparison below is false
@@ -424,7 +446,8 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	slotsLeft := app.MaxExecutors - len(app.Executors)
 	fair := app.RemainingGB / float64(slotsLeft)
 	need := app.Job.Bench.Footprint(itemsGB)
-	e := &Executor{
+	e := c.newExecutor()
+	*e = Executor{
 		App: app, Node: node,
 		ReservedGB:  reserveGB,
 		ItemsGB:     itemsGB,
@@ -437,6 +460,9 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	}
 	node.Executors = append(node.Executors, e)
 	node.recount()
+	if cap(app.Executors) == 0 {
+		app.Executors = c.takeFleet(app.MaxExecutors)
+	}
 	app.Executors = append(app.Executors, e)
 	app.countShrunk(e, 1)
 	c.markDirty(node)
@@ -470,8 +496,16 @@ func resident(needGB, reserveGB float64) float64 {
 // executor was admitted with, bypassing admission control, and is rejected
 // with ErrShrinkReservation. A NaN or negative size is rejected before
 // anything is touched.
+//
+// Pass a live executor reached in the current call (through Node.Executors
+// or App.Executors, or just returned by Spawn); a scheduler must keep no
+// *Executor past the call that passed it. A freed executor is an error,
+// but a kept pointer may by then hold another app's recycled executor.
 func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	const eps = 1e-9
+	if e.App == nil {
+		return errFreedExecutor
+	}
 	// NaN passes every comparison below; see Spawn.
 	if !(newReserveGB >= 0) || !(newItemsGB >= 0) {
 		return fmt.Errorf("cluster: invalid executor size: reserve %v GB, items %v GB", newReserveGB, newItemsGB)
@@ -519,26 +553,23 @@ func cacheEfficiency(itemsGB, fairGB float64) float64 {
 	return eff
 }
 
-// removeExecutor detaches e from its node and app. The node's co-runners
-// lose a contender, so it is marked for rate recomputation.
+// removeExecutor detaches e from its node and app and releases it.
 func (c *Cluster) removeExecutor(e *Executor) {
-	n := e.Node
-	c.markDirty(n)
-	for i, x := range n.Executors {
-		if x == e {
-			n.Executors = append(n.Executors[:i], n.Executors[i+1:]...)
-			break
-		}
-	}
-	n.recount()
+	c.unplace(e)
 	a := e.App
-	for i, x := range a.Executors {
-		if x == e {
-			a.Executors = append(a.Executors[:i], a.Executors[i+1:]...)
-			break
-		}
-	}
+	a.Executors = detach(a.Executors, e)
 	a.countShrunk(e, -1)
+	c.release(e)
+}
+
+// unplace takes e off its node's list, keeping the order of the rest, and
+// recounts the node's totals. The node's co-runners lose a contender, so it
+// is marked for rate recomputation.
+func (c *Cluster) unplace(e *Executor) {
+	n := e.Node
+	n.Executors = detach(n.Executors, e)
+	n.recount()
+	c.markDirty(n)
 }
 
 // Result summarises one simulation run.
@@ -629,8 +660,12 @@ func (c *Cluster) Run(jobs []workload.Job, sched Scheduler) (*Result, error) {
 // highest class weight first, then original order (weighted FCFS — plain
 // FCFS when no submission carries a class). A submission with a negative or
 // non-finite time, no benchmark, an input that is not positive and finite,
-// or a negative or non-finite class weight is an error naming its index.
+// or a negative or non-finite class weight is an error naming its index, and
+// so is a nil scheduler.
 func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
+	if sched == nil {
+		return nil, errors.New("cluster: nil scheduler")
+	}
 	if len(subs) == 0 && len(c.foreign) == 0 {
 		return nil, errors.New("cluster: nothing to run")
 	}
@@ -893,9 +928,10 @@ func (c *Cluster) reclaimExecutor(victim *Executor) {
 	// pass would not necessarily re-register it.
 	c.settleApp(app)
 	c.touchApp(app)
+	lost := oomReprocessFrac * victim.ItemsGB // read before the release poisons it
 	c.removeExecutor(victim)
 	before := app.RemainingGB
-	app.RemainingGB += oomReprocessFrac * victim.ItemsGB
+	app.RemainingGB += lost
 	if app.RemainingGB > app.Job.InputGB {
 		app.RemainingGB = app.Job.InputGB
 	}
@@ -912,8 +948,13 @@ func (c *Cluster) reclaimExecutor(victim *Executor) {
 // reusing the OOM/fail charge-back path: the victim's partially-processed
 // items return to its app's remaining pool and the kill is counted in
 // App.PreemptKills / Result.PreemptKills. The victim's class must be
-// preemptible and strictly outranked by the preemptor's.
+// preemptible and strictly outranked by the preemptor's. The victim is
+// freed and recycled: as for Grow, pass a live executor reached in the
+// current call and keep no *Executor past it.
 func (c *Cluster) Preempt(victim *Executor, by *App) error {
+	if victim.App == nil {
+		return errFreedExecutor
+	}
 	if !victim.App.Class.Preemptible {
 		return fmt.Errorf("%w: %s", ErrNotPreemptible, victim.App.Job)
 	}
@@ -968,7 +1009,8 @@ func (c *Cluster) PreemptFor(app *App, needGB, cpuDemand float64, maxAppsPerNode
 				(maxAppsPerNode <= 0 || apps < maxAppsPerNode)
 		}
 		if ok() {
-			return 0
+			bestNode = -1 // a node already has the resources: kill nothing
+			break
 		}
 		c.victimBuf = c.victimBuf[:0]
 		for j := len(n.Executors) - 1; j >= 0 && !ok(); j-- {
@@ -989,16 +1031,19 @@ func (c *Cluster) PreemptFor(app *App, needGB, cpuDemand float64, maxAppsPerNode
 			c.victimBuf, c.bestVictimBuf = c.bestVictimBuf, c.victimBuf
 		}
 	}
-	if bestNode < 0 {
-		return 0
-	}
 	killed := 0
-	for _, victim := range c.bestVictimBuf {
-		if err := c.Preempt(victim, app); err != nil {
-			break
+	if bestNode >= 0 {
+		for _, victim := range c.bestVictimBuf {
+			if err := c.Preempt(victim, app); err != nil {
+				break
+			}
+			killed++
 		}
-		killed++
 	}
+	// Drop the scratch pointers, spare capacity included: the victims are
+	// freed and recycled now.
+	clear(c.victimBuf[:cap(c.victimBuf)])
+	clear(c.bestVictimBuf[:cap(c.bestVictimBuf)])
 	return killed
 }
 
@@ -1205,9 +1250,14 @@ func (c *Cluster) completeApp(a *App) {
 				c.observer.Observe(c, e, ExecCompleted)
 			}
 		}
-		for len(a.Executors) > 0 {
-			c.removeExecutor(a.Executors[0])
+		// Detach the whole fleet in one pass, in the order removing the
+		// executors one by one would take, and hand the emptied list back.
+		for _, e := range a.Executors {
+			c.unplace(e)
+			a.countShrunk(e, -1)
+			c.release(e)
 		}
+		c.releaseFleet(a)
 		a.State = StateDone
 		a.DoneTime = c.now
 		c.doneApps++

@@ -106,11 +106,12 @@ func (h *wakeHeap) siftDown(i int) {
 
 // markDirty queues a node for the next rate recomputation pass. Every
 // mutation that can change an executor or foreign rate on the node must call
-// it: executor membership changes (Spawn, removeExecutor — which covers app
-// completion, OOM kills, node-failure kills and preemption), reservation and
-// allocation changes (Grow), foreign-task arrival and completion, node
-// lifecycle events, and startup-expiry wake-ups. Idempotent per pass. The
-// set grows by a word when a joining node's ID opens one.
+// it: executor membership changes (Spawn, app completion, migration and
+// removeExecutor, which covers OOM kills, node-failure kills, preemption and
+// drain handoff), reservation and allocation changes (Grow), foreign-task
+// arrival and completion, node lifecycle events, and startup-expiry
+// wake-ups. Idempotent per pass. The set grows by a word when a joining
+// node's ID opens one.
 func (c *Cluster) markDirty(n *Node) {
 	w := n.ID >> 6
 	for w >= len(c.dirty) {

@@ -50,6 +50,8 @@ func (c *Cluster) migrateFrom(n *Node) {
 			c.handoffExecutor(e)
 		}
 	}
+	// A handed-off executor is freed and recycled: drop the snapshot.
+	clear(c.victimBuf[:cap(c.victimBuf)])
 }
 
 // migrateExecutor checkpoints one executor and moves it to the first
@@ -77,15 +79,7 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	// keep executors on clean nodes the dirty marks below would not touch.
 	c.settleApp(app)
 	c.touchApp(app)
-	old := e.Node
-	for i, x := range old.Executors {
-		if x == e {
-			old.Executors = append(old.Executors[:i], old.Executors[i+1:]...)
-			break
-		}
-	}
-	old.recount()
-	c.markDirty(old)
+	c.unplace(e)
 	e.Node = target
 	target.Executors = append(target.Executors, e)
 	target.recount()
@@ -127,8 +121,8 @@ func (c *Cluster) handoffExecutor(e *Executor) bool {
 		return false
 	}
 	// Settle first: the ship cost reads processedGB, and removeExecutor
-	// changes the app's rate structure. The touch queues the deadline
-	// refresh for the app's executors on clean nodes.
+	// changes the app's rate structure and frees e. The touch queues the
+	// deadline refresh for the app's executors on clean nodes.
 	c.settleApp(app)
 	c.touchApp(app)
 	ship := e.processedGB / migrateCheckpointGBps

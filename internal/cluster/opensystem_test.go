@@ -126,6 +126,14 @@ func TestRunOpenRejectsInvalidTimes(t *testing.T) {
 	if _, err := c.RunOpen(nil, &prepTimeScheduler{}); err == nil {
 		t.Error("empty open run must error")
 	}
+	// A nil scheduler is an error before any state is touched, through Run
+	// too; it used to panic at the first Prepare.
+	if _, err := c.RunOpen([]Submission{{At: 0, Job: j1}}, nil); err == nil || len(c.Apps()) != 0 {
+		t.Errorf("RunOpen with a nil scheduler: error %v, %d apps admitted; want an error and none", err, len(c.Apps()))
+	}
+	if _, err := c.Run([]workload.Job{j1}, nil); err == nil || len(c.Apps()) != 0 {
+		t.Errorf("Run with a nil scheduler: error %v, %d apps admitted; want an error and none", err, len(c.Apps()))
+	}
 }
 
 func TestRunOpenProfilingDelayedToArrival(t *testing.T) {

@@ -918,14 +918,16 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		c := New(cfg)
 		n := c.Nodes()[0]
 		e := spawn(t, c, newApp(0, workload.Class{}, 100, 2), n, 10, 20)
-		f, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 0)
+		// Work below the completion epsilon (zero work is invalid), so the
+		// task completes at once.
+		f, err := c.AddForeign(n.ID, "co-runner", 0.3, 12, 1e-7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		check(t, "AddForeign", n, totals{10 + 12, e.ActualGB + 12, cpu + 0.3})
 		c.completeForeign(f)
 		if !f.Done() {
-			t.Fatal("a zero-work foreign task must complete")
+			t.Fatal("a foreign task with work below the completion epsilon must complete")
 		}
 		check(t, "completeForeign", n, totals{10, e.ActualGB, cpu})
 	})
