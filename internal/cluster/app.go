@@ -78,6 +78,12 @@ type App struct {
 
 	// MaxExecutors is the fleet-size cap from dynamic allocation.
 	MaxExecutors int
+	// freeFleet is the fleet the app would get if every available node were
+	// free (see Cluster.fleetSizes), the ceiling refreshFleetCaps raises
+	// MaxExecutors to. It is sized at admission and recomputed for every
+	// in-flight app whenever a node joins, drains or fails, the only events
+	// that change which nodes are available.
+	freeFleet int
 	// Executors currently running for this app.
 	Executors []*Executor
 	// shrunk counts the executors holding fewer items than their fair share

@@ -31,62 +31,66 @@ func BenchmarkOpenSystemEngine(b *testing.B) {
 	}
 }
 
-// scaleRun is one large open-system run for the scaling benchmarks: a
-// bimodal big/little fleet, a drain/fail storm with autoscaler rejoins, and
-// a classed (latency/batch) arrival stream, so the weighted-admission,
-// node-event and heterogeneous-rate paths are all on the clock. The
-// scheduler is the trivial whole-node policy so the engine dominates. The
-// arrival rate keeps the system loaded but *stable* (in-flight apps average
-// about 20 at both 10k and 100k apps): an overloaded queue grows its backlog
-// with the stream, making every engine — indexed or not — intrinsically
-// quadratic, which would measure the workload rather than the engine. For
-// the same reason the run sets RefreshFleetSizing: fleets are sized from
-// the nodes free at admission, and without it an app admitted into the
-// saturated fleet keeps its small executor fleet for life, which tips this
-// workload past stability (the in-flight average drifts from about 80 at
-// 10k apps to about 180 at 100k) and the scaling ratio measures backlog
-// growth instead of the event loop.
-func scaleRun(b *testing.B, apps int) {
-	b.Helper()
+// scaleStream builds the large open-system stream of the scaling
+// benchmarks: a bimodal big/little fleet, a drain/fail storm with autoscaler
+// rejoins, and a classed (latency/batch) arrival stream, so the
+// weighted-admission, node-event and heterogeneous-rate paths are all on the
+// clock. The arrival rate keeps the system loaded but stable: an overloaded
+// queue grows its backlog with the stream, making every engine — indexed or
+// not — intrinsically quadratic, which would measure the workload rather than
+// the engine. TestScaleStreamStable holds the stream to that.
+func scaleStream(tb testing.TB, apps int) (specs []NodeSpec, subs []Submission, storm []NodeEvent) {
+	tb.Helper()
 	const nodes = 64
 	fleet, err := workload.BimodalFleet(nodes, workload.BigNode(), workload.LittleNode(), 0.5, rand.New(rand.NewSource(2)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	specs := SpecsFrom(fleet)
 	rng := rand.New(rand.NewSource(3))
 	arrivals, err := workload.PoissonArrivals(apps, 0.018, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tagged, err := workload.TagArrivals(arrivals, workload.LatencyBatchMix(0.3), rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	subs := Submissions(tagged)
 	span := tagged[len(tagged)-1].At
-	storm, err := StormEvents(nodes, 4, 4, span*0.1, span*0.8, 30, rand.New(rand.NewSource(4)))
+	storm, err = StormEvents(nodes, 4, 4, span*0.1, span*0.8, 30, rand.New(rand.NewSource(4)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.RefreshFleetSizing = true // stability: see the comment above
+	return SpecsFrom(fleet), Submissions(tagged), storm
+}
+
+// runScaleStream replays a scaleStream on a fresh default-config cluster
+// under the trivial whole-node policy, so the engine dominates.
+func runScaleStream(tb testing.TB, specs []NodeSpec, subs []Submission, storm []NodeEvent) *Result {
+	tb.Helper()
+	c, err := NewHetero(DefaultConfig(), specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.ScheduleNodeEvents(storm...); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := c.RunOpen(subs, &fullSpeedScheduler{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Apps) != len(subs) {
+		tb.Fatalf("%d apps completed, want %d", len(res.Apps), len(subs))
+	}
+	return res
+}
+
+// scaleRun times one scaleStream run of the given length per iteration.
+func scaleRun(b *testing.B, apps int) {
+	b.Helper()
+	specs, subs, storm := scaleStream(b, apps)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := NewHetero(cfg, specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.ScheduleNodeEvents(storm...); err != nil {
-			b.Fatal(err)
-		}
-		res, err := c.RunOpen(subs, &fullSpeedScheduler{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Apps) != apps {
-			b.Fatalf("%d apps completed, want %d", len(res.Apps), apps)
-		}
+		runScaleStream(b, specs, subs, storm)
 	}
 }
 
@@ -241,13 +245,13 @@ func BenchmarkColocationEngine20000(b *testing.B) { colocationRun(b, 20000) }
 
 func BenchmarkColocationEngine100000(b *testing.B) { colocationRun(b, 100000) }
 
-// BenchmarkFleetSizing1024 times fleet-aware sizing alone (fleetFor, run at
-// every admission and, under RefreshFleetSizing, for every in-flight app at
-// every event) on a seeded 1024-node big/little fleet in 64 racks. Six racks
-// are drained and about a third of the nodes are fully reserved, so the walk
-// skips unavailable and full nodes on its way down the spread order. Each op
-// sizes one input, cycling from a 4 GB job to a 1000 GB one that hits the
-// MaxExecutorNodes cap.
+// BenchmarkFleetSizing1024 times fleet-aware sizing alone (fleetSizes, run
+// at every admission and, for every in-flight app whose cap is below its
+// free-fleet size, at every event) on a seeded 1024-node big/little fleet in
+// 64 racks. Six racks are drained and about a third of the nodes are fully
+// reserved, so the walk skips unavailable and full nodes on its way down the
+// spread order. Each op sizes one input, cycling from a 4 GB job to a
+// 1000 GB one that hits the MaxExecutorNodes cap.
 func BenchmarkFleetSizing1024(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	fleet, err := workload.BimodalFleet(1024, workload.BigNode(), workload.LittleNode(), 0.5, r)
@@ -284,7 +288,8 @@ func BenchmarkFleetSizing1024(b *testing.B) {
 	inputs := []float64{4, 16, 64, 256, 1000}
 	ops, total := 0, 0
 	for b.Loop() {
-		total += c.fleetFor(inputs[ops%len(inputs)])
+		fleet, _ := c.fleetSizes(inputs[ops%len(inputs)])
+		total += fleet
 		ops++
 	}
 	if total < ops {

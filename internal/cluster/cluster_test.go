@@ -62,16 +62,19 @@ func (s *fullSpeedScheduler) Schedule(c *Cluster) {
 }
 
 func TestConfigNodesFor(t *testing.T) {
-	cfg := DefaultConfig()
 	cases := []struct {
-		gb   float64
-		want int
+		gb, spread float64
+		want       int
 	}{
-		{0.3, 1}, {16, 1}, {17, 2}, {30, 2}, {1000, 40}, {0, 1},
+		{0.3, 16, 1}, {16, 16, 1}, {17, 16, 2}, {30, 16, 2}, {1000, 16, 40}, {0, 16, 1},
+		// A fractional input rounds up: ceil(16.5/16) and ceil(1/0.5) are 2.
+		{16.5, 16, 2}, {1, 0.5, 2},
 	}
 	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.ExecutorSpreadGB = c.spread
 		if got := cfg.NodesFor(c.gb); got != c.want {
-			t.Errorf("NodesFor(%v) = %d, want %d", c.gb, got, c.want)
+			t.Errorf("NodesFor(%v) with %v GB per executor = %d, want %d", c.gb, c.spread, got, c.want)
 		}
 	}
 }

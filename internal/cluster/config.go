@@ -107,19 +107,13 @@ type Config struct {
 	// over (Spark dynamic allocation).
 	MaxExecutorNodes int
 	// ExecutorSpreadGB is the input volume one executor on a reference node
-	// is sized for. Cluster.fleetFor credits each node free at admission
-	// with this volume scaled by its allocatable memory; NodesFor applies it
-	// as if every node were a free reference node.
+	// is sized for. Cluster.fleetSizes credits each available node with this
+	// volume scaled by its allocatable memory; NodesFor applies it as if
+	// every node were a free reference node. An application's executor-fleet
+	// cap is sized from the nodes free at admission and raised, up to the
+	// fleet an idle cluster would give it, as capacity frees (see
+	// Cluster.refreshFleetCaps).
 	ExecutorSpreadGB float64
-	// RefreshFleetSizing, when set, re-derives each in-flight application's
-	// executor-fleet cap at every scheduling event instead of freezing it at
-	// admission, ratcheting the cap upward (never down) as capacity frees
-	// (see Cluster.refreshFleetCaps). Without it, a job admitted into a
-	// transiently packed fleet — a storm window, an arrival burst — keeps
-	// its one-or-two-executor cap for life and crawls on an otherwise idle
-	// cluster. Off by default: the historical goldens pin admission-time-only
-	// sizing, straggler pathology included.
-	RefreshFleetSizing bool
 	// TraceInterval, when positive, samples per-node utilization every so
 	// many simulated seconds (Figure 7).
 	TraceInterval float64
@@ -170,19 +164,19 @@ func (c Config) validate() error {
 }
 
 // NodesFor returns the executor-fleet size Spark's dynamic allocation picks
-// for an input of the given size on a free fleet of reference nodes. It
+// for an input of the given size on a free fleet of reference nodes:
+// ceil(input/ExecutorSpreadGB), at least 1 and at most MaxExecutorNodes. It
 // sizes the isolated run (Cluster.IsolatedTime) and the fleet of an app
-// admitted when no node is eligible (Cluster.fleetFor).
+// admitted when no node is eligible (Cluster.fleetSizes).
 func (c Config) NodesFor(inputGB float64) int {
-	n := int((inputGB + c.ExecutorSpreadGB - 1) / c.ExecutorSpreadGB)
-	if inputGB > 0 && n < 1 {
+	// Clamped as a float, so a huge input cannot overflow the conversion,
+	// and written as !(n >= 1) so a NaN input sizes to 1.
+	n := math.Ceil(inputGB / c.ExecutorSpreadGB)
+	if n > float64(c.MaxExecutorNodes) {
+		n = float64(c.MaxExecutorNodes)
+	}
+	if !(n >= 1) {
 		n = 1
 	}
-	if n > c.MaxExecutorNodes {
-		n = c.MaxExecutorNodes
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return int(n)
 }

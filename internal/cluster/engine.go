@@ -131,7 +131,7 @@ type Cluster struct {
 	freeExecs  []*Executor
 	freeFleets [][][]*Executor
 	// bySpread is every node with its spread share (see spreadShare),
-	// largest share first, ties in node order: the walk order of fleetFor.
+	// largest share first, ties in node order: the walk order of fleetSizes.
 	// Shares are fixed per node, so it is built once and only joins touch
 	// it; nodes that leave stay in it and are skipped as unavailable.
 	bySpread []spreadEntry
@@ -239,55 +239,84 @@ func (c *Cluster) AppendWaitingApps(buf []*App) []*App {
 // AddReadyApp registers an application in the ready state at the current
 // simulation time, bypassing submission and profiling. It exists for
 // benchmarks and custom drivers that exercise scheduling logic directly;
-// engine-driven runs go through Run / RunOpen instead.
-func (c *Cluster) AddReadyApp(job workload.Job) *App {
+// engine-driven runs go through Run / RunOpen instead. A job RunOpen would
+// reject — no benchmark, or an input that is not positive and finite — is an
+// error, and nothing is registered.
+func (c *Cluster) AddReadyApp(job workload.Job) (*App, error) {
+	if err := (Submission{At: c.now, Job: job}).validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	fleet, free := c.fleetSizes(job.InputGB)
 	a := &App{
 		ID: len(c.apps), Job: job,
 		SubmitTime: c.now, ReadyTime: c.now, StartTime: -1, DoneTime: -1,
 		RemainingGB:  job.InputGB,
-		MaxExecutors: c.fleetFor(job.InputGB),
-		State:        StateReady,
-		settledAt:    c.now, deadline: math.Inf(1),
+		MaxExecutors: fleet, freeFleet: free,
+		State:     StateReady,
+		settledAt: c.now, deadline: math.Inf(1),
 	}
 	c.apps = append(c.apps, a)
 	c.active = append(c.active, a)
-	return a
+	return a, nil
 }
 
-// fleetFor sizes an application's executor fleet from the specs of the
-// nodes free at admission: each placeable node contributes a spread share
-// proportional to its allocatable memory, and the fleet is the fewest
-// largest-first nodes whose shares cover the input (every eligible node,
-// when even that is not enough), capped at MaxExecutorNodes. A little node
-// carries far less than ExecutorSpreadGB and a big node far more; on a
-// uniform reference fleet with enough free nodes the fleet is
-// ceil(input/ExecutorSpreadGB). With no eligible node, Config.NodesFor
-// applies.
+// fleetSizes sizes an application's executor fleet twice in one walk. Each
+// node counted contributes a spread share proportional to its allocatable
+// memory, and a fleet is the fewest largest-first nodes whose shares cover
+// the input (every node counted, when even that is not enough), capped at
+// MaxExecutorNodes:
 //
-// The walk follows bySpread, so it meets eligible nodes largest share first
-// and stops as soon as the input is covered or MaxExecutorNodes is reached:
-// it costs the nodes it passes, not the fleet. It adds the same shares in
-// the same order as sorting every eligible node's share (refFleetFor), so
-// the size is bit-identical to that sort's.
-func (c *Cluster) fleetFor(inputGB float64) int {
+//   - fleet counts the available nodes with more than MinChunkGB
+//     unreserved, the nodes free right now. An app starts with it as its
+//     cap, and refreshFleetCaps raises the cap towards it.
+//   - free counts every available node as if it were free: the fleet an
+//     idle cluster would give the app, and the ceiling of its cap
+//     (App.freeFleet).
+//
+// A little node carries far less than ExecutorSpreadGB and a big node far
+// more; on a uniform reference fleet with enough free nodes both sizes are
+// ceil(input/ExecutorSpreadGB). A size with no node to count is
+// Config.NodesFor.
+//
+// The walk follows bySpread, so it meets nodes largest share first and stops
+// once both sizes are covered or capped: it costs the nodes it passes, not
+// the fleet. free counts a superset of fleet's nodes in the same order, so
+// it is never covered later than fleet, and the walk costs what sizing fleet
+// alone would. Each size adds the same shares in the same order as sorting
+// the shares of the nodes it counts (refFleetSizes), so both are
+// bit-identical to that sort's.
+func (c *Cluster) fleetSizes(inputGB float64) (fleet, free int) {
 	const eps = 1e-9
-	k, covered := 0, 0.0
+	target, maxK := inputGB-eps, c.cfg.MaxExecutorNodes
+	var covered, freeCovered float64
+	// The first node counted is always taken (a fleet is at least one
+	// executor); after it, a size stops once covered or capped.
+	sizing, freeSizing := true, true
 	for _, e := range c.bySpread {
-		// The first eligible node is always taken (a fleet is at least one
-		// executor); after it, stop once covered or capped.
-		if k > 0 && (k >= c.cfg.MaxExecutorNodes || !(covered < inputGB-eps)) {
+		if !sizing && !freeSizing {
 			break
 		}
-		if !e.node.Available() || e.node.FreeGB() <= MinChunkGB {
+		if !e.node.Available() {
 			continue
 		}
-		covered += e.share
-		k++
+		if freeSizing {
+			freeCovered += e.share
+			free++
+			freeSizing = free < maxK && freeCovered < target
+		}
+		if sizing && e.node.FreeGB() > MinChunkGB {
+			covered += e.share
+			fleet++
+			sizing = fleet < maxK && covered < target
+		}
 	}
-	if k == 0 {
-		return c.cfg.NodesFor(inputGB) // no eligible node
+	if fleet == 0 {
+		fleet = c.cfg.NodesFor(inputGB)
 	}
-	return k
+	if free == 0 {
+		free = c.cfg.NodesFor(inputGB)
+	}
+	return fleet, free
 }
 
 // spreadEntry is one node of the fleet-sizing index and its spread share.
@@ -312,29 +341,28 @@ func (c *Cluster) indexSpread(n *Node) {
 	c.bySpread = slices.Insert(c.bySpread, i, e)
 }
 
-// refreshFleetCaps re-derives the executor-fleet cap of every in-flight
-// application from the nodes free right now, ratcheting the cap upward when
-// capacity has freed that the admission-time sizing could not see. Without
-// this, a job admitted into a transiently packed fleet — a storm window, a
-// burst of arrivals — is capped at one or two executors for its whole
-// lifetime and crawls on an otherwise idle cluster. The cap never shrinks
-// (executors are never revoked by sizing), and an app already at the
-// reference-formula size is skipped, so admissions that saw a free fleet —
-// every closed-system run — are bit-for-bit unchanged either way.
+// refreshFleetCaps raises the executor-fleet cap of every in-flight
+// application as capacity frees. A cap is sized from the nodes free at
+// admission, so without this a job admitted into a transiently packed fleet
+// — a storm window, a burst of arrivals — would keep one or two executors
+// for its whole lifetime and crawl on an otherwise idle cluster. The cap
+// follows the nodes free right now (the fleet size of fleetSizes) but never
+// passes the app's free-fleet size, the fleet an idle cluster would give it:
+// while big nodes are busy the free nodes may be many little ones, and a cap
+// sized from them would hold the app in the waiting set, walked by every
+// placement pass, for slots it would never need on an idle cluster. The cap
+// never shrinks (executors are never revoked by sizing). An app whose cap
+// has reached its free-fleet size is skipped without a walk, so a run whose
+// admissions all saw a free fleet — every closed-system run — pays one
+// comparison per app and event.
 func (c *Cluster) refreshFleetCaps() {
-	if !c.cfg.RefreshFleetSizing {
-		return // historical admission-time-only sizing
-	}
 	for _, a := range c.active {
-		if a.State != StateReady && a.State != StateRunning {
+		if a.MaxExecutors >= a.freeFleet || a.RemainingGB <= 0 ||
+			(a.State != StateReady && a.State != StateRunning) {
 			continue
 		}
-		if a.RemainingGB <= 0 || a.MaxExecutors >= c.cfg.NodesFor(a.Job.InputGB) {
-			continue
-		}
-		if k := c.fleetFor(a.Job.InputGB); k > a.MaxExecutors {
-			a.MaxExecutors = k
-		}
+		fleet, _ := c.fleetSizes(a.Job.InputGB)
+		a.MaxExecutors = max(a.MaxExecutors, min(fleet, a.freeFleet))
 	}
 }
 
@@ -461,7 +489,10 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	node.Executors = append(node.Executors, e)
 	node.recount()
 	if cap(app.Executors) == 0 {
-		app.Executors = c.takeFleet(app.MaxExecutors)
+		// Sized for the widest cap refreshFleetCaps can raise it to, so the
+		// list does not grow with the cap; only a node event that raises
+		// the free-fleet size can make it grow.
+		app.Executors = c.takeFleet(max(app.MaxExecutors, app.freeFleet))
 	}
 	app.Executors = append(app.Executors, e)
 	app.countShrunk(e, 1)
@@ -739,13 +770,14 @@ func (c *Cluster) admitArrivals(sched Scheduler) (int, error) {
 	for len(c.pending) > 0 && c.pending[0].At <= c.now+eps {
 		sub := c.pending[0]
 		c.pending = c.pending[1:]
+		fleet, free := c.fleetSizes(sub.Job.InputGB)
 		a := &App{
 			ID: len(c.apps), Job: sub.Job, Class: sub.Class,
 			SubmitTime: sub.At, ReadyTime: -1, StartTime: -1, DoneTime: -1,
 			RemainingGB:  sub.Job.InputGB,
-			MaxExecutors: c.fleetFor(sub.Job.InputGB),
-			State:        StateQueued,
-			settledAt:    c.now, deadline: math.Inf(1),
+			MaxExecutors: fleet, freeFleet: free,
+			State:     StateQueued,
+			settledAt: c.now, deadline: math.Inf(1),
 		}
 		c.apps = append(c.apps, a)
 		c.active = append(c.active, a)

@@ -153,38 +153,44 @@ func (c *Cluster) refWaitingApps() []*App {
 	return buf
 }
 
-// refFleetFor is the sort-based fleet sizing: every eligible node's spread
-// share, insertion-sorted descending over the whole fleet, then summed
-// largest first until the input is covered.
-func (c *Cluster) refFleetFor(inputGB float64) int {
+// refFleetSizes is the sort-based fleet sizing: the spread shares of the
+// nodes a size counts, insertion-sorted descending over the whole fleet,
+// then summed largest first until the input is covered. fleet counts the
+// available nodes with more than MinChunkGB free, free every available node.
+func (c *Cluster) refFleetSizes(inputGB float64) (fleet, free int) {
 	refAlloc := ReferenceNode().AllocatableGB()
-	var shares []float64
-	for _, n := range c.nodes {
-		if !n.Available() || n.FreeGB() <= MinChunkGB {
-			continue
+	size := func(counts func(n *Node) bool) int {
+		var shares []float64
+		for _, n := range c.nodes {
+			if !counts(n) {
+				continue
+			}
+			share := c.cfg.ExecutorSpreadGB * n.AllocatableGB() / refAlloc
+			shares = append(shares, share)
+			for i := len(shares) - 1; i > 0 && shares[i] > shares[i-1]; i-- {
+				shares[i], shares[i-1] = shares[i-1], shares[i]
+			}
 		}
-		share := c.cfg.ExecutorSpreadGB * n.AllocatableGB() / refAlloc
-		shares = append(shares, share)
-		for i := len(shares) - 1; i > 0 && shares[i] > shares[i-1]; i-- {
-			shares[i], shares[i-1] = shares[i-1], shares[i]
+		if len(shares) == 0 {
+			return c.cfg.NodesFor(inputGB)
 		}
+		const eps = 1e-9
+		k, covered := 0, 0.0
+		for k < len(shares) && covered < inputGB-eps {
+			covered += shares[k]
+			k++
+		}
+		if k > c.cfg.MaxExecutorNodes {
+			k = c.cfg.MaxExecutorNodes
+		}
+		if k < 1 {
+			k = 1
+		}
+		return k
 	}
-	if len(shares) == 0 {
-		return c.cfg.NodesFor(inputGB)
-	}
-	const eps = 1e-9
-	k, covered := 0, 0.0
-	for k < len(shares) && covered < inputGB-eps {
-		covered += shares[k]
-		k++
-	}
-	if k > c.cfg.MaxExecutorNodes {
-		k = c.cfg.MaxExecutorNodes
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
+	fleet = size(func(n *Node) bool { return n.Available() && n.FreeGB() > MinChunkGB })
+	free = size((*Node).Available)
+	return fleet, free
 }
 
 // refCheckRates recomputes every rate on every node with the original

@@ -31,12 +31,9 @@ func FuzzCompletionHeapMatchesScan(f *testing.F) {
 			cfg.TraceInterval = 40
 		}
 		if migrate {
-			// Graceful evacuation plus the rest of the failure-domain
-			// machinery: retry-budget blacklists and capacity-ratcheted
-			// fleet sizing.
+			// Graceful evacuation plus retry-budget blacklists.
 			cfg.MigrateOnDrain = true
 			cfg.OOMRetryBudget = 2
-			cfg.RefreshFleetSizing = true
 		}
 		var c *Cluster
 		if rackStorm {

@@ -18,6 +18,17 @@ func testJob(t *testing.T, gb float64) workload.Job {
 	return workload.Job{Bench: b, InputGB: gb}
 }
 
+// addReady registers job as a ready app and fails the test if the cluster
+// rejects it.
+func addReady(tb testing.TB, c *Cluster, job workload.Job) *App {
+	tb.Helper()
+	a, err := c.AddReadyApp(job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 func TestNodeSpecValidate(t *testing.T) {
 	good := ReferenceNode()
 	if err := good.Validate(); err != nil {
@@ -120,7 +131,7 @@ func TestDrainStopsPlacements(t *testing.T) {
 		t.Errorf("node 0 state = %v, want removed (drain completed once empty)", got)
 	}
 	// Direct spawns on a decommissioned node must be rejected too.
-	app := c.AddReadyApp(testJob(t, 10))
+	app := addReady(t, c, testJob(t, 10))
 	if _, err := c.Spawn(app, c.Nodes()[0], 10, 10); !errors.Is(err, ErrNodeUnavailable) {
 		t.Errorf("Spawn on draining node: err = %v, want ErrNodeUnavailable", err)
 	}

@@ -204,11 +204,15 @@ func (c *Cluster) ScheduleNodeEvents(events ...NodeEvent) error {
 // whole due batch has been applied (not per event): in a correlated storm
 // several racks can leave at the same instant, and evacuating the first one
 // before its peers' drain events have fired would migrate executors onto a
-// node about to drain itself, paying the checkpoint cost twice.
+// node about to drain itself, paying the checkpoint cost twice. A batch that
+// fired any event changed which nodes are available, so every in-flight
+// app's free-fleet size is recomputed once after it.
 func (c *Cluster) applyNodeEvents() error {
 	const eps = 1e-9
 	firstDraining := len(c.draining)
+	fired := false
 	for len(c.nodeEvents) > 0 && c.nodeEvents[0].At <= c.now+eps {
+		fired = true
 		ev := c.nodeEvents[0]
 		c.nodeEvents = c.nodeEvents[1:]
 		switch ev.Kind {
@@ -244,6 +248,11 @@ func (c *Cluster) applyNodeEvents() error {
 				continue
 			}
 			c.failNode(n)
+		}
+	}
+	if fired {
+		for _, a := range c.active {
+			_, a.freeFleet = c.fleetSizes(a.Job.InputGB)
 		}
 	}
 	if c.cfg.MigrateOnDrain {

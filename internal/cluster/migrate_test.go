@@ -257,7 +257,7 @@ func TestUnblockNodeOnDepart(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 3
 	c := New(cfg)
-	app := c.AddReadyApp(testJob(t, 10))
+	app := addReady(t, c, testJob(t, 10))
 	n1, n2 := c.Nodes()[1], c.Nodes()[2]
 
 	app.blockNode(n1, permanentBlock)
@@ -292,7 +292,7 @@ func TestBlacklistRetryBudget(t *testing.T) {
 	cfg.Nodes = 1
 	cfg.OOMRetryBudget = 2
 	c := New(cfg)
-	app := c.AddReadyApp(testJob(t, 10))
+	app := addReady(t, c, testJob(t, 10))
 	n := c.Nodes()[0]
 
 	u1 := c.blacklistUntil(app)
@@ -319,7 +319,7 @@ func TestBlacklistRetryBudget(t *testing.T) {
 	}
 
 	legacy := New(func() Config { cfg := DefaultConfig(); cfg.Nodes = 1; return cfg }())
-	lapp := legacy.AddReadyApp(testJob(t, 10))
+	lapp := addReady(t, legacy, testJob(t, 10))
 	if u := legacy.blacklistUntil(lapp); !math.IsInf(u, 1) {
 		t.Errorf("zero budget: entry = %v, want permanent (+Inf)", u)
 	}

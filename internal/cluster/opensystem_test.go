@@ -136,6 +136,38 @@ func TestRunOpenRejectsInvalidTimes(t *testing.T) {
 	}
 }
 
+// TestAddReadyAppRejectsInvalidJobs checks that AddReadyApp applies
+// RunOpen's job checks: a bad job is an error naming the fault, and nothing
+// is registered.
+func TestAddReadyAppRejectsInvalidJobs(t *testing.T) {
+	j1, _ := openJobs(t)
+	withInput := func(gb float64) workload.Job { j := j1; j.InputGB = gb; return j }
+	cases := []struct {
+		name string
+		job  workload.Job
+		want string
+	}{
+		{"no benchmark", workload.Job{InputGB: 30}, "no benchmark"},
+		{"infinite input", withInput(math.Inf(1)), "invalid input"},
+		{"NaN input", withInput(math.NaN()), "invalid input"},
+		{"negative input", withInput(-5), "invalid input"},
+		{"zero input", withInput(0), "invalid input"},
+	}
+	for _, tc := range cases {
+		c := New(DefaultConfig())
+		a, err := c.AddReadyApp(tc.job)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if a != nil || len(c.Apps()) != 0 {
+			t.Errorf("%s: app %v returned, %d registered; want none", tc.name, a, len(c.Apps()))
+		}
+	}
+	if _, err := New(DefaultConfig()).AddReadyApp(j1); err != nil {
+		t.Errorf("valid job: %v", err)
+	}
+}
+
 func TestRunOpenProfilingDelayedToArrival(t *testing.T) {
 	// With a profiling plan, the app's ReadyTime must trail its arrival by
 	// the profiling duration, not start from t=0.

@@ -70,20 +70,20 @@ func TestPreemptChargeback(t *testing.T) {
 	c := New(cfg)
 	n := c.Nodes()[0]
 
-	victim := c.AddReadyApp(testJob(t, 30))
+	victim := addReady(t, c, testJob(t, 30))
 	victim.Class = batchClass
 	e, err := c.Spawn(victim, n, 40, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi := c.AddReadyApp(testJob(t, 10))
+	hi := addReady(t, c, testJob(t, 10))
 	hi.Class = latencyClass
 
 	// Rule checks before the kill.
 	if err := c.Preempt(e, victim); !errors.Is(err, ErrNoPriority) {
 		t.Errorf("self-preemption: err = %v, want ErrNoPriority", err)
 	}
-	peer := c.AddReadyApp(testJob(t, 10))
+	peer := addReady(t, c, testJob(t, 10))
 	peer.Class = batchClass
 	if err := c.Preempt(e, peer); !errors.Is(err, ErrNoPriority) {
 		t.Errorf("equal-weight preemption: err = %v, want ErrNoPriority", err)
@@ -106,7 +106,7 @@ func TestPreemptChargeback(t *testing.T) {
 	}
 
 	// A non-preemptible victim must be refused.
-	prot := c.AddReadyApp(testJob(t, 10))
+	prot := addReady(t, c, testJob(t, 10))
 	prot.Class = workload.Class{Name: "prod", Weight: 2}
 	pe, err := c.Spawn(prot, n, 10, 10)
 	if err != nil {
@@ -129,23 +129,23 @@ func TestPreemptForFreesOneNode(t *testing.T) {
 
 	// Node 0: two batch executors (20 GB + 30 GB). Node 1: one 50 GB batch
 	// executor.
-	b1 := c.AddReadyApp(testJob(t, 30))
+	b1 := addReady(t, c, testJob(t, 30))
 	b1.Class = batchClass
 	if _, err := c.Spawn(b1, n0, 20, 10); err != nil {
 		t.Fatal(err)
 	}
-	b2 := c.AddReadyApp(testJob(t, 30))
+	b2 := addReady(t, c, testJob(t, 30))
 	b2.Class = batchClass
 	if _, err := c.Spawn(b2, n0, 30, 10); err != nil {
 		t.Fatal(err)
 	}
-	b3 := c.AddReadyApp(testJob(t, 30))
+	b3 := addReady(t, c, testJob(t, 30))
 	b3.Class = batchClass
 	if _, err := c.Spawn(b3, n1, 50, 10); err != nil {
 		t.Fatal(err)
 	}
 
-	hi := c.AddReadyApp(testJob(t, 10))
+	hi := addReady(t, c, testJob(t, 10))
 	hi.Class = latencyClass
 
 	// Allocatable per node is 0.92*60 = 55.2 GB; node 0 has 5.2 free, node 1
@@ -190,17 +190,17 @@ func TestPreemptForOpensAppSlot(t *testing.T) {
 	cfg.Nodes = 1
 	c := New(cfg)
 	n := c.Nodes()[0]
-	b1 := c.AddReadyApp(testJob(t, 10))
+	b1 := addReady(t, c, testJob(t, 10))
 	b1.Class = batchClass
 	if _, err := c.Spawn(b1, n, 5, 10); err != nil {
 		t.Fatal(err)
 	}
-	b2 := c.AddReadyApp(testJob(t, 10))
+	b2 := addReady(t, c, testJob(t, 10))
 	b2.Class = batchClass
 	if _, err := c.Spawn(b2, n, 5, 10); err != nil {
 		t.Fatal(err)
 	}
-	hi := c.AddReadyApp(testJob(t, 10))
+	hi := addReady(t, c, testJob(t, 10))
 	hi.Class = latencyClass
 	// Plenty of memory free (45.2 GB) but both app slots taken under a
 	// pairwise-style cap of 2: one kill must open a slot.
@@ -223,7 +223,7 @@ func TestGrowRejectsReservationShrink(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 1
 	c := New(cfg)
-	app := c.AddReadyApp(testJob(t, 20))
+	app := addReady(t, c, testJob(t, 20))
 	e, err := c.Spawn(app, c.Nodes()[0], 30, 10)
 	if err != nil {
 		t.Fatal(err)

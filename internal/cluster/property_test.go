@@ -376,8 +376,8 @@ func buildDiffWorkload(t *testing.T, seed int64) (*Cluster, []Submission, *diffS
 	t.Helper()
 	// The last three seeds run the failure-domain machinery: racked
 	// fleets, correlated rack storms with warning drains, graceful
-	// migration with handoff, OOM retry budgets and capacity-ratcheted
-	// fleet sizing — all under the same exact-agreement harness.
+	// migration with handoff and OOM retry budgets — all under the same
+	// exact-agreement harness.
 	rackStorm := seed >= 25
 	r := rand.New(rand.NewSource(seed))
 	nodeCount := 6 + r.Intn(12)
@@ -420,7 +420,6 @@ func buildDiffWorkload(t *testing.T, seed int64) (*Cluster, []Submission, *diffS
 	if rackStorm {
 		cfg.MigrateOnDrain = true
 		cfg.OOMRetryBudget = 1 + r.Intn(3)
-		cfg.RefreshFleetSizing = true
 	}
 	specs := SpecsFrom(fleet)
 	c, err := NewHetero(cfg, specs)
@@ -457,11 +456,15 @@ func buildDiffWorkload(t *testing.T, seed int64) (*Cluster, []Submission, *diffS
 }
 
 // fleetSizingDiff sizes every in-flight app's input with the indexed walk
-// and with the sort-based reference, returning the first disagreement or "".
+// and with the sort-based reference, and checks the app's stored free-fleet
+// size against the reference's, returning the first disagreement or "".
 func fleetSizingDiff(c *Cluster) string {
 	for _, a := range c.active {
-		if got, ref := c.fleetFor(a.Job.InputGB), c.refFleetFor(a.Job.InputGB); got != ref {
-			return fmt.Sprintf("app %d (%v GB): fleetFor %d, reference %d", a.ID, a.Job.InputGB, got, ref)
+		fleet, free := c.fleetSizes(a.Job.InputGB)
+		refFleet, refFree := c.refFleetSizes(a.Job.InputGB)
+		if fleet != refFleet || free != refFree || a.freeFleet != refFree {
+			return fmt.Sprintf("app %d (%v GB): fleetSizes (%d, %d), stored free fleet %d, reference (%d, %d)",
+				a.ID, a.Job.InputGB, fleet, free, a.freeFleet, refFleet, refFree)
 		}
 	}
 	return ""

@@ -15,7 +15,9 @@ import (
 //     with a single whole-struct write.
 //   - freeFleets holds the App.Executors backing arrays of completed apps,
 //     indexed by capacity. An app's first Spawn takes one whose capacity is
-//     its MaxExecutors (or makes one), so the list never grows per spawn.
+//     the larger of its MaxExecutors and its free-fleet size (or makes one),
+//     so the list grows neither per spawn nor as refreshFleetCaps raises
+//     the cap.
 //
 // The cluster owns every executor. A scheduler or observer may use one only
 // within the call that passed it (Schedule, Observe) and must keep no

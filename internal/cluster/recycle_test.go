@@ -65,7 +65,7 @@ func TestFreedExecutorReadsPoison(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 3
 	ready := func(c *Cluster, class workload.Class) *App {
-		a := c.AddReadyApp(testJob(t, 100))
+		a := addReady(t, c, testJob(t, 100))
 		a.Class = class
 		return a
 	}
@@ -173,7 +173,7 @@ func TestSpawnRecyclesExecutorsAndFleets(t *testing.T) {
 	cfg.Nodes = 3
 	c := New(cfg)
 	n0, n1 := c.Nodes()[0], c.Nodes()[1]
-	a := c.AddReadyApp(testJob(t, 100))
+	a := addReady(t, c, testJob(t, 100))
 	e, err := c.Spawn(a, n0, 10, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestSpawnRecyclesExecutorsAndFleets(t *testing.T) {
 		t.Errorf("first spawn sized the executor list at cap %d, want MaxExecutors %d", cap(a.Executors), a.MaxExecutors)
 	}
 	c.failNode(n0)
-	b := c.AddReadyApp(testJob(t, 50))
+	b := addReady(t, c, testJob(t, 50))
 	got, err := c.Spawn(b, n1, 5, 8)
 	if err != nil {
 		t.Fatal(err)

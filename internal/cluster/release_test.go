@@ -116,12 +116,12 @@ func TestFleetAwareSizing(t *testing.T) {
 	// Little nodes: each contributes 16 GB scaled by 11.04/55.2 allocatable
 	// = 3.2 GB, so 64 GB needs 20 of them (the reference formula would
 	// start 4).
-	if got := mkCluster(little, 24).AddReadyApp(job).MaxExecutors; got != 20 {
+	if got := addReady(t, mkCluster(little, 24), job).MaxExecutors; got != 20 {
 		t.Errorf("sizing on little fleet: %d executors, want 20", got)
 	}
 	// Big nodes: each contributes 16 * 114.08/55.2 ≈ 33 GB, so 2 executors
 	// cover 64 GB (the reference formula would start 4).
-	if got := mkCluster(big, 24).AddReadyApp(job).MaxExecutors; got != 2 {
+	if got := addReady(t, mkCluster(big, 24), job).MaxExecutors; got != 2 {
 		t.Errorf("sizing on big fleet: %d executors, want 2", got)
 	}
 	// Unavailable nodes are not free at admission: with only 10 little
@@ -132,7 +132,7 @@ func TestFleetAwareSizing(t *testing.T) {
 			n.state = NodeDraining
 		}
 	}
-	if got := c.AddReadyApp(job).MaxExecutors; got != 10 {
+	if got := addReady(t, c, job).MaxExecutors; got != 10 {
 		t.Errorf("sizing with 10 free nodes: %d executors, want 10", got)
 	}
 
@@ -162,7 +162,7 @@ func TestFleetAwareSizing(t *testing.T) {
 	// little ones (42.67 GB) cover 40 GB, so 4 executors. Summing in scan
 	// order would take 13 little nodes.
 	job40 := workload.Job{Bench: b, InputGB: 40}
-	if got := mkFleet(cfg, repeat(little, 20), repeat(big, 1)).AddReadyApp(job40).MaxExecutors; got != 4 {
+	if got := addReady(t, mkFleet(cfg, repeat(little, 20), repeat(big, 1)), job40).MaxExecutors; got != 4 {
 		t.Errorf("little nodes before a big one: %d executors, want 4", got)
 	}
 
@@ -175,7 +175,7 @@ func TestFleetAwareSizing(t *testing.T) {
 	if err := c.applyNodeEvents(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.AddReadyApp(job).MaxExecutors; got != 11 {
+	if got := addReady(t, c, job).MaxExecutors; got != 11 {
 		t.Errorf("big node joined a little fleet: %d executors, want 11", got)
 	}
 
@@ -192,7 +192,7 @@ func TestFleetAwareSizing(t *testing.T) {
 			t.Fatalf("node %d: %v GB free after reserving, want at most %v", n.ID, n.FreeGB(), MinChunkGB)
 		}
 	}
-	if got := c.AddReadyApp(job).MaxExecutors; got != 11 {
+	if got := addReady(t, c, job).MaxExecutors; got != 11 {
 		t.Errorf("two big nodes reserved down: %d executors, want 11", got)
 	}
 
@@ -216,7 +216,7 @@ func TestFleetAwareSizing(t *testing.T) {
 	if want := []int{1, 2, 4, 5, 6, 0, 3}; !slices.Equal(order, want) {
 		t.Errorf("spread order %v, want %v", order, want)
 	}
-	if got := c.AddReadyApp(workload.Job{Bench: b, InputGB: 20}).MaxExecutors; got != 3 {
+	if got := addReady(t, c, workload.Job{Bench: b, InputGB: 20}).MaxExecutors; got != 3 {
 		t.Errorf("equal shares: %d executors, want 3", got)
 	}
 
@@ -224,7 +224,7 @@ func TestFleetAwareSizing(t *testing.T) {
 	// 64 GB needs 20 little nodes, the cap allows 5.
 	capped := DefaultConfig()
 	capped.MaxExecutorNodes = 5
-	if got := mkFleet(capped, repeat(little, 24)).AddReadyApp(job).MaxExecutors; got != 5 {
+	if got := addReady(t, mkFleet(capped, repeat(little, 24)), job).MaxExecutors; got != 5 {
 		t.Errorf("capped at 5 nodes: %d executors, want 5", got)
 	}
 
@@ -237,7 +237,7 @@ func TestFleetAwareSizing(t *testing.T) {
 	for _, n := range c.Nodes()[1:] {
 		n.state = NodeDraining
 	}
-	if got := c.AddReadyApp(job).MaxExecutors; got != 4 {
+	if got := addReady(t, c, job).MaxExecutors; got != 4 {
 		t.Errorf("no eligible node: %d executors, want 4", got)
 	}
 }

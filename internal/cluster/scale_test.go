@@ -129,3 +129,34 @@ func TestFleetScaleMillionArrivals(t *testing.T) {
 		t.Fatalf("%d OOM kills on whole-node reservations", res.OOMKills)
 	}
 }
+
+// TestScaleStreamStable holds the stream of BenchmarkOpenSystemEngine10000
+// and 100000 to stability under the default config, so that their wall-time
+// ratio (at most 12x) measures the engine, not a backlog that grows with
+// the stream. The Little's-law mean in-flight count, total sojourn over the
+// makespan, must stay at most 25, and the run must end within 10,000 s of
+// its last arrival. Apps admitted into the saturated fleet that keep their
+// small fleet caps for life tip this stream past both.
+func TestScaleStreamStable(t *testing.T) {
+	sizes := []int{10_000}
+	if !testing.Short() {
+		sizes = append(sizes, 100_000)
+	}
+	for _, apps := range sizes {
+		specs, subs, storm := scaleStream(t, apps)
+		res := runScaleStream(t, specs, subs, storm)
+		var sojourn float64
+		for _, a := range res.Apps {
+			sojourn += a.DoneTime - a.SubmitTime
+		}
+		inFlight := sojourn / res.MakespanSec
+		tail := res.MakespanSec - subs[len(subs)-1].At
+		t.Logf("%d apps: %.1f in flight, makespan %.0f s after the last arrival", apps, inFlight, tail)
+		if inFlight > 25 {
+			t.Errorf("%d apps: mean in-flight count %.1f, want at most 25", apps, inFlight)
+		}
+		if tail > 10_000 {
+			t.Errorf("%d apps: makespan ends %.0f s after the last arrival, want at most 10000", apps, tail)
+		}
+	}
+}

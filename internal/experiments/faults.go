@@ -145,11 +145,6 @@ func Faults(ctx Context) (FaultsResult, error) {
 	moe := moeScheme(moeModel)
 	set := schemeSet{moe, moe.variant("MoE-spread", sched.NewRackSpread())}
 	modes := faultsModes()
-	// Fleet caps ratchet with freed capacity in every mode: a storm-window
-	// admission otherwise keeps a one-executor cap for life, and that
-	// straggler — not fault handling — would dominate the sojourn tail.
-	cfg := ctx.Cfg
-	cfg.RefreshFleetSizing = true
 	streams := max(ctx.MixesPerScenario/8, 1)
 	// Cell ni*len(modes)+mi runs scheme ni in mode mi.
 	cells, err := runGrid(ctx, grid{
@@ -172,7 +167,7 @@ func Faults(ctx Context) (FaultsResult, error) {
 		},
 	}, func(_, c int, e env, seed int64) (FaultsModeResult, error) {
 		s, mode := set[c/len(modes)], modes[c%len(modes)]
-		e.cfg = mode.apply(cfg)
+		e.cfg = mode.apply(ctx.Cfg)
 		_, res, err := e.replay(s.salted(seed))
 		if err != nil {
 			return FaultsModeResult{}, fmt.Errorf("experiments: faults %s/%s: %w", s.name, mode.name, err)

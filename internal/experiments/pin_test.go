@@ -18,11 +18,11 @@ func TestOpenStreamStudiesPinned(t *testing.T) {
 		want uint64
 		run  func(Context) (any, error)
 	}{
-		{"opensys", 0x6ee29c9f09fd3e49, func(c Context) (any, error) { return OpenSystem(c) }},
-		{"hetero", 0xa7dc58726e435d1d, func(c Context) (any, error) { return Hetero(c) }},
-		{"tenants", 0x8ce66126eec19220, func(c Context) (any, error) { return Tenants(c) }},
+		{"opensys", 0xf29be92bfbde753, func(c Context) (any, error) { return OpenSystem(c) }},
+		{"hetero", 0x51c742fc1a38e8ab, func(c Context) (any, error) { return Hetero(c) }},
+		{"tenants", 0x20f7133bbd6b3888, func(c Context) (any, error) { return Tenants(c) }},
 		{"drift", 0x46e573930a50d3c7, func(c Context) (any, error) { return Drift(c) }},
-		{"faults", 0xded33b62697d5a7c, func(c Context) (any, error) { return Faults(c) }},
+		{"faults", 0xd604d03219e87a80, func(c Context) (any, error) { return Faults(c) }},
 	}
 	for _, s := range studies {
 		r, err := s.run(ctx)

@@ -20,13 +20,13 @@ func benchCluster(b *testing.B) *cluster.Cluster {
 	c := cluster.New(cfg)
 	bench := workload.Catalog()[0]
 	for _, n := range c.Nodes() {
-		filler := c.AddReadyApp(workload.Job{Bench: bench, InputGB: cfg.ExecutorSpreadGB})
+		filler := addReady(b, c, workload.Job{Bench: bench, InputGB: cfg.ExecutorSpreadGB})
 		if _, err := c.Spawn(filler, n, n.AllocatableGB(), filler.Job.InputGB); err != nil {
 			b.Fatalf("filling node %d: %v", n.ID, err)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		c.AddReadyApp(workload.Job{Bench: workload.Catalog()[i%len(workload.Catalog())], InputGB: 30})
+		addReady(b, c, workload.Job{Bench: workload.Catalog()[i%len(workload.Catalog())], InputGB: 30})
 	}
 	return c
 }
@@ -79,7 +79,7 @@ func benchmarkAdmission(b *testing.B, apps int) {
 		c := cluster.New(cfg)
 		admitted := make([]*cluster.App, apps)
 		for j, job := range jobs {
-			admitted[j] = c.AddReadyApp(job)
+			admitted[j] = addReady(b, c, job)
 		}
 		d := NewMoE(model, rand.New(rand.NewSource(7)))
 		b.StartTimer()
@@ -173,7 +173,7 @@ func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	d := NewPriority(NewMoE(model, rand.New(rand.NewSource(7))), true)
 	cat := workload.Catalog()
 	for range 400 {
-		app := c.AddReadyApp(workload.Job{Bench: cat[r.Intn(len(cat))], InputGB: 5 + r.Float64()*600})
+		app := addReady(b, c, workload.Job{Bench: cat[r.Intn(len(cat))], InputGB: 5 + r.Float64()*600})
 		d.Prepare(c, app)
 	}
 	for range 3 {

@@ -227,7 +227,7 @@ func TestGrowthPassSkipsAppsWithoutShrunkenExecutors(t *testing.T) {
 	// pass can touch the executors.
 	start := func(n *cluster.Node, reserveGB, itemsGB float64) *cluster.Executor {
 		t.Helper()
-		app := c.AddReadyApp(workload.Job{Bench: b, InputGB: 40})
+		app := addReady(t, c, workload.Job{Bench: b, InputGB: 40})
 		app.MaxExecutors = 1
 		est.Prepare(app)
 		e, err := c.Spawn(app, n, reserveGB, itemsGB)
@@ -271,7 +271,7 @@ func TestAdmitsRejectsAtEachBoundary(t *testing.T) {
 	idle, busy, tight, roomy := c.Nodes()[0], c.Nodes()[1], c.Nodes()[2], c.Nodes()[3]
 	spawn := func(n *cluster.Node, reserveGB float64) {
 		t.Helper()
-		app := c.AddReadyApp(workload.Job{Bench: testBench(t), InputGB: 10})
+		app := addReady(t, c, workload.Job{Bench: testBench(t), InputGB: 10})
 		if _, err := c.Spawn(app, n, reserveGB, 10); err != nil {
 			t.Fatal(err)
 		}

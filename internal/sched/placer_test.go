@@ -27,6 +27,17 @@ func placerJob(t *testing.T, gb float64) workload.Job {
 	return workload.Job{Bench: b, InputGB: gb}
 }
 
+// addReady registers job as a ready app and fails the test if the cluster
+// rejects it.
+func addReady(tb testing.TB, c *cluster.Cluster, job workload.Job) *cluster.App {
+	tb.Helper()
+	a, err := c.AddReadyApp(job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 // TestBestFitPrefersTightestNode gives one candidate less free memory: the
 // best-fit placer must pick it first, while first fit (a nil placer) takes
 // scan order.
@@ -39,7 +50,7 @@ func TestBestFitPrefersTightestNode(t *testing.T) {
 		c := heteroCluster(t, []cluster.NodeSpec{big, big, small})
 		d := NewOracle()
 		d.Placer = p
-		app := c.AddReadyApp(placerJob(t, 8)) // single-executor app
+		app := addReady(t, c, placerJob(t, 8)) // single-executor app
 		d.Schedule(c)
 		if len(app.Executors) != 1 {
 			t.Fatalf("placed %d executors, want 1", len(app.Executors))
@@ -65,7 +76,7 @@ func TestSpeedAwarePrefersFastIdleNode(t *testing.T) {
 	c := heteroCluster(t, []cluster.NodeSpec{slow, slow, fast})
 	d := NewOracle()
 	d.Placer = NewSpeedAware()
-	app := c.AddReadyApp(placerJob(t, 8))
+	app := addReady(t, c, placerJob(t, 8))
 	d.Schedule(c)
 	if len(app.Executors) != 1 {
 		t.Fatalf("placed %d executors, want 1", len(app.Executors))

@@ -38,12 +38,12 @@ func TestClassAwareScoreComposes(t *testing.T) {
 	c := cluster.New(cfg)
 	n0, n1 := c.Nodes()[0], c.Nodes()[1]
 
-	hi := c.AddReadyApp(workload.Job{Bench: testBench(t), InputGB: 10})
+	hi := addReady(t, c, workload.Job{Bench: testBench(t), InputGB: 10})
 	hi.Class = testLatencyClass
 	if _, err := c.Spawn(hi, n0, 10, 10); err != nil {
 		t.Fatal(err)
 	}
-	batch := c.AddReadyApp(workload.Job{Bench: testBench(t), InputGB: 10})
+	batch := addReady(t, c, workload.Job{Bench: testBench(t), InputGB: 10})
 	batch.Class = testBatchClass
 
 	inner := NewBestFitMemory()

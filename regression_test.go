@@ -120,12 +120,12 @@ func TestClosedBatchEquivalence(t *testing.T) {
 
 // openGolden holds per-run reference values for the open-system engine on a
 // homogeneous default fleet with no node events; the engine must reproduce
-// them bit-for-bit. Re-captured with the settle-engine + default-flip sweep:
-// fleet sizing now reads free-node capacity at admission, so apps admitted
-// into a busy fleet get smaller executor fleets than the reference formula
-// gave — under the Pairwise scheme that stretches the loaded tail
-// substantially (the old makespan was 1832.87; stragglers admitted at peak
-// now crawl on 1-2 executors).
+// them bit-for-bit. Last re-captured when executor-fleet caps started to
+// grow with freed capacity, up to the fleet an idle cluster would give:
+// fleet sizing reads the nodes free at admission, and an app admitted into
+// the busy fleet used to keep its one- or two-executor cap for life. Under
+// the Pairwise scheme such a straggler set the makespan (4781.2 s, now
+// 1838.9 s); under Oracle the makespan moved from 1704.3 s to 1703.4 s.
 type openGolden struct {
 	makespan              float64
 	oom                   int
@@ -135,14 +135,14 @@ type openGolden struct {
 
 var openSystemGoldens = map[string]openGolden{
 	"oracle-poisson80-seed11": {
-		makespan: 1704.343083, oom: 0,
-		meanWait: 0.06507541559, p95: 502.4435227, thrput: 63.48669284,
-		done: []float64{15.81457191, 546.6221167, 379.3690094, 272.8867105, 518.8516782, 358.4781837, 745.3880652, 383.4156746, 536.2330575, 432.6740017, 707.8188842, 459.0676997, 554.7941554, 754.6050476, 1158.096507, 1138.055366, 1183.44261, 720.7582688, 785.1834539, 976.5814021, 1286.25237, 1156.46113, 1013.480973, 1431.368026, 1216.022009, 1103.452552, 1209.237348, 1479.839544, 1704.343083, 1641.418192},
+		makespan: 1703.443744, oom: 0,
+		meanWait: 0.4201775961, p95: 495.1387575, thrput: 63.52027394,
+		done: []float64{15.81457191, 546.6221167, 379.3690094, 272.8867105, 518.8516782, 358.4781837, 735.1718726, 383.4156746, 536.2330575, 432.6740017, 707.8188842, 459.0676997, 554.8949554, 754.593245, 1161.799484, 1064.847387, 1088.227908, 720.7582688, 785.1834539, 976.5814021, 1275.838593, 1155.070495, 1012.719834, 1273.860112, 1214.998077, 1103.452552, 1209.296148, 1480.466828, 1703.443744, 1640.546071},
 	},
 	"pairwise-poisson80-seed11": {
-		makespan: 4781.222602, oom: 0,
-		meanWait: 12.81084063, p95: 1469.266696, thrput: 22.60348906,
-		done: []float64{15.81457191, 556.9167151, 374.179373, 268.6884133, 477.7373781, 356.5300886, 795.9615865, 383.3575207, 533.0797814, 432.5228017, 909.4217891, 458.9164997, 554.9525554, 749.1853766, 4781.222602, 1163.120379, 1082.350677, 808.6727865, 809.0653865, 972.0814021, 1244.77291, 1148.142625, 1011.071205, 1344.068387, 1228.194288, 1160.853825, 1209.417348, 1479.200005, 1723.388122, 3529.465798},
+		makespan: 1838.89952, oom: 0,
+		meanWait: 117.4822003, p95: 612.9899822, thrput: 58.83313201,
+		done: []float64{15.81457191, 557.2141162, 374.179373, 268.6884133, 477.7373781, 356.5300886, 740.4622466, 384.57845, 596.6019118, 568.2897162, 802.4448826, 571.3653162, 569.2827562, 758.1264413, 1354.782063, 1227.906126, 1092.990337, 1105.771876, 1106.170337, 1372.86158, 1551.063733, 1391.197572, 1241.086126, 1473.828859, 1501.782996, 1367.46834, 1367.989063, 1620.742725, 1838.89952, 1823.324159},
 	},
 }
 
@@ -203,11 +203,12 @@ func TestOpenSystemEquivalence(t *testing.T) {
 // tenantsGolden pins a multi-tenant run: a classed Poisson stream under the
 // priority-wrapped Oracle scheme with preemption enabled. Admission order,
 // preemption decisions and charge-back must stay bit-for-bit reproducible.
-// Re-captured with the settle-engine + default-flip sweep: at 200 jobs/hour
-// the fleet is saturated for most of the run, so fleet-aware sizing hands
-// late batch arrivals very small fleets — the batch tail stretches from
-// ~1554 s to ~22356 s and one fewer preemption fires (7, was 8). Latency-class
-// behaviour is nearly unchanged (latWait stays exactly 0).
+// Last re-captured when executor-fleet caps started to grow with freed
+// capacity: at 200 jobs/hour the fleet is saturated for most of the run, so
+// late batch arrivals are admitted with very small fleets, and one of them
+// used to keep its cap for life and stretch the batch tail to 22,355.5 s.
+// Now the makespan is 1,580.7 s and one more preemption fires (8, was 7).
+// Latency-class behaviour is nearly unchanged (latWait stays exactly 0).
 var tenantsGolden = struct {
 	makespan          float64
 	preemptKills, oom int
@@ -216,10 +217,10 @@ var tenantsGolden = struct {
 	classes           string // per-app class sequence, L = latency, b = batch
 	done              []float64
 }{
-	makespan: 22355.54237, preemptKills: 7, oom: 0,
-	latP99: 452.3734037, batchP99: 16724.25914, latWait: 0,
+	makespan: 1580.725398, preemptKills: 8, oom: 0,
+	latP99: 442.5051617, batchP99: 1184.864167, latWait: 0,
 	classes: "bbbbbbLbbbLbbbLbbbbLbbbbLbbbLLbbbLLbbbbL",
-	done:    []float64{326.9548549, 245.8397026, 100.8435453, 300.9121256, 363.3193996, 354.6640252, 456.5172793, 199.8301064, 345.308344, 707.7958393, 517.7309101, 971.6799148, 463.0377199, 592.2053596, 592.0644949, 357.3863326, 1422.344622, 1624.312893, 3424.270083, 824.1569136, 469.9354793, 599.4823334, 857.1407662, 4985.479116, 511.2523722, 2248.599187, 528.0992815, 1043.352524, 873.6455051, 940.6348853, 22355.54237, 717.7130157, 1687.964923, 738.5443131, 750.179194, 1111.4534, 1074.346133, 867.3116462, 1359.550891, 1335.135678},
+	done:    []float64{326.9548549, 245.8397026, 100.8435453, 300.9121256, 363.3193996, 354.6640252, 459.6863443, 199.8301064, 345.308344, 683.9382174, 517.7309101, 970.4539464, 463.0377199, 592.2053596, 592.0644949, 357.3863326, 1215.550964, 1087.511315, 1580.725398, 837.1418693, 473.1501443, 637.5221176, 1074.3333, 1571.753898, 511.2523722, 1101.137648, 528.0992815, 1070.590657, 905.5700987, 792.63881, 1423.919419, 693.9017703, 1328.183015, 738.5443131, 750.179194, 1135.184836, 1011.230672, 915.7464987, 1214.249084, 1159.119587},
 }
 
 // TestTenantsMixGolden locks the classed open-system path (weighted
