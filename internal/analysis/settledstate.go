@@ -33,10 +33,12 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
-		// The stored totals are written by recount alone.
+		// The stored totals are written by recount alone, the shrunken
+		// count by countShrunk alone.
 		"reservedGB": true,
 		"actualGB":   true,
 		"cpuDemand":  true,
+		"shrunk":     true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -84,7 +86,7 @@ var settleTouchPoints = map[string]bool{
 	"migrateExecutor": true,
 	"handoffExecutor": true,
 	// node.go and app.go: the one writer each of the stored node totals and
-	// the shrunken-executor count. Spawn, Grow and removeExecutor call them
+	// the shrunken-executor counts. Spawn, Grow and removeExecutor call them
 	// but stay off this list, which would let them write every settled
 	// field.
 	"recount":     true,

@@ -225,15 +225,17 @@ func (a *App) ExecutorOn(n *Node) bool {
 
 // ShrunkenExecutors returns how many of the app's executors hold fewer items
 // than their fair share (ItemsGB < FairShareGB): the only ones a scheduler
-// can grow. Spawn, Grow, removeExecutor and app completion keep the count;
-// writing ItemsGB, FairShareGB or Executors directly leaves it stale.
+// can grow. Spawn, Grow, removeExecutor, migration and app completion keep
+// the count, and the same count per node; writing ItemsGB, FairShareGB or
+// Executors directly leaves both stale.
 func (a *App) ShrunkenExecutors() int { return a.shrunk }
 
-// countShrunk adds delta to the app's shrunken-executor count when e holds
-// fewer items than its fair share.
-func (a *App) countShrunk(e *Executor, delta int) {
+// countShrunk adds delta to the shrunken-executor counts of e's app and of
+// e's node when e holds fewer items than its fair share.
+func (e *Executor) countShrunk(delta int) {
 	if e.ItemsGB < e.FairShareGB {
-		a.shrunk += delta
+		e.App.shrunk += delta
+		e.Node.shrunk += delta
 	}
 }
 

@@ -71,6 +71,10 @@ const (
 	// MinChunkGB is the smallest data allocation worth spawning an executor
 	// for.
 	MinChunkGB = 0.05
+	// GrowMinFreeGB is the unreserved memory a node must have beyond which
+	// the dispatcher widens a shrunken executor on it; the growable node set
+	// (see nodeindex.go) is drawn at the same threshold.
+	GrowMinFreeGB = 0.5
 	// oomReprocessFrac is the fraction of a killed executor's allocation
 	// that must be reprocessed (lost partial work).
 	oomReprocessFrac = 1.0

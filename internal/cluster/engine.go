@@ -99,6 +99,13 @@ type Cluster struct {
 	// indices in nodes, so the set is walked in node order without sorting.
 	dirty []uint64
 	wakes wakeHeap
+	// stale, open and growable are the node index placement reads (see
+	// nodeindex.go), bitsets laid out like dirty; growApps is scratch for
+	// AppendGrowable.
+	stale    []uint64
+	open     []uint64
+	growable []uint64
+	growApps []*App
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -181,6 +188,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		c.nodes[i] = newNode(i, s, 0)
+		c.markStale(c.nodes[i])
 	}
 	c.bySpread = make([]spreadEntry, len(c.nodes))
 	for i, n := range c.nodes {
@@ -495,7 +503,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		app.Executors = c.takeFleet(max(app.MaxExecutors, app.freeFleet))
 	}
 	app.Executors = append(app.Executors, e)
-	app.countShrunk(e, 1)
+	e.countShrunk(1)
 	c.markDirty(node)
 	if app.State == StateReady {
 		app.State = StateRunning
@@ -558,13 +566,13 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	if newItemsGB > e.App.RemainingGB {
 		newItemsGB = e.App.RemainingGB
 	}
-	e.App.countShrunk(e, -1)
+	e.countShrunk(-1)
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
 	e.cacheEff = cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = resident(e.NeedGB, e.ReservedGB)
-	e.App.countShrunk(e, 1)
+	e.countShrunk(1)
 	e.Node.recount()
 	c.markDirty(e.Node)
 	return nil
@@ -589,7 +597,7 @@ func (c *Cluster) removeExecutor(e *Executor) {
 	c.unplace(e)
 	a := e.App
 	a.Executors = detach(a.Executors, e)
-	a.countShrunk(e, -1)
+	e.countShrunk(-1)
 	c.release(e)
 }
 
@@ -1286,7 +1294,7 @@ func (c *Cluster) completeApp(a *App) {
 		// executors one by one would take, and hand the emptied list back.
 		for _, e := range a.Executors {
 			c.unplace(e)
-			a.countShrunk(e, -1)
+			e.countShrunk(-1)
 			c.release(e)
 		}
 		c.releaseFleet(a)

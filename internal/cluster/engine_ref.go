@@ -2,13 +2,15 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 )
 
 // This file holds full-scan reference implementations of event selection, rate
 // recomputation, the profiling share, the waiting set, fleet sizing, the
-// completion check, the stored completion deadlines and the stored node
-// totals. They are not called by the engine — the indexed paths in engine.go
+// completion check, the stored completion deadlines, the stored node
+// totals and the node index's open and growable sets. They are not called by the engine — the indexed paths in engine.go
 // replaced them — but they are the ground truth the index must reproduce
 // exactly: the differential property test (property_test.go) installs
 // Cluster.checkEvent and replays these scans against the indexed engine's
@@ -313,6 +315,38 @@ func (c *Cluster) refCheckDeadlines(share float64) string {
 	return ""
 }
 
+// refOpenNodes is the full-scan open set: every available node with more
+// than MinChunkGB unreserved, in node order.
+func (c *Cluster) refOpenNodes() iter.Seq[*Node] {
+	var open []*Node
+	for _, n := range c.nodes {
+		if n.Available() && n.FreeGB() > MinChunkGB {
+			open = append(open, n)
+		}
+	}
+	return slices.Values(open)
+}
+
+// refGrowable is the full-scan growable list, the walk the dispatcher's grow
+// pass made before the node index: every running app in submission order,
+// its executors in App.Executors order, keeping each shrunken executor whose
+// node has more than GrowMinFreeGB unreserved.
+//
+//moevet:refpair AppendGrowable
+func (c *Cluster) refGrowable(buf []*Executor) []*Executor {
+	for _, a := range c.apps {
+		if a.State != StateRunning {
+			continue
+		}
+		for _, e := range a.Executors {
+			if e.ItemsGB < e.FairShareGB && e.Node.FreeGB() > GrowMinFreeGB {
+				buf = append(buf, e)
+			}
+		}
+	}
+	return buf
+}
+
 // refNodeSums sums a node's reserved memory, actual memory and CPU demand on
 // demand, one walk per total, executors first and then foreign tasks. It is
 // the reference for recount, which stores the same sums on the node instead
@@ -357,10 +391,10 @@ func (n *Node) refAppCount() int {
 }
 
 // refCheckNodeSums recounts every node's totals with refNodeSums and
-// refAppCount and compares them with what the node stores. It returns a
-// description of the first divergence, or "" when every stored total is
-// bit-identical to the recount. Every touch point recounts its node at
-// once, so the check holds at any instant.
+// refAppCount, and its shrunken executors, and compares them with what the
+// node stores. It returns a description of the first divergence, or "" when
+// every stored total is bit-identical to the recount. Every touch point
+// recounts its node at once, so the check holds at any instant.
 //
 //moevet:allow refpair pure cross-checker comparing stored node totals to a fresh recount; no live twin by design
 func (c *Cluster) refCheckNodeSums() string {
@@ -372,6 +406,15 @@ func (c *Cluster) refCheckNodeSums() string {
 		}
 		if apps := n.refAppCount(); apps != len(n.Executors) {
 			return fmt.Sprintf("node %d hosts %d executors of %d distinct apps", n.ID, len(n.Executors), apps)
+		}
+		shrunk := 0
+		for _, e := range n.Executors {
+			if e.ItemsGB < e.FairShareGB {
+				shrunk++
+			}
+		}
+		if n.shrunk != shrunk {
+			return fmt.Sprintf("node %d stored %d shrunken executors, recount %d", n.ID, n.shrunk, shrunk)
 		}
 	}
 	return ""

@@ -110,14 +110,13 @@ func (h *wakeHeap) siftDown(i int) {
 // removeExecutor, which covers OOM kills, node-failure kills, preemption and
 // drain handoff), reservation and allocation changes (Grow), foreign-task
 // arrival and completion, node lifecycle events, and startup-expiry
-// wake-ups. Idempotent per pass. The set grows by a word when a joining
-// node's ID opens one.
+// wake-ups. Idempotent per pass. Every such mutation can also move the node
+// in or out of the placement index, so the node is marked stale there too
+// (see nodeindex.go).
 func (c *Cluster) markDirty(n *Node) {
-	w := n.ID >> 6
-	for w >= len(c.dirty) {
-		c.dirty = append(c.dirty, 0)
-	}
-	c.dirty[w] |= 1 << (n.ID & 63)
+	w, bit := c.nodeBit(n)
+	c.dirty[w] |= bit
+	c.stale[w] |= bit
 }
 
 // wakeExpiredNodes pops every due wake-up off the heap and re-dirties its

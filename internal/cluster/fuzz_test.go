@@ -7,15 +7,18 @@ import (
 	"moespark/internal/workload"
 )
 
-// FuzzCompletionHeapMatchesScan fuzzes the completion-deadline heap against
-// the full-scan reference in engine_ref.go. Each input seeds a short random
-// workload (optionally with foreign co-runners and trace sampling); the
-// Cluster.checkEvent hook then fires on every engine event — rates fresh,
-// advance about to run — where the heap-top event pick must equal the
-// full-scan minimum float-for-float, and every stored rate, completion
-// deadline and node total must equal a fresh recompute. This is the differential property
-// test of property_test.go reshaped so the fuzzer, rather than a fixed seed
-// loop, explores the workload space.
+// FuzzCompletionHeapMatchesScan fuzzes the indexed engine against the
+// full-scan references in engine_ref.go. Each input seeds a short random
+// closed batch (optionally with foreign co-runners, a mid-run memory hog,
+// trace sampling, a rack storm and drain migration) under the differential
+// scheduler of property_test.go, and the checker the property test installs
+// (installDiffHook) fires on every engine event — rates fresh, advance about
+// to run: the heap-top event pick must equal the full-scan minimum
+// float-for-float, every stored rate, completion deadline, node total, the
+// open node set and the growable list must equal a fresh recompute, and the
+// shadow integrator bounds the settled progress. This is the differential
+// property test reshaped so the fuzzer, rather than a fixed seed loop,
+// explores the workload space.
 func FuzzCompletionHeapMatchesScan(f *testing.F) {
 	f.Add(int64(1), false, false, false, false)
 	f.Add(int64(42), true, false, false, false)
@@ -72,31 +75,12 @@ func FuzzCompletionHeapMatchesScan(f *testing.F) {
 				}
 			}
 		}
-		events := 0
-		c.checkEvent = func(share, dt float64, ok bool) {
-			events++
-			if ref := c.refProfilingShare(); share != ref {
-				t.Fatalf("event %d: profiling share %v, reference %v", events, share, ref)
-			}
-			refDt, refOK := c.refNextEventDt(share)
-			if ok != refOK || (ok && dt != refDt) {
-				t.Fatalf("event %d: next event dt (%v,%v), reference (%v,%v)", events, dt, ok, refDt, refOK)
-			}
-			if diff := c.refCheckRates(); diff != "" {
-				t.Fatalf("event %d: %s", events, diff)
-			}
-			if diff := c.refCheckDeadlines(share); diff != "" {
-				t.Fatalf("event %d: %s", events, diff)
-			}
-			if diff := c.refCheckNodeSums(); diff != "" {
-				t.Fatalf("event %d: %s", events, diff)
-			}
-		}
-		res, err := c.Run(jobs, greedyScheduler{})
+		stats := installDiffHook(t, c, "fuzz:", 1)
+		res, err := c.Run(jobs, &diffScheduler{hog: foreign})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		if events == 0 {
+		if stats.events == 0 {
 			t.Fatal("differential hook never fired")
 		}
 		for _, a := range res.Apps {

@@ -239,6 +239,9 @@ func (c *Cluster) applyNodeEvents() error {
 			}
 			n.state = NodeDraining
 			n.StateTime = c.now
+			// The node leaves the open set; nothing else about it changed,
+			// so no rate needs recomputing.
+			c.markStale(n)
 		case NodeFail:
 			n, err := c.nodeByID(ev.Node, ev.Kind)
 			if err != nil {
@@ -298,6 +301,8 @@ func (c *Cluster) completeDrains() {
 			w++
 			continue
 		}
+		// No stale mark: the drain already took the node out of the open
+		// set, and an empty node has nothing to grow.
 		n.state = NodeRemoved
 		n.StateTime = c.now
 		c.unblockNode(n.ID)

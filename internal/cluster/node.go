@@ -69,6 +69,9 @@ type Node struct {
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
+	// shrunk counts the node's executors that hold fewer items than their
+	// fair share (see App.ShrunkenExecutors); the growable node set reads it.
+	shrunk int
 
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,11 +178,11 @@ func TestMakespanMonotoneInWorkProperty(t *testing.T) {
 
 // diffScheduler drives the differential engine test through every hot path:
 // profiling plans for larger jobs, greedy bounded-reservation placement,
-// deliberate under-reservation (heap pressure), a mid-run oversized foreign
-// "hog" that overflows a busy node past RAM+swap (admission charged the
-// executors before the hog existed, so the OOM-kill and blacklist paths
-// fire) and — for classed runs — preemption on behalf of starved
-// high-weight arrivals.
+// deliberate under-reservation (heap pressure), executors spawned below
+// their fair share and grown towards it, a mid-run oversized foreign "hog"
+// that overflows a busy node past RAM+swap (admission charged the executors
+// before the hog existed, so the OOM-kill and blacklist paths fire) and —
+// for classed runs — preemption on behalf of starved high-weight arrivals.
 type diffScheduler struct {
 	preempt  bool
 	hog      bool
@@ -209,6 +210,12 @@ func (s *diffScheduler) Schedule(c *Cluster) {
 			}
 		}
 	}
+	s.place(c)
+	s.grow(c)
+}
+
+// place is the greedy placement pass.
+func (s *diffScheduler) place(c *Cluster) {
 	s.waitBuf = c.AppendWaitingApps(s.waitBuf[:0])
 	if len(s.waitBuf) == 0 {
 		return
@@ -254,7 +261,29 @@ func (s *diffScheduler) Schedule(c *Cluster) {
 				// together with oversized foreign working sets — OOM kills.
 				reserve = free / 6
 			}
-			_, _ = c.Spawn(app, n, reserve, share)
+			items := share
+			if app.ID%4 == 1 && share/4 >= MinChunkGB {
+				// Every fourth app takes a quarter of its share: shrunken
+				// executors for grow and for the growable node set.
+				items = share / 4
+			}
+			_, _ = c.Spawn(app, n, reserve, items)
+		}
+	}
+}
+
+// grow widens each shrunken executor's items by half, up to its fair share,
+// when its node has more than GrowMinFreeGB free, and reserves a quarter of
+// that free memory on top, so an executor stays shrunken for a few events
+// and may outlast its node's free memory. It walks every running app's
+// executors, so which executors grow does not depend on the node index the
+// checker compares.
+func (s *diffScheduler) grow(c *Cluster) {
+	for _, app := range c.ActiveApps() {
+		for _, e := range app.Executors {
+			if free := e.Node.FreeGB(); e.ItemsGB < e.FairShareGB && free > GrowMinFreeGB {
+				_ = c.Grow(e, e.ReservedGB+free/4, min(e.FairShareGB, 1.5*e.ItemsGB))
+			}
 		}
 	}
 }
@@ -470,78 +499,144 @@ func fleetSizingDiff(c *Cluster) string {
 	return ""
 }
 
-// installDiffHook wires the full exact-agreement hook — scan-based reference
-// replays plus the shadow integrator — onto the cluster and returns the
-// fired-event counter.
-func installDiffHook(t *testing.T, c *Cluster, label string) *int {
+// indexDiff compares the node index with its full-scan twins: the open set
+// and the growable list must equal refOpenNodes and refGrowable element for
+// element. Each query brings the index up to date first, exactly as a
+// scheduler's would, so a touch point that forgets its stale mark shows up
+// here on the first event the node's membership should have changed.
+func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
+	got, ref := slices.Collect(c.OpenNodes()), slices.Collect(c.refOpenNodes())
+	if !slices.Equal(got, ref) {
+		return fmt.Sprintf("open nodes %v, reference %v", nodeIDs(got), nodeIDs(ref))
+	}
+	if !growable {
+		return ""
+	}
+	gotE, refE := c.AppendGrowable(nil), c.refGrowable(nil)
+	if !slices.Equal(gotE, refE) {
+		return fmt.Sprintf("growable executors %v, reference %v", execIDs(gotE), execIDs(refE))
+	}
+	if len(gotE) > 0 {
+		stats.growable++
+	}
+	return ""
+}
+
+func nodeIDs(nodes []*Node) []int {
+	ids := make([]int, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
+}
+
+// execIDs names each executor by its app and node.
+func execIDs(execs []*Executor) []string {
+	ids := make([]string, len(execs))
+	for i, e := range execs {
+		ids[i] = fmt.Sprintf("app %d@node %d", e.App.ID, e.Node.ID)
+	}
+	return ids
+}
+
+// diffStats counts what the differential checker saw: the events it fired
+// on, and the scanned events whose growable list was not empty.
+type diffStats struct {
+	events, growable int
+}
+
+// installDiffHook wires the differential checker shared by the property
+// tests and the fuzz target onto the cluster and returns its counters. On
+// every event it runs the checks that cost O(nodes + in-flight
+// work): the shadow integrator, the stored node totals and the open node
+// set. Every scanEvery-th event (every event at 1) it adds the full-scan
+// references that walk every app of the run: the profiling share, the event
+// pick, every stored rate and deadline, fleet sizing, the completion check,
+// the waiting set and the growable list. All but the shadow integrator must
+// agree exactly (==).
+func installDiffHook(t *testing.T, c *Cluster, label string, scanEvery int) *diffStats {
 	t.Helper()
-	events := new(int)
+	stats := new(diffStats)
 	shadow := newShadow(c)
 	c.checkEvent = func(share, dt float64, ok bool) {
-		*events++
+		stats.events++
+		fail := func(diff string) {
+			t.Helper()
+			t.Fatalf("%s event %d: %s", label, stats.events, diff)
+		}
+		if diff := shadow.step(dt); diff != "" {
+			fail(diff)
+		}
+		if diff := c.refCheckNodeSums(); diff != "" {
+			fail(diff)
+		}
+		scan := stats.events%scanEvery == 0
+		if diff := indexDiff(c, stats, scan); diff != "" {
+			fail(diff)
+		}
+		if !scan {
+			return
+		}
 		if ref := c.refProfilingShare(); share != ref {
-			t.Fatalf("%s event %d: profiling share %v, reference %v", label, *events, share, ref)
+			fail(fmt.Sprintf("profiling share %v, reference %v", share, ref))
 		}
 		refDt, refOK := c.refNextEventDt(share)
 		if ok != refOK || (ok && dt != refDt) {
-			t.Fatalf("%s event %d: next event dt (%v,%v), reference (%v,%v)", label, *events, dt, ok, refDt, refOK)
+			fail(fmt.Sprintf("next event dt (%v,%v), reference (%v,%v)", dt, ok, refDt, refOK))
 		}
 		if diff := c.refCheckRates(); diff != "" {
-			t.Fatalf("%s event %d: %s", label, *events, diff)
+			fail(diff)
 		}
 		if diff := c.refCheckDeadlines(share); diff != "" {
-			t.Fatalf("%s event %d: %s", label, *events, diff)
-		}
-		if diff := c.refCheckNodeSums(); diff != "" {
-			t.Fatalf("%s event %d: %s", label, *events, diff)
+			fail(diff)
 		}
 		if diff := fleetSizingDiff(c); diff != "" {
-			t.Fatalf("%s event %d: %s", label, *events, diff)
-		}
-		if diff := shadow.step(dt); diff != "" {
-			t.Fatalf("%s event %d: %s", label, *events, diff)
+			fail(diff)
 		}
 		if got, ref := c.allDone(), c.refAllDone(); got != ref {
-			t.Fatalf("%s event %d: allDone %v, reference %v", label, *events, got, ref)
+			fail(fmt.Sprintf("allDone %v, reference %v", got, ref))
 		}
 		got := c.AppendWaitingApps(nil)
 		ref := c.refWaitingApps()
 		if len(got) != len(ref) {
-			t.Fatalf("%s event %d: waiting set size %d, reference %d", label, *events, len(got), len(ref))
+			fail(fmt.Sprintf("waiting set size %d, reference %d", len(got), len(ref)))
 		}
 		for i := range got {
 			if got[i] != ref[i] {
-				t.Fatalf("%s event %d: waiting[%d] = app %d, reference app %d", label, *events, i, got[i].ID, ref[i].ID)
+				fail(fmt.Sprintf("waiting[%d] = app %d, reference app %d", i, got[i].ID, ref[i].ID))
 			}
 		}
 	}
-	return events
+	return stats
 }
 
 // TestIndexedEngineMatchesScanReference is the differential property test
 // for the event index: each of the 28 seeded randomized workloads — mixed
 // fleets, node events, tenant classes, preemption, foreign tasks, profiling,
-// traces, rack storms — runs with the engine's per-event hook replaying the
-// preserved scan-based reference paths (engine_ref.go) against the indexed
-// engine's state on every event, requiring exact (==, not approximate)
-// agreement of the profiling share, the chosen event dt, the completion
-// check, the waiting set, every in-flight app's fleet size, every stored rate,
-// every stored completion deadline and every node's stored totals. The one
-// approximate check is the shadow per-event integrator (see
-// shadowIntegrator), which bounds the settle-vs-per-event float drift.
+// shrunken and grown executors, traces, rack storms — runs with the engine's
+// per-event hook replaying the preserved scan-based reference paths
+// (engine_ref.go) against the indexed engine's state on every event,
+// requiring exact (==, not approximate) agreement of the profiling share,
+// the chosen event dt, the completion check, the waiting set, every
+// in-flight app's fleet size, every stored rate, every stored completion
+// deadline, every node's stored totals and the node index's open set and
+// growable list. The one approximate check is the shadow per-event
+// integrator (see shadowIntegrator), which bounds the settle-vs-per-event
+// float drift.
 func TestIndexedEngineMatchesScanReference(t *testing.T) {
-	stormMigrations := 0
+	stormMigrations, growable := 0, 0
 	for seed := int64(0); seed < 28; seed++ {
 		c, subs, sched, rackStorm := buildDiffWorkload(t, seed)
 		label := fmt.Sprintf("seed %d:", seed)
-		events := installDiffHook(t, c, label)
+		stats := installDiffHook(t, c, label, 1)
 		res, err := c.RunOpen(subs, sched)
 		if err != nil {
 			t.Fatalf("%s run: %v", label, err)
 		}
-		if *events == 0 {
+		if stats.events == 0 {
 			t.Fatalf("%s differential hook never fired", label)
 		}
+		growable += stats.growable
 		for _, a := range res.Apps {
 			if a.State != StateDone {
 				t.Fatalf("%s app %d finished in state %v", label, a.ID, a.State)
@@ -553,6 +648,9 @@ func TestIndexedEngineMatchesScanReference(t *testing.T) {
 	}
 	if stormMigrations == 0 {
 		t.Error("rack-storm seeds never migrated an executor: the failure-domain paths went untested")
+	}
+	if growable == 0 {
+		t.Error("no event had a growable executor: the growable node set went untested")
 	}
 }
 
@@ -575,12 +673,12 @@ func (s *scaleDiffScheduler) Prepare(c *Cluster, a *App) ProfilePlan {
 
 // TestIndexedEngineMatchesScanReference20000 runs the differential harness at
 // fleet scale: a 20,000-application classed stream on the 64-node bimodal
-// storm fleet of the scaling benchmarks. The shadow integrator (O(in-flight)
-// per event) and the node-totals recount (O(nodes + executors)) run on every
-// event; the heavy O(total-apps) reference scans are subsampled to every 8th
-// event, which still lands tens of thousands of full scan-vs-index
-// comparisons across the run while keeping the test minutes off the critical
-// path. Excluded under -short.
+// storm fleet of the scaling benchmarks. The shared checker's per-event
+// checks (shadow integrator, node totals, open node set) run on every event;
+// the heavy O(total-apps) reference scans are subsampled to every 8th event,
+// which still lands tens of thousands of full scan-vs-index comparisons
+// across the run while keeping the test minutes off the critical path.
+// Excluded under -short.
 func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-app differential run excluded under -short")
@@ -617,56 +715,14 @@ func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, checked := 0, 0
-	shadow := newShadow(c)
-	c.checkEvent = func(share, dt float64, ok bool) {
-		events++
-		if diff := shadow.step(dt); diff != "" {
-			t.Fatalf("event %d: %s", events, diff)
-		}
-		if diff := c.refCheckNodeSums(); diff != "" {
-			t.Fatalf("event %d: %s", events, diff)
-		}
-		if events%8 != 0 {
-			return
-		}
-		checked++
-		if ref := c.refProfilingShare(); share != ref {
-			t.Fatalf("event %d: profiling share %v, reference %v", events, share, ref)
-		}
-		refDt, refOK := c.refNextEventDt(share)
-		if ok != refOK || (ok && dt != refDt) {
-			t.Fatalf("event %d: next event dt (%v,%v), reference (%v,%v)", events, dt, ok, refDt, refOK)
-		}
-		if diff := c.refCheckRates(); diff != "" {
-			t.Fatalf("event %d: %s", events, diff)
-		}
-		if diff := c.refCheckDeadlines(share); diff != "" {
-			t.Fatalf("event %d: %s", events, diff)
-		}
-		if diff := fleetSizingDiff(c); diff != "" {
-			t.Fatalf("event %d: %s", events, diff)
-		}
-		if got, ref := c.allDone(), c.refAllDone(); got != ref {
-			t.Fatalf("event %d: allDone %v, reference %v", events, got, ref)
-		}
-		got := c.AppendWaitingApps(nil)
-		ref := c.refWaitingApps()
-		if len(got) != len(ref) {
-			t.Fatalf("event %d: waiting set size %d, reference %d", events, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("event %d: waiting[%d] = app %d, reference app %d", events, i, got[i].ID, ref[i].ID)
-			}
-		}
-	}
+	const scanEvery = 8
+	stats := installDiffHook(t, c, "20k stream:", scanEvery)
 	res, err := c.RunOpen(Submissions(tagged), &scaleDiffScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked < 1000 {
-		t.Fatalf("only %d subsampled reference checks over %d events; harness misconfigured", checked, events)
+	if checked := stats.events / scanEvery; checked < 1000 {
+		t.Fatalf("only %d subsampled reference checks over %d events; harness misconfigured", checked, stats.events)
 	}
 	for _, a := range res.Apps {
 		if a.State != StateDone {
@@ -854,9 +910,9 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 }
 
 // TestNodeTotalsFollowTouchPoints drives every engine touch point that
-// changes a node's stored totals or an app's shrunken-executor count by
-// hand, and after each one compares the stored values with totals derived
-// from what the node visibly holds.
+// changes a node's stored totals or a shrunken-executor count by hand, and
+// after each one compares the stored values with totals derived from what
+// the node visibly holds.
 func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 	type totals struct{ reserved, actual, cpu float64 }
 	check := func(t *testing.T, step string, n *Node, want totals) {
@@ -871,6 +927,12 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		t.Helper()
 		if got := a.ShrunkenExecutors(); got != want {
 			t.Errorf("%s: app %d has %d shrunken executors, want %d", step, a.ID, got, want)
+		}
+	}
+	checkNodeShrunk := func(t *testing.T, step string, n *Node, want int) {
+		t.Helper()
+		if n.shrunk != want {
+			t.Errorf("%s: node %d has %d shrunken executors, want %d", step, n.ID, n.shrunk, want)
 		}
 	}
 	b := testBench(t, "SP.Pca")
@@ -900,6 +962,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		e := spawn(t, c, a, n0, 10, 20)
 		check(t, "spawn", n0, totals{10, e.ActualGB, cpu})
 		checkShrunk(t, "spawn below fair share", a, 1)
+		checkNodeShrunk(t, "spawn below fair share", n0, 1)
 		if err := c.Grow(e, 12, 30); err != nil {
 			t.Fatal(err)
 		}
@@ -910,6 +973,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		}
 		check(t, "grow to fair share", n0, totals{15, e.ActualGB, cpu})
 		checkShrunk(t, "grow to fair share", a, 0)
+		checkNodeShrunk(t, "grow to fair share", n0, 0)
 		e1 := spawn(t, c, a, n1, 5, 10) // fair share 100 GB: the last slot
 		checkShrunk(t, "second spawn below fair share", a, 1)
 		c.removeExecutor(e1)
@@ -992,6 +1056,10 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		}
 		check(t, "migrate source", n0, totals{})
 		check(t, "migrate target", n1, totals{7 + 10, other.ActualGB + moved.ActualGB, 2 * cpu})
+		// Both executors on node 1 hold 20 GB of a 33 GB fair share: the
+		// moved one took its shrunken count along.
+		checkNodeShrunk(t, "migrate source", n0, 0)
+		checkNodeShrunk(t, "migrate target", n1, 2)
 		sibling := spawn(t, c, a, n2, 6, 20)
 		checkShrunk(t, "before handoff", a, 2)
 		if !c.handoffExecutor(moved) {
@@ -1000,5 +1068,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		check(t, "handoff source", n1, totals{7, other.ActualGB, cpu})
 		check(t, "handoff sibling", n2, totals{6, sibling.ActualGB, cpu})
 		checkShrunk(t, "handoff", a, 1)
+		checkNodeShrunk(t, "handoff source", n1, 1)
+		checkNodeShrunk(t, "handoff sibling", n2, 1)
 	})
 }

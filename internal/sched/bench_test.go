@@ -11,9 +11,10 @@ import (
 
 // benchCluster builds the placement-hot-path fixture: a 40-node cluster whose
 // memory is fully reserved by resident filler applications, plus a 64-app
-// waiting queue. Every Schedule call must scan all (app, node) pairs and
-// place nothing, which isolates the dispatcher's candidate-selection loop —
-// the hot path a scoring Placer must not make more expensive.
+// waiting queue. Every Schedule call walks the 64 waiting apps and places
+// nothing. No node is open (see cluster.Cluster.OpenNodes), so no placement
+// visits a node: the benchmark times the per-app cost of a placement pass
+// on a full fleet.
 func benchCluster(b *testing.B) *cluster.Cluster {
 	b.Helper()
 	cfg := cluster.DefaultConfig()
@@ -46,8 +47,10 @@ func BenchmarkDispatcherSchedule(b *testing.B) {
 	benchmarkSchedule(b, NewOracle())
 }
 
-// BenchmarkDispatcherScheduleScored is the same hot path with an explicit
-// scoring Placer, measuring the overhead of candidate scoring and ranking.
+// BenchmarkDispatcherScheduleScored is the same fixture with an explicit
+// scoring Placer. No node is open, so nothing is scored or ranked: it checks
+// that a Placer adds nothing to a pass that meets no candidate.
+// BenchmarkDispatcherScheduleFleet1024 times scoring on open nodes.
 func BenchmarkDispatcherScheduleScored(b *testing.B) {
 	d := NewOracle()
 	d.Placer = NewBestFitMemory()
@@ -144,7 +147,7 @@ func BenchmarkOpenSystemMoE100k(b *testing.B) { moeScaleRun(b, 100_000) }
 // their fair share, and the 400 apps want more executors than the fleet
 // takes. Warm-up passes place and grow what fits, leaving a few hundred
 // apps running and over a hundred waiting; every timed pass then walks the
-// waiting apps over the fleet and the running apps' executors, and changes
+// waiting apps over the open nodes and the growable executors, and changes
 // nothing.
 func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	r := rand.New(rand.NewSource(5))

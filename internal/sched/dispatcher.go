@@ -49,6 +49,7 @@ type Dispatcher struct {
 	// benchmark.
 	cand    scoredNodes
 	waitBuf []*cluster.App
+	growBuf []*cluster.Executor
 }
 
 var (
@@ -107,14 +108,9 @@ func (d *Dispatcher) Schedule(c *cluster.Cluster) {
 	// Third pass: dynamically adjust the data allocation of running
 	// executors as memory frees up (Section 4.3: "the number of data items
 	// to give to the co-located executor is dynamically adjusted over
-	// time"). Only the active set can contain running apps, so the walk
-	// stays proportional to in-flight work on long arrival streams.
+	// time").
 	if d.Est != nil {
-		for _, app := range c.ActiveApps() {
-			if app.State == cluster.StateRunning {
-				d.growExecutors(c, app)
-			}
-		}
+		d.growExecutors(c)
 	}
 }
 
@@ -126,27 +122,31 @@ func (d *Dispatcher) appendWaiting(c *cluster.Cluster) []*cluster.App {
 }
 
 // growExecutors widens shrunken data allocations toward the fair share when
-// their node has free memory. An app with no shrunken executor has nothing
-// to grow, and the estimate is fetched only once an executor can grow.
-func (d *Dispatcher) growExecutors(c *cluster.Cluster, app *cluster.App) {
-	if app.ShrunkenExecutors() == 0 {
-		return
-	}
+// their node has free memory. The engine lists the candidates (a shrunken
+// executor on a node with more than GrowMinFreeGB free) in the order a walk
+// of every running app's executors meets them, so the pass visits only
+// executors it may grow and grows exactly what that walk grew. An app's
+// estimate is fetched once one of its executors can grow.
+func (d *Dispatcher) growExecutors(c *cluster.Cluster) {
+	d.growBuf = c.AppendGrowable(d.growBuf[:0])
+	var app *cluster.App
 	var est MemEstimate
-	haveEst := false
+	haveEst, noEst := false, false
 	margin := 1 + d.SafetyMargin
-	for _, e := range app.Executors {
-		if e.ItemsGB >= e.FairShareGB {
-			continue
+	for _, e := range d.growBuf {
+		if e.App != app {
+			app, haveEst, noEst = e.App, false, false
 		}
+		// An earlier grow in this pass may have taken the node's memory.
 		free := e.Node.FreeGB()
-		if free <= 0.5 {
+		if noEst || free <= cluster.GrowMinFreeGB {
 			continue
 		}
 		if !haveEst {
 			var ok bool
 			if est, ok = estimateOf(app); !ok {
-				return
+				noEst = true
+				continue
 			}
 			haveEst = true
 		}
@@ -170,6 +170,8 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster, app *cluster.App) {
 			e.PredictedGB = est.Footprint(e.ItemsGB)
 		}
 	}
+	// Keep no executor past the call: the cluster recycles them.
+	clear(d.growBuf)
 }
 
 // scheduleSerial runs the FCFS head exclusively: executors get whole nodes
@@ -214,10 +216,12 @@ func wantsExecutor(app *cluster.App) bool {
 }
 
 // placeApp tries to spawn executors for one application on compatible nodes,
-// best Placer score first. Admission checks are independent across nodes
-// (a spawn on one node changes neither another node's free memory nor its
-// CPU demand), so gathering candidates before spawning places exactly the
-// executors the interleaved first-fit scan used to.
+// best Placer score first. Only open nodes can pass admission, so only they
+// are walked. Admission checks are independent across nodes (a spawn on one
+// node changes neither another node's free memory nor its CPU demand), so
+// first fit spawns as it walks and stops once the fleet is full, and a
+// Placer's candidates are gathered before any spawn; either way exactly the
+// executors of a first-fit scan over every node are placed.
 func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	if !wantsExecutor(app) {
 		return
@@ -227,26 +231,22 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// thread it through planning and the PredictedGB stamp, so the stamp is
 	// guaranteed to come from the same estimate the plan used.
 	est, haveEst := estimateOf(app)
-	d.cand.reset()
-	for _, n := range c.Nodes() {
-		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
-			continue
-		}
-		score := 0.0
-		if d.Placer != nil {
-			score = d.Placer.Score(c, app, n)
-		}
-		d.cand.add(n, score)
-	}
 	if d.Placer == nil {
-		// First fit: candidates in gather (node-scan) order.
-		for _, n := range d.cand.nodes {
+		for n := range c.OpenNodes() {
 			if !wantsExecutor(app) {
 				return
 			}
-			d.spawnOn(c, app, n, est, haveEst)
+			if app.CanUse(n, c.Now()) && d.admits(n, demand) {
+				d.spawnOn(c, app, n, est, haveEst)
+			}
 		}
 		return
+	}
+	d.cand.reset()
+	for n := range c.OpenNodes() {
+		if app.CanUse(n, c.Now()) && d.admits(n, demand) {
+			d.cand.add(n, d.Placer.Score(c, app, n))
+		}
 	}
 	// Best first: pop only until the fleet is full, so the candidates it
 	// never reaches are never ordered.
@@ -259,7 +259,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 // admits applies the dispatcher's own admission rules to a node the app can
 // use: the per-node app cap, the aggregate-CPU rule for an executor of the
 // given demand, and the minimum free memory. It is kept small enough to
-// inline into placeApp and placeable, the two node scans on the hot path.
+// inline into placeApp and placeable, the two node walks on the hot path.
 func (d *Dispatcher) admits(n *cluster.Node, demand float64) bool {
 	return (d.MaxAppsPerNode <= 0 || n.AppCount() < d.MaxAppsPerNode) &&
 		!(d.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9) &&

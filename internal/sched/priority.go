@@ -51,7 +51,7 @@ func (p classAware) Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node)
 // tables stay comparable. The returned scheduler is a *Dispatcher.
 func NewPriority(inner *Dispatcher, preempt bool) cluster.Scheduler {
 	cp := *inner
-	cp.cand, cp.waitBuf, cp.preempted, cp.lastRun = scoredNodes{}, nil, nil, nil
+	cp.cand, cp.waitBuf, cp.growBuf, cp.preempted, cp.lastRun = scoredNodes{}, nil, nil, nil, nil
 	cp.Placer, cp.preempt = NewClassAware(cp.Placer), preempt
 	return &cp
 }
@@ -89,12 +89,13 @@ func (d *Dispatcher) preemptStarved(c *cluster.Cluster) {
 // placeable reports whether the dispatcher could start the app right now:
 // some node passes its admission checks (availability, blacklist, per-node
 // app cap, CPU rule, minimum free memory) and its allocation plan yields a
-// spawnable executor there. Preemption that fires anyway would kill batch
-// work for a placement that needed none.
+// spawnable executor there. Only open nodes can pass, so only they are
+// walked. Preemption that fires anyway would kill batch work for a placement
+// that needed none.
 func (d *Dispatcher) placeable(c *cluster.Cluster, app *cluster.App) bool {
 	demand := app.Job.Bench.CPULoad
 	est, haveEst := estimateOf(app)
-	for _, n := range c.Nodes() {
+	for n := range c.OpenNodes() {
 		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
 			continue
 		}
