@@ -20,7 +20,7 @@ func TestOpenStreamStudiesPinned(t *testing.T) {
 	}{
 		{"opensys", 0xf29be92bfbde753, func(c Context) (any, error) { return OpenSystem(c) }},
 		{"hetero", 0x51c742fc1a38e8ab, func(c Context) (any, error) { return Hetero(c) }},
-		{"tenants", 0x20f7133bbd6b3888, func(c Context) (any, error) { return Tenants(c) }},
+		{"tenants", 0xb256a9790cc75dd5, func(c Context) (any, error) { return Tenants(c) }},
 		{"drift", 0x46e573930a50d3c7, func(c Context) (any, error) { return Drift(c) }},
 		{"faults", 0xd604d03219e87a80, func(c Context) (any, error) { return Faults(c) }},
 	}

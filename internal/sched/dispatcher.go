@@ -33,7 +33,9 @@ type Dispatcher struct {
 	CheckCPU bool
 
 	// preempt, set only on a NewPriority copy, makes Schedule reclaim
-	// memory for starved high-priority arrivals before placing.
+	// memory for starved high-priority arrivals before placing. A Serial
+	// dispatcher never does: it starts only the FCFS head, which would take
+	// back any node freed for another app.
 	preempt bool
 	// preempted remembers which apps already fired their arrival-time
 	// preemption (by app ID): each high-priority arrival reclaims memory at
@@ -82,7 +84,7 @@ func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, outcome cl
 // memory for starved high-priority arrivals, so the freed memory is still
 // free when the placement passes walk the weight-ordered queue.
 func (d *Dispatcher) Schedule(c *cluster.Cluster) {
-	if d.preempt {
+	if d.preempt && !d.Serial {
 		if d.lastRun != c {
 			d.lastRun = c
 			clear(d.preempted)

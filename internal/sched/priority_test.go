@@ -223,3 +223,39 @@ func TestPreemptionImprovesLatencyTail(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialPriorityNeverPreempts pins that a serial copy of the dispatcher
+// never runs the preemption pass. Isolated runs only the FCFS head, so a
+// batch executor killed for a waiting latency app frees a node the head
+// itself takes back: the kill costs batch work and starts nothing sooner.
+// The scenario is four reference nodes, 200 GB HB.Sort batch apps at t=0
+// and t=10, and a 30 GB HB.Sort latency app at t=20.
+func TestSerialPriorityNeverPreempts(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = 4
+	sort := testBench(t)
+	subs := []cluster.Submission{
+		{At: 0, Job: workload.Job{Bench: sort, InputGB: 200}, Class: testBatchClass},
+		{At: 10, Job: workload.Job{Bench: sort, InputGB: 200}, Class: testBatchClass},
+		{At: 20, Job: workload.Job{Bench: sort, InputGB: 30}, Class: testLatencyClass},
+	}
+	run := func(preempt bool) *cluster.Result {
+		t.Helper()
+		res, err := cluster.New(cfg).RunOpen(subs, NewPriority(NewIsolated(), preempt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, lifted := run(false), run(true)
+	if lifted.PreemptKills != 0 || lifted.LostWorkGB != 0 {
+		t.Errorf("serial copy preempted %d executors and lost %.2f GB", lifted.PreemptKills, lifted.LostWorkGB)
+	}
+	for i, a := range lifted.Apps {
+		p := plain.Apps[i]
+		if a.StartTime != p.StartTime || a.DoneTime != p.DoneTime {
+			t.Errorf("app %d start/done %.1f/%.1f s with preemption on, %.1f/%.1f s without",
+				a.ID, a.StartTime, a.DoneTime, p.StartTime, p.DoneTime)
+		}
+	}
+}
