@@ -20,11 +20,10 @@ type Arrival struct {
 // through a seeded permutation of the whole catalogue (so long streams cover
 // all 44 benchmarks) and each job gets a random input scale.
 func drawJobStream(n int, rng *rand.Rand) []Job {
-	cat := Catalog()
-	perm := rng.Perm(len(cat))
+	perm := rng.Perm(len(catalog))
 	jobs := make([]Job, 0, n)
 	for i := 0; i < n; i++ {
-		b := cat[perm[i%len(cat)]]
+		b := catalog[perm[i%len(catalog)]]
 		size := InputSizes[rng.Intn(len(InputSizes))]
 		jobs = append(jobs, Job{Bench: b, InputGB: size})
 	}
