@@ -100,12 +100,10 @@ type Cluster struct {
 	dirty []uint64
 	wakes wakeHeap
 	// stale, open and growable are the node index placement reads (see
-	// nodeindex.go), bitsets laid out like dirty; growApps is scratch for
-	// AppendGrowable.
+	// nodeindex.go), bitsets laid out like dirty.
 	stale    []uint64
 	open     []uint64
 	growable []uint64
-	growApps []*App
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be

@@ -97,30 +97,37 @@ func (c *Cluster) OpenNodes() iter.Seq[*Node] {
 // FairShareGB) on a node with more than GrowMinFreeGB unreserved, and
 // returns the extended slice. The executors come in the order a walk of
 // ActiveApps' executors meets them: app submission order, then App.Executors
-// order. Only apps with such an executor are walked: they are found from the
-// growable nodes, then ordered by ID, which is submission order.
+// order. They are gathered from the growable nodes and sorted by app ID,
+// which is submission order; the executors of an app with several are then
+// rewritten in the order of the app's own list.
 func (c *Cluster) AppendGrowable(buf []*Executor) []*Executor {
 	c.syncNodeIndex()
-	apps := c.growApps[:0]
+	start := len(buf)
 	for w, word := range c.growable {
 		for ; word != 0; word &= word - 1 {
 			for _, e := range c.nodes[w<<6|bits.TrailingZeros64(word)].Executors {
 				if e.ItemsGB < e.FairShareGB {
-					apps = append(apps, e.App)
+					buf = append(buf, e)
 				}
 			}
 		}
 	}
-	slices.SortFunc(apps, func(a, b *App) int { return cmp.Compare(a.ID, b.ID) })
-	apps = slices.Compact(apps)
-	for _, a := range apps {
-		for _, e := range a.Executors {
-			if e.ItemsGB < e.FairShareGB && c.growable[e.Node.ID>>6]&(1<<(e.Node.ID&63)) != 0 {
-				buf = append(buf, e)
+	found := buf[start:]
+	slices.SortFunc(found, func(a, b *Executor) int { return cmp.Compare(a.App.ID, b.App.ID) })
+	for i := 0; i < len(found); {
+		a, j := found[i].App, i+1
+		for j < len(found) && found[j].App == a {
+			j++
+		}
+		if j-i > 1 {
+			for _, e := range a.Executors {
+				if e.ItemsGB < e.FairShareGB && c.growable[e.Node.ID>>6]&(1<<(e.Node.ID&63)) != 0 {
+					found[i] = e
+					i++
+				}
 			}
 		}
+		i = j
 	}
-	clear(apps)
-	c.growApps = apps[:0]
 	return buf
 }
