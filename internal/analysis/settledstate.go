@@ -21,8 +21,6 @@ var settledFields = map[string]map[string]bool{
 		"settledAt":   true,
 		"deadline":    true,
 		"touched":     true,
-		// shrunk is kept by countShrunk alone.
-		"shrunk": true,
 	},
 	"ForeignTask": {
 		"remaining": true,
@@ -86,7 +84,7 @@ var settleTouchPoints = map[string]bool{
 	"migrateExecutor": true,
 	"handoffExecutor": true,
 	// node.go and app.go: the one writer each of the stored node totals and
-	// the shrunken-executor counts. Spawn, Grow and removeExecutor call them
+	// the shrunken-executor count. Spawn, Grow and removeExecutor call them
 	// but stay off this list, which would let them write every settled
 	// field.
 	"recount":     true,

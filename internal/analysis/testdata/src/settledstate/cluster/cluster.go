@@ -12,7 +12,6 @@ type App struct {
 	settledAt   float64
 	deadline    float64
 	touched     bool
-	shrunk      int
 }
 
 // ForeignTask mirrors the engine's foreign-load bookkeeping.
@@ -25,7 +24,8 @@ type ForeignTask struct {
 	done      bool
 }
 
-// Node mirrors the engine's wake bookkeeping and stored totals.
+// Node mirrors the engine's wake bookkeeping, stored totals and shrunken
+// count.
 type Node struct {
 	ID         int
 	wakeAt     float64
@@ -33,6 +33,7 @@ type Node struct {
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
+	shrunk     int
 }
 
 // Cluster is the owning engine stand-in.
@@ -115,14 +116,14 @@ func (n *Node) recount() {
 }
 
 // countShrunk is the one allowed writer of the shrunken-executor count.
-func (a *App) countShrunk(delta int) {
-	a.shrunk += delta
+func (n *Node) countShrunk(delta int) {
+	n.shrunk += delta
 }
 
 // spawnShortcut adjusts the stored totals in place instead of recounting:
 // the stray writer that lets a total drift from its recount.
-func spawnShortcut(n *Node, a *App, reserveGB float64) {
+func spawnShortcut(n *Node, reserveGB float64) {
 	n.Reserved = append(n.Reserved, reserveGB)
 	n.reservedGB += reserveGB // want `write to settle-discipline field Node.reservedGB`
-	a.shrunk++                // want `write to settle-discipline field App.shrunk`
+	n.shrunk++                // want `write to settle-discipline field Node.shrunk`
 }

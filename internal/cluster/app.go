@@ -86,9 +86,6 @@ type App struct {
 	freeFleet int
 	// Executors currently running for this app.
 	Executors []*Executor
-	// shrunk counts the executors holding fewer items than their fair share
-	// (see ShrunkenExecutors).
-	shrunk int
 	// OOMKills counts executors lost to out-of-memory on an oversubscribed
 	// node.
 	OOMKills int
@@ -223,18 +220,10 @@ func (a *App) ExecutorOn(n *Node) bool {
 	return false
 }
 
-// ShrunkenExecutors returns how many of the app's executors hold fewer items
-// than their fair share (ItemsGB < FairShareGB): the only ones a scheduler
-// can grow. Spawn, Grow, removeExecutor, migration and app completion keep
-// the count, and the same count per node; writing ItemsGB, FairShareGB or
-// Executors directly leaves both stale.
-func (a *App) ShrunkenExecutors() int { return a.shrunk }
-
-// countShrunk adds delta to the shrunken-executor counts of e's app and of
-// e's node when e holds fewer items than its fair share.
+// countShrunk adds delta to the shrunken-executor count of e's node (see
+// Node.shrunk) when e holds fewer items than its fair share.
 func (e *Executor) countShrunk(delta int) {
 	if e.ItemsGB < e.FairShareGB {
-		e.App.shrunk += delta
 		e.Node.shrunk += delta
 	}
 }

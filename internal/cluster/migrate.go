@@ -80,8 +80,7 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	c.settleApp(app)
 	c.touchApp(app)
 	c.unplace(e)
-	// A shrunken executor takes its count along: the node index reads the
-	// per-node count, and the app's count nets to zero.
+	// A shrunken executor takes its count along.
 	e.countShrunk(-1)
 	e.Node = target
 	e.countShrunk(1)

@@ -70,7 +70,10 @@ type Node struct {
 	actualGB   float64
 	cpuDemand  float64
 	// shrunk counts the node's executors that hold fewer items than their
-	// fair share (see App.ShrunkenExecutors); the growable node set reads it.
+	// fair share (ItemsGB < FairShareGB), the only ones a scheduler can grow;
+	// the growable node set reads it. Spawn, Grow, removeExecutor, migration
+	// and app completion keep it through countShrunk; writing ItemsGB,
+	// FairShareGB or Executors directly leaves it stale.
 	shrunk int
 
 	// wakeAt is the earliest future startup expiry among this node's

@@ -923,13 +923,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 			t.Errorf("%s: node %d reserved/actual/cpu %+v, want %+v", step, n.ID, got, want)
 		}
 	}
-	checkShrunk := func(t *testing.T, step string, a *App, want int) {
-		t.Helper()
-		if got := a.ShrunkenExecutors(); got != want {
-			t.Errorf("%s: app %d has %d shrunken executors, want %d", step, a.ID, got, want)
-		}
-	}
-	checkNodeShrunk := func(t *testing.T, step string, n *Node, want int) {
+	checkShrunk := func(t *testing.T, step string, n *Node, want int) {
 		t.Helper()
 		if n.shrunk != want {
 			t.Errorf("%s: node %d has %d shrunken executors, want %d", step, n.ID, n.shrunk, want)
@@ -961,24 +955,22 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		a := newApp(0, workload.Class{}, 100, 2) // fair share 50 GB
 		e := spawn(t, c, a, n0, 10, 20)
 		check(t, "spawn", n0, totals{10, e.ActualGB, cpu})
-		checkShrunk(t, "spawn below fair share", a, 1)
-		checkNodeShrunk(t, "spawn below fair share", n0, 1)
+		checkShrunk(t, "spawn below fair share", n0, 1)
 		if err := c.Grow(e, 12, 30); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow", n0, totals{12, e.ActualGB, cpu})
-		checkShrunk(t, "grow still below fair share", a, 1)
+		checkShrunk(t, "grow still below fair share", n0, 1)
 		if err := c.Grow(e, 15, 50); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow to fair share", n0, totals{15, e.ActualGB, cpu})
-		checkShrunk(t, "grow to fair share", a, 0)
-		checkNodeShrunk(t, "grow to fair share", n0, 0)
+		checkShrunk(t, "grow to fair share", n0, 0)
 		e1 := spawn(t, c, a, n1, 5, 10) // fair share 100 GB: the last slot
-		checkShrunk(t, "second spawn below fair share", a, 1)
+		checkShrunk(t, "second spawn below fair share", n1, 1)
 		c.removeExecutor(e1)
 		check(t, "remove", n1, totals{})
-		checkShrunk(t, "remove", a, 0)
+		checkShrunk(t, "remove", n1, 0)
 	})
 
 	t.Run("foreign arrival and completion", func(t *testing.T) {
@@ -1014,7 +1006,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 			t.Fatalf("OOM kills %d, want 1", c.totalOOM)
 		}
 		check(t, "OOM kill", n, totals{80, 80, 0.2})
-		checkShrunk(t, "OOM kill", a, 0)
+		checkShrunk(t, "OOM kill", n, 0)
 	})
 
 	t.Run("preempt", func(t *testing.T) {
@@ -1058,17 +1050,16 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		check(t, "migrate target", n1, totals{7 + 10, other.ActualGB + moved.ActualGB, 2 * cpu})
 		// Both executors on node 1 hold 20 GB of a 33 GB fair share: the
 		// moved one took its shrunken count along.
-		checkNodeShrunk(t, "migrate source", n0, 0)
-		checkNodeShrunk(t, "migrate target", n1, 2)
+		checkShrunk(t, "migrate source", n0, 0)
+		checkShrunk(t, "migrate target", n1, 2)
 		sibling := spawn(t, c, a, n2, 6, 20)
-		checkShrunk(t, "before handoff", a, 2)
+		checkShrunk(t, "before handoff", n2, 1)
 		if !c.handoffExecutor(moved) {
 			t.Fatal("handoff found no sibling")
 		}
 		check(t, "handoff source", n1, totals{7, other.ActualGB, cpu})
 		check(t, "handoff sibling", n2, totals{6, sibling.ActualGB, cpu})
-		checkShrunk(t, "handoff", a, 1)
-		checkNodeShrunk(t, "handoff source", n1, 1)
-		checkNodeShrunk(t, "handoff sibling", n2, 1)
+		checkShrunk(t, "handoff source", n1, 1)
+		checkShrunk(t, "handoff sibling", n2, 1)
 	})
 }

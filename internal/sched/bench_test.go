@@ -185,7 +185,11 @@ func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	counts := func() (execs, shrunk int) {
 		for _, a := range c.ActiveApps() {
 			execs += len(a.Executors)
-			shrunk += a.ShrunkenExecutors()
+			for _, e := range a.Executors {
+				if e.ItemsGB < e.FairShareGB {
+					shrunk++
+				}
+			}
 		}
 		return execs, shrunk
 	}
