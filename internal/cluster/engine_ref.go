@@ -9,14 +9,15 @@ import (
 
 // This file holds full-scan reference implementations of event selection, rate
 // recomputation, the profiling share, the waiting set, fleet sizing, the
-// completion check, the stored completion deadlines, the stored node
-// totals and the node index's open and growable sets. They are not called by the engine — the indexed paths in engine.go
-// replaced them — but they are the ground truth the index must reproduce
-// exactly: the differential property test (property_test.go) installs
-// Cluster.checkEvent and replays these scans against the indexed engine's
-// state on every event of randomized workloads, asserting float-for-float
-// agreement. Any bookkeeping bug in the active sets, dirty marking, wake heap
-// or deadline heap shows up as a divergence on the exact event where it
+// completion check, the stored completion deadlines, the stored node totals
+// and the node index's open and growable sets. They are not called by the
+// engine — the indexed paths in engine.go and nodeindex.go replaced them —
+// but they are the ground truth the index must reproduce exactly: the
+// differential property test (property_test.go) installs Cluster.checkEvent
+// and replays these scans against the indexed engine's state on every event
+// of randomized workloads, asserting float-for-float agreement. Any
+// bookkeeping bug in the active sets, dirty or stale marking, wake heap or
+// deadline heap shows up as a divergence on the exact event where it
 // happens, not as a mysteriously shifted makespan.
 //
 // Since the settle-on-rate-change refactor the scans read the SETTLED state:
@@ -327,10 +328,9 @@ func (c *Cluster) refOpenNodes() iter.Seq[*Node] {
 	return slices.Values(open)
 }
 
-// refGrowable is the full-scan growable list, the walk the dispatcher's grow
-// pass made before the node index: every running app in submission order,
-// its executors in App.Executors order, keeping each shrunken executor whose
-// node has more than GrowMinFreeGB unreserved.
+// refGrowable is the full-scan growable list: a walk of every running app in
+// submission order and its executors in App.Executors order, keeping each
+// shrunken executor whose node has more than GrowMinFreeGB unreserved.
 //
 //moevet:refpair AppendGrowable
 func (c *Cluster) refGrowable(buf []*Executor) []*Executor {

@@ -522,6 +522,7 @@ func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
 	return ""
 }
 
+// nodeIDs lists the nodes' IDs.
 func nodeIDs(nodes []*Node) []int {
 	ids := make([]int, len(nodes))
 	for i, n := range nodes {
@@ -547,13 +548,13 @@ type diffStats struct {
 
 // installDiffHook wires the differential checker shared by the property
 // tests and the fuzz target onto the cluster and returns its counters. On
-// every event it runs the checks that cost O(nodes + in-flight
-// work): the shadow integrator, the stored node totals and the open node
-// set. Every scanEvery-th event (every event at 1) it adds the full-scan
-// references that walk every app of the run: the profiling share, the event
-// pick, every stored rate and deadline, fleet sizing, the completion check,
-// the waiting set and the growable list. All but the shadow integrator must
-// agree exactly (==).
+// every event it runs the checks that cost O(nodes + in-flight work): the
+// shadow integrator, the stored node totals and the open node set. Every
+// scanEvery-th event (every event at 1) it adds the full-scan references
+// that walk every app of the run: the profiling share, the event pick, every
+// stored rate and deadline, fleet sizing, the completion check, the waiting
+// set and the growable list. All but the shadow integrator must agree
+// exactly (==).
 func installDiffHook(t *testing.T, c *Cluster, label string, scanEvery int) *diffStats {
 	t.Helper()
 	stats := new(diffStats)
