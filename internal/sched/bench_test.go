@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"moespark/internal/cluster"
@@ -203,5 +204,84 @@ func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	}
 	if after, _ := counts(); after != execs {
 		b.Fatalf("timed passes changed the fleet from %d to %d executors", execs, after)
+	}
+}
+
+// BenchmarkDispatcherPlaceFleet1024 times one placement that fills its
+// fleet: a batch app of the class-aware first-fit copy (NewPriority over
+// Oracle) on a seeded 1024-node big/little fleet in 64 racks that is mostly
+// open. About one node in ten runs a latency executor, so the walk passes
+// nodes that penalise the batch app before the penalty-free nodes fill its
+// fleet. Each op then preempts the new executors, newest first, on behalf of
+// a latency app, so every op starts from the same state: each must fill the
+// fleet, and the last must pick the nodes the first did.
+func BenchmarkDispatcherPlaceFleet1024(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	fleet, err := workload.BimodalFleet(1024, workload.BigNode(), workload.LittleNode(), 0.5, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if fleet, err = workload.AssignRacks(fleet, 64, 2); err != nil {
+		b.Fatal(err)
+	}
+	c, err := cluster.NewHetero(cluster.DefaultConfig(), cluster.SpecsFrom(fleet))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := workload.Catalog()
+	var latency *cluster.App
+	for _, n := range c.Nodes() {
+		if r.Float64() < 0.1 {
+			latency = addReady(b, c, workload.Job{Bench: cat[r.Intn(len(cat))], InputGB: 40})
+			latency.Class = testLatencyClass
+			if _, err := c.Spawn(latency, n, 0.25*n.AllocatableGB(), 8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	d := NewPriority(NewOracle(), true).(*Dispatcher)
+	app := addReady(b, c, workload.Job{Bench: cat[0], InputGB: 512})
+	app.Class = testBatchClass
+	d.Prepare(c, app)
+	place := func() {
+		d.placeApp(c, app)
+		if len(app.Executors) != app.MaxExecutors {
+			b.Fatalf("placed %d of %d executors", len(app.Executors), app.MaxExecutors)
+		}
+	}
+	release := func() {
+		for len(app.Executors) > 0 {
+			if err := c.Preempt(app.Executors[len(app.Executors)-1], latency); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	nodes := func() []int {
+		ids := make([]int, len(app.Executors))
+		for i, e := range app.Executors {
+			ids[i] = e.Node.ID
+		}
+		return ids
+	}
+	place()
+	first := nodes()
+	passed := 0
+	for _, n := range c.Nodes()[:first[len(first)-1]] {
+		if len(n.Executors) > 0 && n.Executors[0].App.Class == testLatencyClass {
+			passed++
+		}
+	}
+	if passed == 0 {
+		b.Fatal("the fleet filled before the walk met a latency executor")
+	}
+	release()
+	b.ReportAllocs()
+	for b.Loop() {
+		place()
+		release()
+	}
+	place()
+	if last := nodes(); !slices.Equal(last, first) {
+		b.Fatalf("the last op placed on nodes %v, the first on %v", last, first)
 	}
 }

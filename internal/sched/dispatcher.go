@@ -84,21 +84,25 @@ func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, outcome cl
 // memory for starved high-priority arrivals, so the freed memory is still
 // free when the placement passes walk the weight-ordered queue.
 func (d *Dispatcher) Schedule(c *cluster.Cluster) {
-	if d.preempt && !d.Serial {
-		if d.lastRun != c {
-			d.lastRun = c
-			clear(d.preempted)
-		}
-		d.preemptStarved(c)
-	}
 	if d.Serial {
 		d.scheduleSerial(c)
 		return
 	}
+	waiting := d.appendWaiting(c)
+	if d.preempt {
+		if d.lastRun != c {
+			d.lastRun = c
+			clear(d.preempted)
+		}
+		// A preemption pass that killed nothing changed nothing, so the
+		// set it walked is still the waiting set.
+		if d.preemptStarved(c, waiting) {
+			waiting = d.appendWaiting(c)
+		}
+	}
 	// Two passes: applications with no executor yet go first so waiting
 	// jobs start as soon as possible (Section 4.3), then everyone grows
 	// towards its fleet cap, FCFS within each pass.
-	waiting := d.appendWaiting(c)
 	for _, app := range waiting {
 		if len(app.Executors) == 0 {
 			d.placeApp(c, app)
@@ -218,12 +222,15 @@ func wantsExecutor(app *cluster.App) bool {
 }
 
 // placeApp tries to spawn executors for one application on compatible nodes,
-// best Placer score first. Only open nodes can pass admission, so only they
-// are walked. Admission checks are independent across nodes (a spawn on one
-// node changes neither another node's free memory nor its CPU demand), so
-// first fit spawns as it walks and stops once the fleet is full, and a
-// Placer's candidates are gathered before any spawn; either way exactly the
-// executors of a first-fit scan over every node are placed.
+// best Placer score first, ties in node order. Only open nodes can pass
+// admission, so only they are walked. A spawn changes only its own node and
+// the app, so no other node's admission, score or plan moves: spawning
+// during the walk places exactly what gathering every candidate first would
+// have placed. Under a first-fit order (a nil Placer, or the class-aware
+// wrapper of one) no node outranks a penalty-free one (score 0) met earlier
+// in the walk, so the walk spawns on each such node as it meets it and
+// stops once the fleet is full; only penalised nodes are kept, and they are
+// tried best first after the walk. Any other Placer keeps every candidate.
 func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	if !wantsExecutor(app) {
 		return
@@ -233,21 +240,26 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// thread it through planning and the PredictedGB stamp, so the stamp is
 	// guaranteed to come from the same estimate the plan used.
 	est, haveEst := estimateOf(app)
-	if d.Placer == nil {
-		for n := range c.OpenNodes() {
-			if !wantsExecutor(app) {
-				return
-			}
-			if app.CanUse(n, c.Now()) && d.admits(n, demand) {
-				d.spawnOn(c, app, n, est, haveEst)
-			}
-		}
-		return
+	firstFit := d.Placer == nil
+	if ca, ok := d.Placer.(classAware); ok && ca.inner == nil {
+		firstFit = true
 	}
 	d.cand.reset()
 	for n := range c.OpenNodes() {
-		if app.CanUse(n, c.Now()) && d.admits(n, demand) {
-			d.cand.add(n, d.Placer.Score(c, app, n))
+		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
+			continue
+		}
+		var score float64
+		if d.Placer != nil {
+			score = d.Placer.Score(c, app, n)
+		}
+		if !firstFit || score != 0 {
+			d.cand.add(n, score)
+			continue
+		}
+		d.spawnOn(c, app, n, est, haveEst)
+		if !wantsExecutor(app) {
+			return
 		}
 	}
 	// Best first: pop only until the fleet is full, so the candidates it

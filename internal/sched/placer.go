@@ -5,10 +5,14 @@ import (
 )
 
 // Placer scores candidate nodes for an executor placement. The dispatcher
-// gathers the nodes that pass its admission checks (availability, memory,
-// CPU, per-node app caps), asks the Placer to score each, and attempts
-// placements in descending score order; ties keep node-scan order. A nil
-// Placer is first fit: candidates in node-scan order, unscored.
+// scores each node that passes its admission checks (availability, memory,
+// CPU, per-node app caps) and attempts placements in descending score order;
+// ties keep node-scan order. A nil Placer is first fit: candidates in
+// node-scan order, unscored. Under first fit and under NewClassAware(nil),
+// whose scores never exceed 0, the dispatcher spawns on each zero-score node
+// as its walk meets it, stops once the fleet is full, and orders only the
+// lower-scored candidates; any other Placer has every candidate gathered and
+// ordered. Both give the same order.
 type Placer interface {
 	// Score rates placing an executor of app on n; higher is better. The
 	// score is consulted only among nodes that already passed admission.
@@ -76,10 +80,11 @@ func (p rackSpread) Score(_ *cluster.Cluster, app *cluster.App, n *cluster.Node)
 
 // scoredNodes is the dispatcher's reusable candidate buffer: nodes plus their
 // scores, on parallel slices so nothing allocates once the buffers are warm.
-// With a placer set, heapify turns it into a max-heap and pop hands the
-// candidates out best-first — score descending, ties in gather (node-scan)
-// order — so a placement that fills its fleet after a few pops never orders
-// the candidates it does not reach.
+// It holds every candidate of a scored placer and only the penalised ones
+// under a first-fit order. heapify turns it into a max-heap and pop hands
+// the candidates out best-first — score descending, ties in gather
+// (node-scan) order — so a placement that fills its fleet after a few pops
+// never orders the candidates it does not reach.
 type scoredNodes struct {
 	nodes  []*cluster.Node
 	scores []float64

@@ -16,7 +16,9 @@ const classPenalty = 1e6
 // work away from nodes running latency-sensitive executors. Within a
 // penalty tier the wrapped placer's score (or scan order for nil) decides,
 // so single-class runs — where no executor ever outranks another — score
-// bit-for-bit like the wrapped placer alone.
+// bit-for-bit like the wrapped placer alone. Over a nil placer every score
+// is 0 or a negative penalty, so Dispatcher.placeApp spawns on each
+// penalty-free node as its walk meets it and orders only the penalised ones.
 type classAware struct {
 	inner Placer
 }
@@ -43,10 +45,13 @@ func (p classAware) Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node)
 // NewPriority lifts a dispatcher-based policy into a multi-tenant
 // scheduler: a copy of the dispatcher whose placer is wrapped class-aware,
 // under the engine's weighted-FCFS queue ordering (the waiting set is already
-// weight-ordered). With preempt set, an arriving high-priority application
-// that cannot start reclaims memory from the newest preemptible
-// lower-priority executors via the engine's charge-back path before the copy
-// places it; a Serial copy never preempts (see Dispatcher.Schedule). The
+// weight-ordered). A copy of a first-fit dispatcher keeps the first-fit walk
+// and sets aside only the nodes that host a higher-weight tenant, to be
+// tried after the penalty-free ones. With preempt set, an arriving
+// high-priority application that cannot start reclaims memory from the
+// newest preemptible lower-priority executors via the engine's charge-back
+// path before the copy places it; a Serial copy never preempts (see
+// Dispatcher.Schedule). The
 // given dispatcher is not touched, so it stays usable (and re-liftable)
 // as-is, and the copy keeps its policy name, so experiment tables stay
 // comparable. The returned scheduler is a *Dispatcher.
@@ -57,15 +62,16 @@ func NewPriority(inner *Dispatcher, preempt bool) cluster.Scheduler {
 	return &cp
 }
 
-// preemptStarved reclaims resources for every waiting positive-weight
-// application that has no executor yet and that the dispatcher could not
-// place anywhere (per its own admission rules and allocation plan): the
-// engine frees the fewest newest preemptible lower-priority executors on a
-// single node. Apps that already run, that the dispatcher can already
-// start, classes without weight, and apps that already fired their one
-// arrival-time preemption never trigger it.
-func (d *Dispatcher) preemptStarved(c *cluster.Cluster) {
-	for _, app := range d.appendWaiting(c) {
+// preemptStarved reclaims resources for every application of the waiting
+// set that has positive weight, no executor yet, and that the dispatcher
+// could not place anywhere (per its own admission rules and allocation
+// plan): the engine frees the fewest newest preemptible lower-priority
+// executors on a single node. Apps that already run, that the dispatcher can
+// already start, classes without weight, and apps that already fired their
+// one arrival-time preemption never trigger it. It reports whether any
+// executor was killed.
+func (d *Dispatcher) preemptStarved(c *cluster.Cluster, waiting []*cluster.App) (killed bool) {
+	for _, app := range waiting {
 		if app.Class.Weight <= 0 || len(app.Executors) > 0 || d.preempted[app.ID] {
 			continue
 		}
@@ -83,8 +89,10 @@ func (d *Dispatcher) preemptStarved(c *cluster.Cluster) {
 				d.preempted = map[int]bool{}
 			}
 			d.preempted[app.ID] = true
+			killed = true
 		}
 	}
+	return killed
 }
 
 // placeable reports whether the dispatcher could start the app right now:
