@@ -265,13 +265,9 @@ func BenchmarkDispatcherPlaceFleet1024(b *testing.B) {
 	}
 	place()
 	first := nodes()
-	passed := 0
-	for _, n := range c.Nodes()[:first[len(first)-1]] {
-		if len(n.Executors) > 0 && n.Executors[0].App.Class == testLatencyClass {
-			passed++
-		}
-	}
-	if passed == 0 {
+	if !slices.ContainsFunc(c.Nodes()[:first[len(first)-1]], func(n *cluster.Node) bool {
+		return len(n.Executors) > 0 && n.Executors[0].App.Class == testLatencyClass
+	}) {
 		b.Fatal("the fleet filled before the walk met a latency executor")
 	}
 	release()

@@ -159,7 +159,7 @@ func TestPlaceAppWalkMatchesGatherAndSort(t *testing.T) {
 								seed, i, k, e.Node.ID, e.ReservedGB, e.ItemsGB, w.Node.ID, w.ReservedGB, w.ItemsGB)
 						}
 					}
-					if len(left) > 0 && left[len(left)-1] < 0 && (len(tried) == 0 || tried[len(tried)-1] == 0) {
+					if len(left) > 0 && left[len(left)-1] < 0 && tried[len(tried)-1] == 0 {
 						filledFree++
 					}
 					penalties := map[float64]bool{}
