@@ -12,7 +12,7 @@ import (
 // whose scores never exceed 0, the dispatcher spawns on each zero-score node
 // as its walk meets it, stops once the fleet is full, and orders only the
 // lower-scored candidates; any other Placer has every candidate gathered and
-// ordered. Both give the same order.
+// ordered. Either way placements follow that order.
 type Placer interface {
 	// Score rates placing an executor of app on n; higher is better. The
 	// score is consulted only among nodes that already passed admission.

@@ -51,10 +51,10 @@ func (p classAware) Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node)
 // high-priority application that cannot start reclaims memory from the
 // newest preemptible lower-priority executors via the engine's charge-back
 // path before the copy places it; a Serial copy never preempts (see
-// Dispatcher.Schedule). The
-// given dispatcher is not touched, so it stays usable (and re-liftable)
-// as-is, and the copy keeps its policy name, so experiment tables stay
-// comparable. The returned scheduler is a *Dispatcher.
+// Dispatcher.Schedule). The given dispatcher is not touched, so it stays
+// usable (and re-liftable) as-is, and the copy keeps its policy name, so
+// experiment tables stay comparable. The returned scheduler is a
+// *Dispatcher.
 func NewPriority(inner *Dispatcher, preempt bool) cluster.Scheduler {
 	cp := *inner
 	cp.cand, cp.waitBuf, cp.growBuf, cp.preempted, cp.lastRun = scoredNodes{}, nil, nil, nil, nil
