@@ -98,7 +98,7 @@ func buildPolicy(name, placer string, seed int64, adapt bool) (*sched.Dispatcher
 			return nil, fmt.Errorf("training MoE model: %w", err)
 		}
 		if adapt {
-			d = sched.NewAdaptiveMoE(model, moe.AdaptiveConfig{}, rng)
+			d = sched.NewAdaptiveMoE(model, rng)
 		} else {
 			d = sched.NewMoE(model, rng)
 		}

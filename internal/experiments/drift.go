@@ -6,7 +6,6 @@ import (
 
 	"moespark/internal/cluster"
 	"moespark/internal/metrics"
-	"moespark/internal/moe"
 	"moespark/internal/sched"
 	"moespark/internal/workload"
 )
@@ -123,7 +122,7 @@ func Drift(ctx Context) (DriftResult, error) {
 		{"MoE-adaptive", func(seed int64) *sched.Dispatcher {
 			// A fresh Adaptive per run: its recalibration state is
 			// per-stream, never shared across runs or schemes.
-			return sched.NewAdaptiveMoE(moeModel, moe.AdaptiveConfig{}, rand.New(rand.NewSource(seed)))
+			return sched.NewAdaptiveMoE(moeModel, rand.New(rand.NewSource(seed)))
 		}},
 		{"Oracle", func(int64) *sched.Dispatcher { return sched.NewOracle() }},
 	}

@@ -119,30 +119,24 @@ type Pipeline struct {
 }
 
 // PipelineConfig controls fitting. The zero value requests the paper's
-// setting: as many PCs as needed for 95 % variance, capped at 5.
+// setting: as many PCs as needed to retain 95 % of the variance
+// (varianceTarget), capped at 5 (maxComponents).
 type PipelineConfig struct {
-	// Components fixes the number of PCs; 0 means derive from VarianceTarget.
+	// Components fixes the number of PCs; 0 means derive from
+	// varianceTarget.
 	Components int
-	// VarianceTarget is the fraction of variance to retain when Components
-	// is 0. Defaults to 0.95.
-	VarianceTarget float64
-	// MaxComponents caps the derived number of components. Defaults to 5.
-	MaxComponents int
 }
 
-func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.VarianceTarget == 0 {
-		c.VarianceTarget = 0.95
-	}
-	if c.MaxComponents == 0 {
-		c.MaxComponents = 5
-	}
-	return c
-}
+const (
+	// varianceTarget is the fraction of variance a derived number of
+	// components retains.
+	varianceTarget = 0.95
+	// maxComponents caps the derived number of components.
+	maxComponents = 5
+)
 
 // FitPipeline fits the scaler and PCA on the training samples.
 func FitPipeline(samples []Vector, cfg PipelineConfig) (*Pipeline, error) {
-	cfg = cfg.withDefaults()
 	if len(samples) < 2 {
 		return nil, errors.New("features: need at least 2 samples to fit pipeline")
 	}
@@ -156,13 +150,13 @@ func FitPipeline(samples []Vector, cfg PipelineConfig) (*Pipeline, error) {
 		copy(x.Data[i*NumRaw:(i+1)*NumRaw], scaled[:])
 	}
 	k := cfg.Components
-	pca, err := mathx.FitPCA(x, k, cfg.VarianceTarget)
+	pca, err := mathx.FitPCA(x, k, varianceTarget)
 	if err != nil {
 		return nil, fmt.Errorf("features: fitting PCA: %w", err)
 	}
-	if k <= 0 && pca.K > cfg.MaxComponents {
+	if k <= 0 && pca.K > maxComponents {
 		// Refit with the hard cap (cheap: same eigen decomposition size).
-		pca, err = mathx.FitPCA(x, cfg.MaxComponents, 0)
+		pca, err = mathx.FitPCA(x, maxComponents, 0)
 		if err != nil {
 			return nil, fmt.Errorf("features: refitting capped PCA: %w", err)
 		}

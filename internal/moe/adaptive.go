@@ -9,93 +9,59 @@ import (
 	"moespark/internal/memfunc"
 )
 
-// AdaptiveConfig tunes the online-adaptation machinery. The zero value
-// selects defaults sized for the open-system streams this repository runs.
-type AdaptiveConfig struct {
-	// Window is the sliding-window length of per-expert relative error the
-	// gate reweighting reads (default 32).
-	Window int
-	// Forget is the recursive-least-squares forgetting factor of the
-	// coefficient recalibration: 1 averages all history, smaller values track
-	// drift faster (default 0.97).
-	Forget float64
-	// MinObs is how many observations an expert needs before its correction
-	// (and its gate penalty) applies (default 8).
-	MinObs int
-	// GateGain scales how strongly an expert's window error biases the gate
+// The online-adaptation settings, sized for the open-system streams this
+// repository runs.
+const (
+	// errWindow is the sliding-window length of per-expert relative error
+	// the gate reweighting reads.
+	errWindow = 32
+	// forget is the recursive-least-squares forgetting factor of the
+	// coefficient recalibration: 1 averages all history, smaller values
+	// track drift faster.
+	forget = 0.97
+	// minObs is how many observations an expert needs before its
+	// correction (and its gate penalty) applies.
+	minObs = 8
+	// gateGain scales how strongly an expert's window error biases the gate
 	// against it: neighbour distances are multiplied by
-	// 1 + GateGain * meanRelativeError, capped at MaxGateBias (default 2).
-	GateGain float64
-	// MaxGateBias caps the gate's distance multiplier. The cap is load
+	// 1 + gateGain * meanRelativeError, capped at maxGateBias.
+	gateGain = 2.0
+	// maxGateBias caps the gate's distance multiplier. The cap is load
 	// bearing: one broken expert's window would otherwise reroute every
 	// program near its cluster — including the healthy ones at its centre —
 	// onto far-away experts whose wrong-family calibrations are worse than
 	// the errors being fled. Capped tightly, the bias can only break
 	// genuine near-ties between clusters; wholesale rerouting of a drifted
-	// cohort is the teaching mechanism's job (default 1.15).
-	MaxGateBias float64
-	// TeachErr is the relative-error threshold past which an observation
+	// cohort is the teaching mechanism's job.
+	maxGateBias = 1.15
+	// teachErr is the relative-error threshold past which an observation
 	// indicts the selected expert and gate self-training considers
-	// relabelling the app's feature-space position (default 0.5).
-	TeachErr float64
-	// TeachTol is how accurately (relative error at the observed
-	// allocation) an alternative expert's two-point calibration must explain
-	// the realised footprint before the gate is taught its label
-	// (default 0.25).
-	TeachTol float64
-	// MaxTaught bounds how many corrected samples self-training may plant in
-	// the gate per run, keeping the KNN's cost bounded on endless streams
-	// (default 512).
-	MaxTaught int
-	// MinScale / MaxScale bound the learned multiplicative correction; fits
-	// outside [MinScale, MaxScale] are distrusted and skipped. The band is
-	// asymmetric by design (defaults 0.7 and 8): the platform's penalty
-	// structure is asymmetric. Raising predictions merely wastes
-	// reservation headroom, so upward corrections may swing far; lowering
-	// them under-reserves every healthy program sharing the expert
-	// (heap-pressure thrash, OOM risk) if the observation mixture is
-	// polluted, so downward corrections are confined to mild trims.
-	MinScale float64
-	MaxScale float64
-}
+	// relabelling the app's feature-space position.
+	teachErr = 0.5
+	// teachTol is how accurately (relative error at the observed
+	// allocation) an alternative expert's two-point calibration must
+	// explain the realised footprint before the gate is taught its label.
+	teachTol = 0.25
+	// maxTaught bounds how many corrected samples self-training may plant
+	// in the gate per run, keeping the KNN's cost bounded on endless
+	// streams.
+	maxTaught = 512
+	// minScale and maxScale bound the learned multiplicative correction;
+	// fits outside [minScale, maxScale] are distrusted and skipped. The
+	// band is asymmetric by design: the platform's penalty structure is
+	// asymmetric. Raising predictions merely wastes reservation headroom,
+	// so upward corrections may swing far; lowering them under-reserves
+	// every healthy program sharing the expert (heap-pressure thrash, OOM
+	// risk) if the observation mixture is polluted, so downward
+	// corrections are confined to mild trims.
+	minScale = 0.7
+	maxScale = 8.0
+)
 
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	// Every check is written as !(in range) so that NaN, which fails every
-	// comparison, gets the default like any other out-of-range value.
-	if !(c.Window > 0) {
-		c.Window = 32
-	}
-	if !(c.Forget > 0 && c.Forget <= 1) {
-		c.Forget = 0.97
-	}
-	if !(c.MinObs > 0) {
-		c.MinObs = 8
-	}
-	if c.GateGain < 0 {
-		c.GateGain = 0
-	} else if !(c.GateGain > 0) {
-		c.GateGain = 2
-	}
-	if !(c.MaxGateBias > 1) {
-		c.MaxGateBias = 1.15
-	}
-	if !(c.TeachErr > 0) {
-		c.TeachErr = 0.5
-	}
-	if !(c.TeachTol > 0) {
-		c.TeachTol = 0.25
-	}
-	if !(c.MaxTaught > 0) {
-		c.MaxTaught = 512
-	}
-	if !(c.MinScale > 0 && c.MinScale <= 1) {
-		c.MinScale = 0.7
-	}
-	if !(c.MaxScale > 1) {
-		c.MaxScale = 8
-	}
-	return c
-}
+// AdaptiveConfig has no settings: the adaptation settings are the package
+// constants above. NewAdaptive still accepts and ignores one, so a call that
+// passes one keeps compiling.
+type AdaptiveConfig struct{}
 
 // Adaptive is the feedback-driven mixture-of-experts predictor: the trained
 // model's gate and experts, plus two online mechanisms fed by Observe.
@@ -115,7 +81,7 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 //  2. Gate reweighting. A sliding window of each expert's recent relative
 //     error (of the operative, post-correction predictions) biases the KNN
 //     gate: a mispredicting expert loses genuine near-ties. The bias is
-//     tightly capped — see AdaptiveConfig.MaxGateBias — and a flip away from
+//     tightly capped — see maxGateBias — and a flip away from
 //     the unbiased choice is accepted only when the rerouted expert's
 //     calibration predicts at least as much memory at the extrapolation
 //     scale: rerouting may make the scheduler more conservative, never less
@@ -123,9 +89,9 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 //     its victims into heap-pressure thrash).
 //
 //  3. Gate self-training. When an observation indicts the selected expert
-//     (relative error past TeachErr) and another family's calibration
+//     (relative error past teachErr) and another family's calibration
 //     through the same two profiling points explains the realised footprint
-//     within TeachTol, the app's position in the reduced feature space is
+//     within teachTol, the app's position in the reduced feature space is
 //     added to the gate under the better label (Model.TeachGate, the paper's
 //     KNN extensibility). A drifted cohort clusters in feature space, so a
 //     few corrected samples reroute the whole cohort — including across a
@@ -137,7 +103,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // mid-stream.
 type Adaptive struct {
 	model   *Model
-	cfg     AdaptiveConfig
 	fits    map[memfunc.Family]*mathx.OnlineLS
 	errs    *classify.LabelErrorWindow
 	taught  map[int]bool // app IDs that already had their teaching decision
@@ -155,13 +120,11 @@ var _ Predictor = (*Adaptive)(nil)
 // around an already-warm predictor would restart that sequence and silently
 // suppress the predictor's once-per-app logic for colliding IDs. Runs that
 // must not share state get fresh instances of both.
-func NewAdaptive(m *Model, cfg AdaptiveConfig) *Adaptive {
-	cfg = cfg.withDefaults()
+func NewAdaptive(m *Model, _ ...AdaptiveConfig) *Adaptive {
 	return &Adaptive{
 		model:  m.Clone(),
-		cfg:    cfg,
 		fits:   map[memfunc.Family]*mathx.OnlineLS{},
-		errs:   classify.NewLabelErrorWindow(cfg.Window),
+		errs:   classify.NewLabelErrorWindow(errWindow),
 		taught: map[int]bool{},
 	}
 }
@@ -179,12 +142,12 @@ func (a *Adaptive) Taught() int { return a.nTaught }
 // expert has a full-enough window, then grows with its recent mean relative
 // error.
 func (a *Adaptive) gateBias(f memfunc.Family) float64 {
-	if a.errs.Count(int(f)) < a.cfg.MinObs {
+	if a.errs.Count(int(f)) < minObs {
 		return 1
 	}
-	b := 1 + a.cfg.GateGain*a.errs.Mean(int(f))
-	if b > a.cfg.MaxGateBias {
-		return a.cfg.MaxGateBias
+	b := 1 + gateGain*a.errs.Mean(int(f))
+	if b > maxGateBias {
+		return maxGateBias
 	}
 	return b
 }
@@ -233,7 +196,7 @@ func (a *Adaptive) Predict(raw features.Vector, p1, p2 memfunc.Point) (Predictio
 	// selected expert): it was learned from that shape's predictions, and
 	// on a fallback the shape differs from the gate's choice.
 	if off, scale, ok := a.correction(fn.Family); ok {
-		if corrected, ok := recalibrate(fn, off, scale, a.cfg.MinScale, p2); ok {
+		if corrected, ok := recalibrate(fn, off, scale, p2); ok {
 			pred.Func = corrected
 			pred.Recalibrated = true
 		}
@@ -299,7 +262,7 @@ func flipConservative(from, to memfunc.Family, p1, p2 memfunc.Point) bool {
 // non-positive or implausible scale) report ok=false.
 func (a *Adaptive) correction(f memfunc.Family) (off, scale float64, ok bool) {
 	ls := a.fits[f]
-	if ls == nil || ls.Count() < float64(a.cfg.MinObs) {
+	if ls == nil || ls.Count() < minObs {
 		return 0, 0, false
 	}
 	coef, err := ls.Coef()
@@ -308,7 +271,7 @@ func (a *Adaptive) correction(f memfunc.Family) (off, scale float64, ok bool) {
 	}
 	off, scale = coef[0], coef[1]
 	if math.IsNaN(off) || math.IsInf(off, 0) ||
-		scale < a.cfg.MinScale || scale > a.cfg.MaxScale {
+		scale < minScale || scale > maxScale {
 		return 0, 0, false
 	}
 	return off, scale, true
@@ -323,7 +286,7 @@ func (a *Adaptive) correction(f memfunc.Family) (off, scale float64, ok bool) {
 // scale band allows — the corrected prediction at both the calibration and
 // the extrapolation scale must stay within the minScale trim of the raw
 // curve, or the correction is rejected as noise.
-func recalibrate(fn memfunc.Func, off, scale, minScale float64, p2 memfunc.Point) (memfunc.Func, bool) {
+func recalibrate(fn memfunc.Func, off, scale float64, p2 memfunc.Point) (memfunc.Func, bool) {
 	out := fn
 	switch fn.Family {
 	case memfunc.LinearPower, memfunc.NapierianLog:
@@ -361,7 +324,7 @@ func (a *Adaptive) Observe(obs Observation) {
 	a.errs.Add(int(obs.Family), relErr)
 	ls := a.fits[obs.Calibrated]
 	if ls == nil {
-		ls = mathx.NewOnlineLS(2, a.cfg.Forget)
+		ls = mathx.NewOnlineLS(2, forget)
 		a.fits[obs.Calibrated] = ls
 	}
 	ls.Add([]float64{1, obs.RawPredictedGB}, obs.ActualGB)
@@ -390,7 +353,7 @@ func (a *Adaptive) maybeTeach(obs Observation, relErr float64) {
 	if obs.ActualGB <= obs.PredictedGB {
 		return
 	}
-	if relErr <= a.cfg.TeachErr || a.nTaught >= a.cfg.MaxTaught || len(obs.PCs) == 0 {
+	if relErr <= teachErr || a.nTaught >= maxTaught || len(obs.PCs) == 0 {
 		return
 	}
 	// The incumbent is the curve that actually mispredicted; rivals are the
@@ -414,7 +377,7 @@ func (a *Adaptive) maybeTeach(obs Observation, relErr float64) {
 			best, bestErr = fam, e
 		}
 	}
-	if best == obs.Family || best == obs.Calibrated || bestErr > a.cfg.TeachTol {
+	if best == obs.Family || best == obs.Calibrated || bestErr > teachTol {
 		return
 	}
 	if a.model.TeachGate(obs.PCs, best) == nil {

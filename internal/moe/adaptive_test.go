@@ -22,7 +22,7 @@ func adaptTestModel(t *testing.T) *Model {
 // like the static pipeline: same selection, same calibrated coefficients.
 func TestAdaptiveMatchesStaticBeforeObservations(t *testing.T) {
 	model := adaptTestModel(t)
-	ad := NewAdaptive(model, AdaptiveConfig{})
+	ad := NewAdaptive(model)
 	rng := rand.New(rand.NewSource(3))
 	for _, name := range []string{"HB.Sort", "HB.PageRank", "SB.MatrixFact"} {
 		b, err := workload.Find(name)
@@ -51,7 +51,7 @@ func TestAdaptiveMatchesStaticBeforeObservations(t *testing.T) {
 // and folds it into subsequently predicted functions.
 func TestAdaptiveRecalibratesFromObservations(t *testing.T) {
 	model := adaptTestModel(t)
-	ad := NewAdaptive(model, AdaptiveConfig{MinObs: 6})
+	ad := NewAdaptive(model)
 	b, err := workload.Find("SB.MatrixFact") // linear-family benchmark
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestAdaptiveRecalibratesFromObservations(t *testing.T) {
 // region routes to the linear expert.
 func TestAdaptiveGateTeachingReroutesDriftedCohort(t *testing.T) {
 	model := adaptTestModel(t)
-	ad := NewAdaptive(model, AdaptiveConfig{})
+	ad := NewAdaptive(model)
 	orig, err := workload.Find("SB.MatrixFact") // linear-family benchmark
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestAdaptiveGateTeachingReroutesDriftedCohort(t *testing.T) {
 // onto a lower-predicting expert would under-reserve healthy programs.
 func TestAdaptiveTeachingRefusesOverPrediction(t *testing.T) {
 	model := adaptTestModel(t)
-	ad := NewAdaptive(model, AdaptiveConfig{})
+	ad := NewAdaptive(model)
 	b, err := workload.Find("HB.Sort")
 	if err != nil {
 		t.Fatal(err)
@@ -211,32 +211,5 @@ func TestAdaptiveTeachingRefusesOverPrediction(t *testing.T) {
 	})
 	if ad.Taught() != 0 {
 		t.Errorf("over-prediction taught %d samples, want 0", ad.Taught())
-	}
-}
-
-// A NaN setting fails every comparison, so range checks written as
-// "x <= 0 || x > 1" let it through; it must get the default like any other
-// out-of-range value. A NaN Forget used to build without error and then
-// panic inside the recalibration fit at the first Observe.
-func TestAdaptiveNaNConfigGetsDefaults(t *testing.T) {
-	nan := math.NaN()
-	ad := NewAdaptive(adaptTestModel(t), AdaptiveConfig{
-		Forget: nan, GateGain: nan, MaxGateBias: nan, TeachErr: nan,
-		TeachTol: nan, MinScale: nan, MaxScale: nan,
-	})
-	if want := (AdaptiveConfig{}).withDefaults(); ad.cfg != want {
-		t.Errorf("NaN settings became %+v, want the defaults %+v", ad.cfg, want)
-	}
-	ad.Observe(Observation{
-		Family:         memfunc.LinearPower,
-		Calibrated:     memfunc.LinearPower,
-		ItemsGB:        4,
-		PredictedGB:    4,
-		RawPredictedGB: 4,
-		ActualGB:       5,
-		Outcome:        OutcomeCompleted,
-	})
-	if ad.Observations() != 1 {
-		t.Fatalf("recorded %d observations, want 1", ad.Observations())
 	}
 }

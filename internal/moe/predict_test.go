@@ -55,7 +55,7 @@ func refAdaptivePredict(a *Adaptive, raw features.Vector, p1, p2 memfunc.Point) 
 		FellBack:    fn.Family != sel.Family,
 	}
 	if off, scale, ok := a.correction(fn.Family); ok {
-		if corrected, ok := recalibrate(fn, off, scale, a.cfg.MinScale, p2); ok {
+		if corrected, ok := recalibrate(fn, off, scale, p2); ok {
 			pred.Func = corrected
 			pred.Recalibrated = true
 		}
@@ -65,7 +65,7 @@ func refAdaptivePredict(a *Adaptive, raw features.Vector, p1, p2 memfunc.Point) 
 
 // warmAdaptive returns an adaptive predictor on the default model whose
 // error windows bias the gate against two experts: the exponential one by
-// the full MaxGateBias and the linear one by 1.1. The same observations
+// the full maxGateBias and the linear one by 1.1. The same observations
 // give both a learned correction. No observation carries PCs, so nothing is
 // taught and the gate's training set stays the model's.
 func warmAdaptive(tb testing.TB) *Adaptive {
@@ -74,13 +74,13 @@ func warmAdaptive(tb testing.TB) *Adaptive {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a := NewAdaptive(m, AdaptiveConfig{})
+	a := NewAdaptive(m)
 	id := 0
 	for _, w := range []struct {
 		fam    memfunc.Family
 		relErr float64
 	}{{memfunc.Exponential, 0.5}, {memfunc.LinearPower, 0.05}} {
-		for i := 0; i < 2*a.cfg.MinObs; i++ {
+		for i := 0; i < 2*minObs; i++ {
 			raw := 1 + float64(i)
 			a.Observe(Observation{
 				Family:         w.fam,

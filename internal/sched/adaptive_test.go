@@ -22,7 +22,7 @@ func TestAdaptiveObservationPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ad := moe.NewAdaptive(model, moe.AdaptiveConfig{})
+	ad := moe.NewAdaptive(model)
 	c := cluster.New(cluster.DefaultConfig())
 	if _, err := c.RunOpen(cluster.Submissions(arrivals), NewMoEPredictor(ad, rand.New(rand.NewSource(3)))); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestAdaptiveObservationPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad2 := moe.NewAdaptive(model, moe.AdaptiveConfig{})
+	ad2 := moe.NewAdaptive(model)
 	c2 := cluster.New(cluster.DefaultConfig())
 	if _, err := c2.RunOpen(cluster.Submissions(tagged), NewPriority(NewMoEPredictor(ad2, rand.New(rand.NewSource(3))), true)); err != nil {
 		t.Fatal(err)

@@ -239,7 +239,7 @@ func BenchmarkDispatcherPlaceFleet1024(b *testing.B) {
 			}
 		}
 	}
-	d := NewPriority(NewOracle(), true).(*Dispatcher)
+	d := NewPriority(NewOracle(), true)
 	app := addReady(b, c, workload.Job{Bench: cat[0], InputGB: 512})
 	app.Class = testBatchClass
 	d.Prepare(c, app)

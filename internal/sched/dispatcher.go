@@ -32,6 +32,10 @@ type Dispatcher struct {
 	// CheckCPU enforces the dispatcher's aggregate-CPU admission rule.
 	CheckCPU bool
 
+	// classTiers, set only on a NewPriority copy, ranks each candidate node
+	// by its executors of a strictly higher class weight before the
+	// Placer's score (see placeApp).
+	classTiers bool
 	// preempt, set only on a NewPriority copy, makes Schedule reclaim
 	// memory for starved high-priority arrivals before placing. A Serial
 	// dispatcher never does: it starts only the FCFS head, which would take
@@ -221,16 +225,17 @@ func wantsExecutor(app *cluster.App) bool {
 	return len(app.Executors) < app.MaxExecutors && app.RemainingGB > 0
 }
 
-// placeApp tries to spawn executors for one application on compatible nodes,
-// best Placer score first, ties in node order. Only open nodes can pass
-// admission, so only they are walked. A spawn changes only its own node and
-// the app, so no other node's admission, score or plan moves: spawning
-// during the walk places exactly what gathering every candidate first would
-// have placed. Under a first-fit order (a nil Placer, or the class-aware
-// wrapper of one) no node outranks a penalty-free one (score 0) met earlier
-// in the walk, so the walk spawns on each such node as it meets it and
-// stops once the fleet is full; only penalised nodes are kept, and they are
-// tried best first after the walk. Any other Placer keeps every candidate.
+// placeApp tries to spawn executors for one application on compatible
+// nodes in placement order: on a NewPriority copy, fewest executors of a
+// strictly higher class weight first; then best Placer score; then node
+// order. Only open nodes can pass admission, so only they are walked. A
+// spawn changes only its own node and the app, so no other node's
+// admission, tier, score or plan moves: spawning during the walk places
+// exactly what gathering every candidate first would have placed. Under
+// first fit (a nil Placer) no node outranks a tier-0 node met earlier in
+// the walk, so the walk spawns on each tier-0 node as it meets it and stops
+// once the fleet is full; only higher-tier nodes are kept, and they are
+// tried in order after the walk. A Placer keeps every candidate.
 func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	if !wantsExecutor(app) {
 		return
@@ -240,21 +245,21 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// thread it through planning and the PredictedGB stamp, so the stamp is
 	// guaranteed to come from the same estimate the plan used.
 	est, haveEst := estimateOf(app)
-	firstFit := d.Placer == nil
-	if ca, ok := d.Placer.(classAware); ok && ca.inner == nil {
-		firstFit = true
-	}
 	d.cand.reset()
 	for n := range c.OpenNodes() {
 		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
 			continue
 		}
-		var score float64
-		if d.Placer != nil {
-			score = d.Placer.Score(c, app, n)
+		var tier int
+		if d.classTiers {
+			tier = outranking(app, n)
 		}
-		if !firstFit || score != 0 {
-			d.cand.add(n, score)
+		if d.Placer != nil {
+			d.cand.add(n, tier, d.Placer.Score(app, n))
+			continue
+		}
+		if tier > 0 {
+			d.cand.add(n, tier, 0)
 			continue
 		}
 		d.spawnOn(c, app, n, est, haveEst)
@@ -265,7 +270,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// Best first: pop only until the fleet is full, so the candidates it
 	// never reaches are never ordered.
 	d.cand.heapify()
-	for len(d.cand.nodes) > 0 && wantsExecutor(app) {
+	for len(d.cand) > 0 && wantsExecutor(app) {
 		d.spawnOn(c, app, d.cand.pop(), est, haveEst)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,20 +18,23 @@ var walkClasses = []workload.Class{
 	{Name: "latency", Weight: 4},
 }
 
-// walkFixture builds a seeded 64-node big/little fleet for d and the apps
-// to place on it, one per class and cap. Resident apps of every class hold
+// walkFixture builds a seeded 64-node big/little fleet in 8 racks for d
+// and the apps to place on it, one per class and cap. Resident apps of every class hold
 // one to three executors on about half the nodes, so a placed app meets
 // nodes its class penalises one to three co-runners deep. Foreign CPU hogs
 // fail the CPU rule on some open nodes, d's per-node app cap fails crowded
 // ones, a few residents leave their node too little memory for any plan,
 // and half the apps already hold an executor on one node, which fails
-// App.CanUse there. Each class gets a cap of 2, which the penalty-free
+// App.CanUse there and gives the rack-spread placer a rack to avoid. Each class gets a cap of 2, which the penalty-free
 // nodes fill, and one of 40, which they cannot.
 func walkFixture(t *testing.T, seed int64, d *Dispatcher) (*cluster.Cluster, []*cluster.App) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	fleet, err := workload.BimodalFleet(64, workload.BigNode(), workload.LittleNode(), 0.5, r)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet, err = workload.AssignRacks(fleet, 8, 2); err != nil {
 		t.Fatal(err)
 	}
 	c := heteroCluster(t, cluster.SpecsFrom(fleet))
@@ -81,101 +85,127 @@ func walkFixture(t *testing.T, seed int64, d *Dispatcher) (*cluster.Cluster, []*
 	return c, apps
 }
 
-// refPlaceApp is placeApp's reference: it gathers every node that passes
-// App.CanUse and the dispatcher's admission, scores each with d's placer (0
-// for a nil one), stable-sorts them by descending score and spawns in that
-// order until the fleet is full. It returns the scores of the nodes it
+// refPlaceApp is placeApp's reference. It keeps the rule of the
+// class-aware wrapper that NewPriority used to install: it gathers every
+// node that passes App.CanUse and the dispatcher's admission, scores each
+// with d's placer (0 for a nil one) less 1e6 per executor of a strictly
+// higher class weight on a NewPriority copy, stable-sorts them by
+// descending score and spawns in that order until the fleet is full. It
+// returns the tiers (those higher-weight executor counts) of the nodes it
 // tried and of those it never reached.
-func refPlaceApp(d *Dispatcher, c *cluster.Cluster, app *cluster.App) (tried, left []float64) {
+func refPlaceApp(d *Dispatcher, c *cluster.Cluster, app *cluster.App) (tried, left []int) {
 	if !wantsExecutor(app) {
 		return nil, nil
 	}
-	var nodes []*cluster.Node
-	var scores []float64
+	type cand struct {
+		node  *cluster.Node
+		tier  int
+		score float64
+	}
+	var cands []cand
 	for _, n := range c.Nodes() {
-		if app.CanUse(n, c.Now()) && d.admits(n, app.Job.Bench.CPULoad) {
-			var score float64
-			if d.Placer != nil {
-				score = d.Placer.Score(c, app, n)
-			}
-			nodes, scores = append(nodes, n), append(scores, score)
+		if !app.CanUse(n, c.Now()) || !d.admits(n, app.Job.Bench.CPULoad) {
+			continue
 		}
+		k := cand{node: n}
+		if d.classTiers {
+			for _, e := range n.Executors {
+				if e.App.Class.Weight > app.Class.Weight {
+					k.tier++
+				}
+			}
+		}
+		if d.Placer != nil {
+			k.score = d.Placer.Score(app, n)
+		}
+		k.score -= 1e6 * float64(k.tier)
+		cands = append(cands, k)
 	}
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return scores[order[i]] > scores[order[j]] })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
 	est, haveEst := estimateOf(app)
-	for k, i := range order {
+	for i, k := range cands {
 		if !wantsExecutor(app) {
-			for _, i := range order[k:] {
-				left = append(left, scores[i])
+			for _, k := range cands[i:] {
+				left = append(left, k.tier)
 			}
 			break
 		}
-		d.spawnOn(c, app, nodes[i], est, haveEst)
-		tried = append(tried, scores[i])
+		d.spawnOn(c, app, k.node, est, haveEst)
+		tried = append(tried, k.tier)
 	}
 	return tried, left
 }
 
-// TestPlaceAppWalkMatchesGatherAndSort pins placeApp's walk for both
-// first-fit orders, a nil placer and the class-aware wrapper of one, to
-// the gather, score and stable-sort placement it replaced: on identical
-// seeded clusters, every app gets the same executors (node, reservation
-// and items, in App.Executors order). Under the class-aware order the
-// fixtures must include apps whose fleet the penalty-free nodes fill while
-// penalised candidates wait, and apps that go on to penalised nodes of more
-// than one penalty tier, so both the early stop and the best-first order
-// after the walk are exercised.
+// TestPlaceAppWalkMatchesGatherAndSort pins placeApp, for first fit and
+// each built-in placer, on a plain dispatcher and on a NewPriority copy, to
+// the gather, score and stable-sort placement under the retired 1e6
+// penalty rule: on identical seeded clusters, every app gets the same
+// executors (node, reservation and items, in App.Executors order). On the
+// copies the fixtures must include apps whose fleet the nodes without a
+// higher-weight executor fill while others wait, and apps that go on to
+// nodes of more than one higher tier, so both the early stop and the
+// best-first order are exercised.
 func TestPlaceAppWalkMatchesGatherAndSort(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		placer Placer
-	}{{"first-fit", nil}, {"class-aware", NewClassAware(nil)}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var filledFree, tiered int
-			for seed := int64(1); seed <= 16; seed++ {
-				dispatcher := func() *Dispatcher {
-					d := NewOracle()
-					d.Placer, d.MaxAppsPerNode = tc.placer, 3
-					return d
-				}
-				d, ref := dispatcher(), dispatcher()
-				c, apps := walkFixture(t, seed, d)
-				rc, refApps := walkFixture(t, seed, ref)
-				for i, app := range apps {
-					d.placeApp(c, app)
-					tried, left := refPlaceApp(ref, rc, refApps[i])
-					got, want := app.Executors, refApps[i].Executors
-					if len(got) != len(want) {
-						t.Fatalf("seed %d app %d: %d executors, reference %d", seed, i, len(got), len(want))
+		plain, priority string // subtest names
+		placer          func() Placer
+	}{
+		{"first-fit", "class-aware", func() Placer { return nil }},
+		{"best-fit", "class-aware-best-fit", NewBestFitMemory},
+		{"speed-aware", "class-aware-speed-aware", NewSpeedAware},
+		{"rack-spread", "class-aware-rack-spread", NewRackSpread},
+	} {
+		for _, priority := range []bool{false, true} {
+			name := tc.plain
+			if priority {
+				name = tc.priority
+			}
+			t.Run(name, func(t *testing.T) {
+				var filledFree, tiered int
+				for seed := int64(1); seed <= 16; seed++ {
+					dispatcher := func() *Dispatcher {
+						d := NewOracle()
+						d.Placer, d.MaxAppsPerNode = tc.placer(), 3
+						if priority {
+							d = NewPriority(d, false)
+						}
+						return d
 					}
-					for k, e := range got {
-						w := want[k]
-						if e.Node.ID != w.Node.ID || e.ReservedGB != w.ReservedGB || e.ItemsGB != w.ItemsGB {
-							t.Fatalf("seed %d app %d executor %d: node %d, %v GB reserved, %v GB items; reference node %d, %v, %v",
-								seed, i, k, e.Node.ID, e.ReservedGB, e.ItemsGB, w.Node.ID, w.ReservedGB, w.ItemsGB)
+					d, ref := dispatcher(), dispatcher()
+					c, apps := walkFixture(t, seed, d)
+					rc, refApps := walkFixture(t, seed, ref)
+					for i, app := range apps {
+						d.placeApp(c, app)
+						tried, left := refPlaceApp(ref, rc, refApps[i])
+						got, want := app.Executors, refApps[i].Executors
+						if len(got) != len(want) {
+							t.Fatalf("seed %d app %d: %d executors, reference %d", seed, i, len(got), len(want))
+						}
+						for k, e := range got {
+							w := want[k]
+							if e.Node.ID != w.Node.ID || e.ReservedGB != w.ReservedGB || e.ItemsGB != w.ItemsGB {
+								t.Fatalf("seed %d app %d executor %d: node %d, %v GB reserved, %v GB items; reference node %d, %v, %v",
+									seed, i, k, e.Node.ID, e.ReservedGB, e.ItemsGB, w.Node.ID, w.ReservedGB, w.ItemsGB)
+							}
+						}
+						if len(left) > 0 && slices.Max(left) > 0 && tried[len(tried)-1] == 0 {
+							filledFree++
+						}
+						tiers := map[int]bool{}
+						for _, k := range tried {
+							if k > 0 {
+								tiers[k] = true
+							}
+						}
+						if len(tiers) > 1 {
+							tiered++
 						}
 					}
-					if len(left) > 0 && left[len(left)-1] < 0 && tried[len(tried)-1] == 0 {
-						filledFree++
-					}
-					penalties := map[float64]bool{}
-					for _, s := range tried {
-						if s < 0 {
-							penalties[s] = true
-						}
-					}
-					if len(penalties) > 1 {
-						tiered++
-					}
 				}
-			}
-			if tc.placer != nil && (filledFree == 0 || tiered == 0) {
-				t.Errorf("fixtures filled %d fleets on penalty-free nodes alone and sent %d apps to several penalty tiers; want both", filledFree, tiered)
-			}
-		})
+				if priority && (filledFree == 0 || tiered == 0) {
+					t.Errorf("fixtures filled %d fleets on tier-0 nodes alone and sent %d apps to several higher tiers; want both", filledFree, tiered)
+				}
+			})
+		}
 	}
 }

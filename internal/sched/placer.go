@@ -7,16 +7,14 @@ import (
 // Placer scores candidate nodes for an executor placement. The dispatcher
 // scores each node that passes its admission checks (availability, memory,
 // CPU, per-node app caps) and attempts placements in descending score order;
-// ties keep node-scan order. A nil Placer is first fit: candidates in
-// node-scan order, unscored. Under first fit and under NewClassAware(nil),
-// whose scores never exceed 0, the dispatcher spawns on each zero-score node
-// as its walk meets it, stops once the fleet is full, and orders only the
-// lower-scored candidates; any other Placer has every candidate gathered and
-// ordered. Either way placements follow that order.
+// ties keep node-scan order. On a NewPriority copy the score ranks nodes
+// only within a class tier (see placeApp). A nil Placer is first fit:
+// candidates in node-scan order, unscored, which the dispatcher spawns on as
+// its walk meets them.
 type Placer interface {
 	// Score rates placing an executor of app on n; higher is better. The
 	// score is consulted only among nodes that already passed admission.
-	Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node) float64
+	Score(app *cluster.App, n *cluster.Node) float64
 }
 
 // bestFitMemory prefers the candidate with the least free memory — classic
@@ -27,7 +25,7 @@ type bestFitMemory struct{}
 // NewBestFitMemory returns the tightest-fit-first placement strategy.
 func NewBestFitMemory() Placer { return bestFitMemory{} }
 
-func (bestFitMemory) Score(_ *cluster.Cluster, _ *cluster.App, n *cluster.Node) float64 {
+func (bestFitMemory) Score(_ *cluster.App, n *cluster.Node) float64 {
 	return -n.FreeGB()
 }
 
@@ -43,7 +41,7 @@ type speedAware struct{}
 // heterogeneous fleets.
 func NewSpeedAware() Placer { return speedAware{} }
 
-func (speedAware) Score(_ *cluster.Cluster, _ *cluster.App, n *cluster.Node) float64 {
+func (speedAware) Score(_ *cluster.App, n *cluster.Node) float64 {
 	return n.Spec.SpeedFactor / (1 + n.CPUDemand()/n.CPUCapacity())
 }
 
@@ -66,7 +64,7 @@ type rackSpread struct {
 // the default locality weight.
 func NewRackSpread() Placer { return rackSpread{locality: 0.25} }
 
-func (p rackSpread) Score(_ *cluster.Cluster, app *cluster.App, n *cluster.Node) float64 {
+func (p rackSpread) Score(app *cluster.App, n *cluster.Node) float64 {
 	score := 0.0
 	if n.Spec.Rack != "" {
 		for _, e := range app.Executors {
@@ -78,50 +76,47 @@ func (p rackSpread) Score(_ *cluster.Cluster, app *cluster.App, n *cluster.Node)
 	return score + p.locality*n.Spec.SpeedFactor/(1+n.CPUDemand()/n.CPUCapacity())
 }
 
-// scoredNodes is the dispatcher's reusable candidate buffer: nodes plus their
-// scores, on parallel slices so nothing allocates once the buffers are warm.
-// It holds every candidate of a scored placer and only the penalised ones
-// under a first-fit order. heapify turns it into a max-heap and pop hands
-// the candidates out best-first — score descending, ties in gather
-// (node-scan) order — so a placement that fills its fleet after a few pops
-// never orders the candidates it does not reach.
-type scoredNodes struct {
-	nodes  []*cluster.Node
-	scores []float64
-	order  []int // gather order, the tie-break
+// candidate is one admissible node of a placement with its rank: its tier
+// (on a NewPriority copy, the executors it hosts of a strictly higher class
+// weight; otherwise 0), the Placer's score and its gather (node-scan) order.
+type candidate struct {
+	node  *cluster.Node
+	tier  int
+	score float64
+	order int
 }
 
-func (s *scoredNodes) reset() {
-	s.nodes = s.nodes[:0]
-	s.scores = s.scores[:0]
-	s.order = s.order[:0]
-}
-
-func (s *scoredNodes) add(n *cluster.Node, score float64) {
-	s.nodes = append(s.nodes, n)
-	s.scores = append(s.scores, score)
-	s.order = append(s.order, len(s.order))
-}
-
-// better is the heap order: higher score first, then earlier gather order.
-// Gather orders are distinct, so it is a strict total order and each pop
-// returns the candidate a stable descending sort would have put next.
-func (s *scoredNodes) better(i, j int) bool {
-	if s.scores[i] != s.scores[j] {
-		return s.scores[i] > s.scores[j]
+// before is the placement order: lower tier first, then higher score, then
+// earlier gather order. Gather orders are distinct, so it is a strict total
+// order and each pop returns the candidate a stable sort by tier, then
+// descending score, would have put next.
+func (a *candidate) before(b *candidate) bool {
+	if a.tier != b.tier {
+		return a.tier < b.tier
 	}
-	return s.order[i] < s.order[j]
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.order < b.order
 }
 
-func (s *scoredNodes) swap(i, j int) {
-	s.nodes[i], s.nodes[j] = s.nodes[j], s.nodes[i]
-	s.scores[i], s.scores[j] = s.scores[j], s.scores[i]
-	s.order[i], s.order[j] = s.order[j], s.order[i]
+// scoredNodes is the dispatcher's reusable candidate heap, so nothing
+// allocates once it is warm. It holds every candidate of a scored placer
+// and, under first fit, only those above tier 0. heapify orders it as a
+// heap under before, and pop hands the candidates out best-first, so a
+// placement that fills its fleet after a few pops never orders the
+// candidates it does not reach.
+type scoredNodes []candidate
+
+func (s *scoredNodes) reset() { *s = (*s)[:0] }
+
+func (s *scoredNodes) add(n *cluster.Node, tier int, score float64) {
+	*s = append(*s, candidate{node: n, tier: tier, score: score, order: len(*s)})
 }
 
-// heapify arranges the candidates as a max-heap under better, in linear time.
-func (s *scoredNodes) heapify() {
-	for i := len(s.nodes)/2 - 1; i >= 0; i-- {
+// heapify arranges the candidates as a heap under before, in linear time.
+func (s scoredNodes) heapify() {
+	for i := len(s)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
 }
@@ -129,31 +124,33 @@ func (s *scoredNodes) heapify() {
 // pop removes and returns the best candidate left in a heapified buffer; the
 // buffer must not be empty.
 func (s *scoredNodes) pop() *cluster.Node {
-	best, last := s.nodes[0], len(s.nodes)-1
-	s.swap(0, last)
-	s.nodes, s.scores, s.order = s.nodes[:last], s.scores[:last], s.order[:last]
+	h := *s
+	best, last := h[0].node, len(h)-1
+	h[0] = h[last]
+	*s = h[:last]
 	s.siftDown(0)
 	return best
 }
 
-// siftDown moves the candidate at i down until neither child is better.
-func (s *scoredNodes) siftDown(i int) {
-	n := len(s.nodes)
+// siftDown moves the candidate at i down until neither child comes before
+// it.
+func (s scoredNodes) siftDown(i int) {
+	n := len(s)
 	for {
 		best, l := i, 2*i+1
 		if l >= n {
 			return
 		}
-		if s.better(l, best) {
+		if s[l].before(&s[best]) {
 			best = l
 		}
-		if r := l + 1; r < n && s.better(r, best) {
+		if r := l + 1; r < n && s[r].before(&s[best]) {
 			best = r
 		}
 		if best == i {
 			return
 		}
-		s.swap(i, best)
+		s[i], s[best] = s[best], s[i]
 		i = best
 	}
 }

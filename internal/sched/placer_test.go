@@ -107,58 +107,65 @@ func TestPlacerSkipsUnavailableNodes(t *testing.T) {
 	}
 }
 
-// TestScoredNodesStableSort pins the tie-break: equal scores keep insertion
-// order, so constant scorers degrade to first fit.
+// TestScoredNodesStableSort pins the candidate order: lower tier first, then
+// higher score, and equal tier and score keep insertion order, so constant
+// scorers degrade to first fit within a tier.
 func TestScoredNodesStableSort(t *testing.T) {
 	var s scoredNodes
-	nodes := make([]*cluster.Node, 5)
-	c := cluster.New(cluster.DefaultConfig())
-	copy(nodes, c.Nodes()[:5])
-	scores := []float64{1, 3, 1, 3, 2}
+	nodes := cluster.New(cluster.DefaultConfig()).Nodes()[:6]
+	tiers := []int{0, 1, 0, 0, 1, 0}
+	scores := []float64{1, 9, 3, 1, 9, 2}
 	for i, n := range nodes {
-		s.add(n, scores[i])
+		s.add(n, tiers[i], scores[i])
 	}
 	s.heapify()
-	wantIDs := []int{1, 3, 4, 0, 2}
+	wantIDs := []int{2, 5, 0, 3, 1, 4}
 	for i, want := range wantIDs {
 		if n := s.pop(); n.ID != want {
 			t.Errorf("rank %d = node %d, want %d", i, n.ID, want)
 		}
 	}
-	if len(s.nodes) != 0 {
-		t.Errorf("%d candidates left after popping all", len(s.nodes))
+	if len(s) != 0 {
+		t.Errorf("%d candidates left after popping all", len(s))
 	}
 }
 
-// TestScoredNodesPopMatchesStableSort pins best-first selection to the full
-// sort it replaced: popping every candidate of a heapified buffer returns
-// exactly sort.SliceStable's descending order, and stopping after k pops
-// returns its first k. Scores come from a handful of values spread over
-// class-penalty tiers, so ties are common.
+// TestScoredNodesPopMatchesStableSort pins best-first selection to a full
+// sort: popping every candidate of a heapified buffer returns exactly
+// sort.SliceStable's order by tier, then descending score, and stopping
+// after k pops returns its first k. Scores come from a handful of values,
+// so ties are common, and span more than any tier penalty could.
 func TestScoredNodesPopMatchesStableSort(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 300
 	nodes := cluster.New(cfg).Nodes()
 	r := rand.New(rand.NewSource(1))
-	base := []float64{0, 0.25, 0.5, 1, 1.2}
+	base := []float64{-5e6, 0, 0.25, 0.5, 1, 1.2, 5e6}
 	var s scoredNodes
 	for trial := 0; trial < 500; trial++ {
 		count := 1 + r.Intn(len(nodes))
+		tiers := make([]int, count)
 		scores := make([]float64, count)
 		for i := range scores {
-			scores[i] = base[r.Intn(len(base))] - float64(r.Intn(3))*classPenalty
+			tiers[i], scores[i] = r.Intn(3), base[r.Intn(len(base))]
 		}
 		fill := func() {
 			s.reset()
-			for i, sc := range scores {
-				s.add(nodes[i], sc)
+			for i := range scores {
+				s.add(nodes[i], tiers[i], scores[i])
 			}
 		}
 		want := make([]int, count)
 		for i := range want {
 			want[i] = i
 		}
-		sort.SliceStable(want, func(i, j int) bool { return scores[want[i]] > scores[want[j]] })
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if tiers[a] != tiers[b] {
+				return tiers[a] < tiers[b]
+			}
+			return scores[a] > scores[b]
+		})
 
 		fill()
 		s.heapify()
@@ -176,8 +183,8 @@ func TestScoredNodesPopMatchesStableSort(t *testing.T) {
 				t.Fatalf("trial %d, stop at %d: rank %d = node %d, want %d", trial, k, rank, n.ID, nodes[want[rank]].ID)
 			}
 		}
-		if len(s.nodes) != count-k {
-			t.Fatalf("trial %d: %d candidates left after %d of %d pops", trial, len(s.nodes), k, count)
+		if len(s) != count-k {
+			t.Fatalf("trial %d: %d candidates left after %d of %d pops", trial, len(s), k, count)
 		}
 	}
 }

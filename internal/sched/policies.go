@@ -87,8 +87,8 @@ func NewMoE(model *moe.Model, rng *rand.Rand) *Dispatcher {
 // NewAdaptiveMoE returns the feedback-driven variant: the same trained
 // model wrapped in moe.Adaptive, which recalibrates expert coefficients and
 // reweights the gate from the engine's completion/OOM observations.
-func NewAdaptiveMoE(model *moe.Model, cfg moe.AdaptiveConfig, rng *rand.Rand) *Dispatcher {
-	return NewMoEPredictor(moe.NewAdaptive(model, cfg), rng)
+func NewAdaptiveMoE(model *moe.Model, rng *rand.Rand) *Dispatcher {
+	return NewMoEPredictor(moe.NewAdaptive(model), rng)
 }
 
 // NewMoEPredictor returns an MoE-style scheme driven by an arbitrary

@@ -4,62 +4,38 @@ import (
 	"moespark/internal/cluster"
 )
 
-// classPenalty is the per-co-runner score penalty the class-aware placer
-// applies when a candidate node already hosts a strictly-higher-weight
-// tenant. It dominates every built-in placer's score range (free memory in
-// GB, speed factors near 1), so priority avoidance acts lexicographically
-// before the wrapped placer's own preference.
-const classPenalty = 1e6
-
-// classAware wraps any Placer with tenant-priority awareness: candidates
-// hosting higher-weight tenants are ranked below all others, steering batch
-// work away from nodes running latency-sensitive executors. Within a
-// penalty tier the wrapped placer's score (or scan order for nil) decides,
-// so single-class runs — where no executor ever outranks another — score
-// bit-for-bit like the wrapped placer alone. Over a nil placer every score
-// is 0 or a negative penalty, so Dispatcher.placeApp spawns on each
-// penalty-free node as its walk meets it and orders only the penalised ones.
-type classAware struct {
-	inner Placer
-}
-
-// NewClassAware returns a class-aware wrapper around any placement strategy;
-// a nil inner placer wraps the default first-fit scan order.
-func NewClassAware(inner Placer) Placer { return classAware{inner: inner} }
-
-// Score implements Placer.
-func (p classAware) Score(c *cluster.Cluster, app *cluster.App, n *cluster.Node) float64 {
-	var penalty float64
-	for _, e := range n.Executors {
-		if e.App.Class.Weight > app.Class.Weight {
-			penalty++
-		}
-	}
-	var base float64
-	if p.inner != nil {
-		base = p.inner.Score(c, app, n)
-	}
-	return base - penalty*classPenalty
-}
-
 // NewPriority lifts a dispatcher-based policy into a multi-tenant
-// scheduler: a copy of the dispatcher whose placer is wrapped class-aware,
-// under the engine's weighted-FCFS queue ordering (the waiting set is already
-// weight-ordered). A copy of a first-fit dispatcher keeps the first-fit walk
-// and sets aside only the nodes that host a higher-weight tenant, to be
-// tried after the penalty-free ones. With preempt set, an arriving
+// scheduler: a copy of the dispatcher under the engine's weighted-FCFS
+// queue ordering (the waiting set is already weight-ordered) whose
+// placement is class-aware. Each candidate node is ranked first by how many
+// executors of a strictly higher class weight it hosts, fewest first, and
+// only then by the Placer's score and node order, so batch work steers
+// away from nodes running latency-sensitive executors whatever the scores
+// span. Single-class runs, where no executor ever outranks another, place
+// bit-for-bit like the dispatcher itself. With preempt set, an arriving
 // high-priority application that cannot start reclaims memory from the
 // newest preemptible lower-priority executors via the engine's charge-back
 // path before the copy places it; a Serial copy never preempts (see
 // Dispatcher.Schedule). The given dispatcher is not touched, so it stays
 // usable (and re-liftable) as-is, and the copy keeps its policy name, so
-// experiment tables stay comparable. The returned scheduler is a
-// *Dispatcher.
-func NewPriority(inner *Dispatcher, preempt bool) cluster.Scheduler {
+// experiment tables stay comparable.
+func NewPriority(inner *Dispatcher, preempt bool) *Dispatcher {
 	cp := *inner
-	cp.cand, cp.waitBuf, cp.growBuf, cp.preempted, cp.lastRun = scoredNodes{}, nil, nil, nil, nil
-	cp.Placer, cp.preempt = NewClassAware(cp.Placer), preempt
+	cp.cand, cp.waitBuf, cp.growBuf, cp.preempted, cp.lastRun = nil, nil, nil, nil, nil
+	cp.classTiers, cp.preempt = true, preempt
 	return &cp
+}
+
+// outranking counts the executors on n whose class weight is strictly
+// higher than app's: a class-aware copy's placement tier for n.
+func outranking(app *cluster.App, n *cluster.Node) int {
+	k := 0
+	for _, e := range n.Executors {
+		if e.App.Class.Weight > app.Class.Weight {
+			k++
+		}
+	}
+	return k
 }
 
 // preemptStarved reclaims resources for every application of the waiting

@@ -29,40 +29,41 @@ func classedStream(t *testing.T, n int, ratePerHour float64, seed int64) []clust
 	return cluster.Submissions(tagged)
 }
 
-// TestClassAwareScoreComposes checks the wrapper: no higher-weight co-runner
-// means the inner score passes through untouched; a higher-weight co-runner
-// pushes the candidate below every unpenalised node.
-func TestClassAwareScoreComposes(t *testing.T) {
+// scorePlacer is a Placer that reads each node's score from a table.
+type scorePlacer map[*cluster.Node]float64
+
+func (p scorePlacer) Score(_ *cluster.App, n *cluster.Node) float64 { return p[n] }
+
+// TestPriorityRanksClassBeforeScore pins that a class-aware copy tries a
+// node hosting a higher-weight executor only after every node that hosts
+// none, however far the Placer's scores span: a batch app with a
+// one-executor fleet lands on the empty node although the node beside the
+// latency tenant scores 5e6 higher. A score penalty of 1e6 per co-runner,
+// the old rule, put it beside the latency tenant.
+func TestPriorityRanksClassBeforeScore(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 2
 	c := cluster.New(cfg)
-	n0, n1 := c.Nodes()[0], c.Nodes()[1]
-
+	busy, empty := c.Nodes()[0], c.Nodes()[1]
 	hi := addReady(t, c, workload.Job{Bench: testBench(t), InputGB: 10})
 	hi.Class = testLatencyClass
-	if _, err := c.Spawn(hi, n0, 10, 10); err != nil {
+	if _, err := c.Spawn(hi, busy, 10, 10); err != nil {
 		t.Fatal(err)
 	}
 	batch := addReady(t, c, workload.Job{Bench: testBench(t), InputGB: 10})
 	batch.Class = testBatchClass
+	batch.MaxExecutors = 1
 
-	inner := NewBestFitMemory()
-	p := NewClassAware(inner)
-	// Node 1 is empty: the wrapped score must equal the inner score exactly.
-	if got, want := p.Score(c, batch, n1), inner.Score(c, batch, n1); got != want {
-		t.Errorf("unpenalised score = %v, want inner %v", got, want)
+	d := NewOracle()
+	d.Placer = scorePlacer{busy: 5e6, empty: 0}
+	p := NewPriority(d, false)
+	p.Prepare(c, batch)
+	p.placeApp(c, batch)
+	if len(batch.Executors) != 1 {
+		t.Fatalf("placed %d executors, want 1", len(batch.Executors))
 	}
-	// Node 0 hosts a higher-weight executor: it must rank below node 1 even
-	// though best-fit prefers its tighter free memory.
-	if inner.Score(c, batch, n0) <= inner.Score(c, batch, n1) {
-		t.Fatal("test setup broken: best-fit should prefer the busier node")
-	}
-	if p.Score(c, batch, n0) >= p.Score(c, batch, n1) {
-		t.Error("class-aware wrapper failed to demote the node hosting latency work")
-	}
-	// The latency app itself sees no penalty anywhere (nothing outranks it).
-	if got, want := p.Score(c, hi, n1), inner.Score(c, hi, n1); got != want {
-		t.Errorf("latency app score = %v, want inner %v", got, want)
+	if got := batch.Executors[0].Node; got != empty {
+		t.Errorf("batch app placed on node %d beside the latency tenant, want the empty node %d", got.ID, empty.ID)
 	}
 }
 
@@ -107,8 +108,7 @@ func TestPrioritySingleClassIdentical(t *testing.T) {
 }
 
 // TestNewPriorityLeavesInnerUntouched pins the copy's no-mutation contract:
-// lifting must not change the caller's dispatcher (its placer in
-// particular, so lifting it again does not stack penalties), and running the
+// lifting must not change the caller's dispatcher, and running the
 // preempting copy must leave the original running exactly like a fresh
 // unlifted dispatcher.
 func TestNewPriorityLeavesInnerUntouched(t *testing.T) {
@@ -120,11 +120,9 @@ func TestNewPriorityLeavesInnerUntouched(t *testing.T) {
 	d := withBestFit()
 	placer := d.Placer
 	s := NewPriority(d, true)
-	if d.Placer != placer {
-		t.Fatalf("NewPriority replaced the caller's placer with %T", d.Placer)
-	}
-	if _, ok := s.(*Dispatcher); !ok {
-		t.Fatalf("NewPriority returned %T, want a *Dispatcher", s)
+	if d.Placer != placer || d.classTiers || d.preempt {
+		t.Fatalf("NewPriority changed the caller's dispatcher: placer %T, class tiers %v, preempt %v",
+			d.Placer, d.classTiers, d.preempt)
 	}
 	run := func(s cluster.Scheduler) *cluster.Result {
 		t.Helper()

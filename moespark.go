@@ -19,15 +19,17 @@
 //     drained node is decommissioned once its last executor and foreign
 //     task finish) and fleet-imbalance metrics,
 //   - multi-tenant priority classes: class-tagged arrival streams
-//     (TagArrivals), weighted-FCFS admission, class-aware placement and
-//     preemptive scheduling (NewPriorityScheduler) with per-class queueing
-//     metrics (MeasureQueueingByClass),
+//     (TagArrivals), weighted-FCFS admission, class-aware placement (nodes
+//     hosting fewer higher-weight executors first, then the placement
+//     scorer's order) and preemptive scheduling (NewPriorityScheduler) with
+//     per-class queueing metrics (MeasureQueueingByClass),
 //   - an online prediction pipeline: schedulers consume a Predictor
 //     interface rather than a concrete model, the engine reports every
 //     executor's realised footprint back through the scheduler (completion
 //     and OOM), and the adaptive implementation
-//     (NewAdaptiveMoEScheduler) recalibrates expert coefficients
-//     incrementally and retrains the gate from that feedback — with seeded
+//     (NewAdaptiveMoEScheduler, whose adaptation settings are fixed)
+//     recalibrates expert coefficients incrementally and retrains the gate
+//     from that feedback — with seeded
 //     drift generators (GrowthArrivals, RegimeArrivals) for the
 //     non-stationary workloads where adaptation pays,
 //   - the paper's co-location schedulers (Pairwise, Quasar, MoE, Oracle,
@@ -108,9 +110,6 @@ type (
 	Predictor = moe.Predictor
 	// PredictorObservation is one predicted-vs-actual footprint outcome.
 	PredictorObservation = moe.Observation
-	// AdaptiveConfig tunes the feedback-driven predictor (sliding window,
-	// forgetting factor, gate reweighting and teaching thresholds).
-	AdaptiveConfig = moe.AdaptiveConfig
 	// AdaptivePredictor is the feedback-driven mixture-of-experts predictor.
 	AdaptivePredictor = moe.Adaptive
 
@@ -311,17 +310,16 @@ func NewStaticPredictor(model *Model) Predictor { return moe.NewStatic(model) }
 // cloned. Pair each predictor with one scheduler (NewPredictorScheduler);
 // to warm-start a later run from the learned state, reuse that scheduler as
 // a whole rather than re-wrapping the predictor.
-func NewAdaptivePredictor(model *Model, cfg AdaptiveConfig) *AdaptivePredictor {
-	return moe.NewAdaptive(model, cfg)
+func NewAdaptivePredictor(model *Model) *AdaptivePredictor {
+	return moe.NewAdaptive(model)
 }
 
 // NewAdaptiveMoEScheduler returns the feedback-driven MoE scheme: the
 // engine reports each executor's realised footprint back through the
 // scheduler (completion and OOM), and the predictor recalibrates
-// mid-stream. The zero AdaptiveConfig selects the defaults used by the
-// drift study.
-func NewAdaptiveMoEScheduler(model *Model, cfg AdaptiveConfig, rng *rand.Rand) *Dispatcher {
-	return sched.NewAdaptiveMoE(model, cfg, rng)
+// mid-stream.
+func NewAdaptiveMoEScheduler(model *Model, rng *rand.Rand) *Dispatcher {
+	return sched.NewAdaptiveMoE(model, rng)
 }
 
 // NewPredictorScheduler returns an MoE-style scheme driven by an arbitrary
@@ -414,13 +412,9 @@ func LatencyBatchMix(latencyFrac float64) []ClassShare {
 // like an OOM kill and reported in Result.PreemptKills). The given
 // dispatcher is left untouched. Single-class runs are bit-for-bit identical
 // to the original scheme.
-func NewPriorityScheduler(d *Dispatcher, preempt bool) Scheduler {
+func NewPriorityScheduler(d *Dispatcher, preempt bool) *Dispatcher {
 	return sched.NewPriority(d, preempt)
 }
-
-// NewClassAwarePlacer wraps any placement scorer with tenant-priority
-// avoidance: candidates hosting higher-weight tenants rank below all others.
-func NewClassAwarePlacer(inner Placer) Placer { return sched.NewClassAware(inner) }
 
 // MeasureQueueingByClass computes per-tenant-class queueing metrics for a
 // finished run, ordered by descending class weight.

@@ -186,7 +186,7 @@ func TestFacadeAdaptivePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := NewAdaptivePredictor(model, AdaptiveConfig{})
+	pred := NewAdaptivePredictor(model)
 	sim := NewCluster(DefaultClusterConfig())
 	res, err := sim.RunOpen(SubmissionsFromArrivals(arrivals), NewPredictorScheduler(pred, rand.New(rand.NewSource(33))))
 	if err != nil {
@@ -202,7 +202,7 @@ func TestFacadeAdaptivePipeline(t *testing.T) {
 	if q.MeanSojournSec <= 0 {
 		t.Errorf("degenerate queueing metrics: %+v", q)
 	}
-	d := NewAdaptiveMoEScheduler(model, AdaptiveConfig{}, rand.New(rand.NewSource(34)))
+	d := NewAdaptiveMoEScheduler(model, rand.New(rand.NewSource(34)))
 	if d.Name() != "MoE-adaptive" {
 		t.Errorf("adaptive scheduler named %q", d.Name())
 	}
