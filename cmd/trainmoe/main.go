@@ -1,7 +1,8 @@
 // Command trainmoe trains the mixture-of-experts model on the paper's 16
 // training programs and inspects it: per-program expert labels, the PCA
-// variance spectrum, Varimax feature importance, the confidence radius, and
-// leave-one-out selection accuracy.
+// variance spectrum, Varimax feature importance and the confidence radius.
+// With -predict it also predicts one benchmark's footprint. It writes no
+// file; moespark.SaveModel and LoadModel persist a model.
 //
 // Usage:
 //

@@ -109,9 +109,9 @@ type App struct {
 	// PredictedGB is the policy's predicted executor footprint for this
 	// app's fair-share allocation, recorded at Prepare time by predicting
 	// estimators (0 = no prediction installed). The engine never reads it;
-	// it is a reporting field (moeschedsim's JSON/verbose output) — the
-	// observation hooks compare the per-executor Executor.PredictedGB,
-	// which tracks the allocation actually granted.
+	// it is a reporting field (moeschedsim's JSON/verbose output). A
+	// learning predictor is told each executor's footprint against the
+	// prediction for the allocation actually granted instead.
 	PredictedGB float64
 
 	// blockedNodes maps node IDs where an executor of this app was
@@ -253,13 +253,6 @@ type Executor struct {
 	// Grow refreshes it with ItemsGB; writing either field directly leaves
 	// the stored penalty stale.
 	FairShareGB float64
-	// SpawnTime records when the executor started.
-	SpawnTime float64
-	// PredictedGB is the footprint the placing policy predicted for
-	// ItemsGB (0 = the policy had no prediction). The engine never reads
-	// it; the dispatcher stamps it at spawn/grow time and the observation
-	// hook reports it against NeedGB once the outcome is known.
-	PredictedGB float64
 
 	// rate is the current processing rate (GB/s), recomputed between
 	// events.

@@ -43,15 +43,17 @@ const (
 
 // Observer is an optional Scheduler extension, the engine side of the online
 // prediction pipeline: when the scheduler implements it, the engine reports
-// each executor's predicted-vs-actual footprint at the exact moment the
-// outcome becomes known — application completion (before the executors are
-// released) or an OOM kill (before the victim is reclaimed). Observe runs
-// inside the event loop and must not mutate the cluster (no Spawn, Grow or
-// Preempt); it exists to feed prediction error back into adaptive models.
-// Executors complete in deterministic engine order, so observer-driven model
-// updates are reproducible. The executor is released right after Observe
-// returns and recycled by a later Spawn, so Observe must copy what it needs
-// and keep no *Executor past the call.
+// each executor at the exact moment its true footprint (NeedGB for its
+// ItemsGB) becomes known — application completion (before the executors are
+// released) or an OOM kill (before the victim is reclaimed). The engine
+// records no prediction; a scheduler that wants one re-derives it from the
+// estimate it planned the app with. Observe runs inside the event loop and
+// must not mutate the cluster (no Spawn, Grow or Preempt); it exists to feed
+// prediction error back into adaptive models. Executors complete in
+// deterministic engine order, so observer-driven model updates are
+// reproducible. The executor is released right after Observe returns and
+// recycled by a later Spawn, so Observe must copy what it needs and keep no
+// *Executor past the call.
 type Observer interface {
 	Observe(c *Cluster, e *Executor, outcome ExecOutcome)
 }
@@ -489,7 +491,6 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		ActualGB:    resident(need, reserveGB),
 		Demand:      app.Job.Bench.CPULoad,
 		FairShareGB: fair,
-		SpawnTime:   c.now,
 		cacheEff:    cacheEfficiency(itemsGB, fair),
 	}
 	node.Executors = append(node.Executors, e)

@@ -45,7 +45,7 @@ func (c *Cluster) release(e *Executor) {
 	nan := math.NaN()
 	*e = Executor{
 		ReservedGB: nan, ItemsGB: nan, NeedGB: nan, ActualGB: nan,
-		Demand: nan, FairShareGB: nan, SpawnTime: nan, PredictedGB: nan,
+		Demand: nan, FairShareGB: nan,
 	}
 	c.freeExecs = append(c.freeExecs, e)
 }

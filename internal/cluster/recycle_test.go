@@ -193,7 +193,7 @@ func TestSpawnRecyclesExecutorsAndFleets(t *testing.T) {
 	fresh := Executor{
 		App: b, Node: n1, ReservedGB: 5, ItemsGB: 8, NeedGB: got.NeedGB,
 		ActualGB: got.ActualGB, Demand: b.Job.Bench.CPULoad, FairShareGB: got.FairShareGB,
-		SpawnTime: c.Now(), cacheEff: got.cacheEff,
+		cacheEff: got.cacheEff,
 	}
 	if *got != fresh {
 		t.Errorf("recycled executor reads %+v, want a fresh spawn %+v", *got, fresh)

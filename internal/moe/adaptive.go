@@ -105,27 +105,21 @@ type Adaptive struct {
 	model   *Model
 	fits    map[memfunc.Family]*mathx.OnlineLS
 	errs    *classify.LabelErrorWindow
-	taught  map[int]bool // app IDs that already had their teaching decision
 	nTaught int
 	obs     int
 }
 
-var _ Predictor = (*Adaptive)(nil)
+var _ Learner = (*Adaptive)(nil)
 
 // NewAdaptive wraps a trained model with online recalibration state. The
 // model is cloned (gate and labels), so self-training never mutates the
-// caller's trained model. To warm-start a later run from the learned state,
-// reuse the whole scheduler the predictor is wrapped in: the scheduler's
-// estimator issues the Observation.AppID sequence, so a fresh scheduler
-// around an already-warm predictor would restart that sequence and silently
-// suppress the predictor's once-per-app logic for colliding IDs. Runs that
-// must not share state get fresh instances of both.
+// caller's trained model. Runs that must not share learned state get fresh
+// instances.
 func NewAdaptive(m *Model, _ ...AdaptiveConfig) *Adaptive {
 	return &Adaptive{
-		model:  m.Clone(),
-		fits:   map[memfunc.Family]*mathx.OnlineLS{},
-		errs:   classify.NewLabelErrorWindow(errWindow),
-		taught: map[int]bool{},
+		model: m.Clone(),
+		fits:  map[memfunc.Family]*mathx.OnlineLS{},
+		errs:  classify.NewLabelErrorWindow(errWindow),
 	}
 }
 
@@ -191,6 +185,8 @@ func (a *Adaptive) Predict(raw features.Vector, p1, p2 memfunc.Point) (Predictio
 		Func:        fn,
 		Uncorrected: fn,
 		FellBack:    fn.Family != sel.Family,
+		P1:          p1,
+		P2:          p2,
 	}
 	// The correction is keyed by the calibrated curve's family (not the
 	// selected expert): it was learned from that shape's predictions, and
@@ -310,28 +306,46 @@ func recalibrate(fn memfunc.Func, off, scale float64, p2 memfunc.Point) (memfunc
 	return out, true
 }
 
-// Observe implements Predictor: the selected expert's sliding error window
+// Observe implements Learner: the selected expert's sliding error window
 // is updated with the operative prediction's relative error, the calibrated
 // family's recalibration fit absorbs the (raw prediction, actual) pair, and
-// — once per app — a large error triggers the gate-teaching check.
+// — the first time the app's prediction is observed — a large error
+// triggers the gate-teaching check.
 func (a *Adaptive) Observe(obs Observation) {
-	if !obs.Family.Valid() || !obs.Calibrated.Valid() ||
-		obs.ActualGB <= 0 || obs.PredictedGB <= 0 || obs.RawPredictedGB <= 0 {
+	p := obs.Prediction
+	if p == nil {
+		return
+	}
+	predicted, raw := footprint(p.Func, obs.ItemsGB), footprint(p.Uncorrected, obs.ItemsGB)
+	if !p.Family.Valid() || !p.Func.Family.Valid() ||
+		obs.ActualGB <= 0 || predicted <= 0 || raw <= 0 {
 		return
 	}
 	a.obs++
-	relErr := math.Abs(obs.PredictedGB-obs.ActualGB) / obs.ActualGB
-	a.errs.Add(int(obs.Family), relErr)
-	ls := a.fits[obs.Calibrated]
+	relErr := math.Abs(predicted-obs.ActualGB) / obs.ActualGB
+	a.errs.Add(int(p.Family), relErr)
+	ls := a.fits[p.Func.Family]
 	if ls == nil {
 		ls = mathx.NewOnlineLS(2, forget)
-		a.fits[obs.Calibrated] = ls
+		a.fits[p.Func.Family] = ls
 	}
-	ls.Add([]float64{1, obs.RawPredictedGB}, obs.ActualGB)
-	if !a.taught[obs.AppID] {
-		a.taught[obs.AppID] = true
-		a.maybeTeach(obs, relErr)
+	// The fit's regressor is the uncorrected curve's footprint: regressing
+	// on corrected values would chase a moving fixed point.
+	ls.Add([]float64{1, raw}, obs.ActualGB)
+	if !p.judged {
+		p.judged = true
+		a.maybeTeach(obs, predicted, relErr)
 	}
+}
+
+// footprint evaluates a curve at an allocation, 0 out of domain (the value
+// the scheduler planned with there).
+func footprint(fn memfunc.Func, x float64) float64 {
+	y, err := fn.Eval(x)
+	if err != nil {
+		return 0
+	}
+	return y
 }
 
 // maybeTeach relabels the app's feature-space position in the gate when the
@@ -349,23 +363,24 @@ func (a *Adaptive) Observe(obs Observation) {
 // slower-growing (typically saturating) family, and a healthy neighbour
 // routed onto a saturating fit is under-reserved into heap-pressure thrash
 // — observed to cost far more than the over-prediction being cured.
-func (a *Adaptive) maybeTeach(obs Observation, relErr float64) {
-	if obs.ActualGB <= obs.PredictedGB {
+func (a *Adaptive) maybeTeach(obs Observation, predicted, relErr float64) {
+	p := obs.Prediction
+	if obs.ActualGB <= predicted {
 		return
 	}
-	if relErr <= teachErr || a.nTaught >= maxTaught || len(obs.PCs) == 0 {
+	if relErr <= teachErr || a.nTaught >= maxTaught || len(p.PCs) == 0 {
 		return
 	}
 	// The incumbent is the curve that actually mispredicted; rivals are the
 	// other families calibrated through the same profiling points. Teaching
 	// only matters when the winner differs from the gate's routing decision.
-	best := obs.Calibrated
+	best := p.Func.Family
 	bestErr := relErr
 	for _, fam := range memfunc.Families {
-		if fam == obs.Calibrated {
+		if fam == p.Func.Family {
 			continue
 		}
-		fn, err := memfunc.Calibrate(fam, obs.P1, obs.P2)
+		fn, err := memfunc.Calibrate(fam, p.P1, p.P2)
 		if err != nil {
 			continue
 		}
@@ -377,10 +392,10 @@ func (a *Adaptive) maybeTeach(obs Observation, relErr float64) {
 			best, bestErr = fam, e
 		}
 	}
-	if best == obs.Family || best == obs.Calibrated || bestErr > teachTol {
+	if best == p.Family || best == p.Func.Family || bestErr > teachTol {
 		return
 	}
-	if a.model.TeachGate(obs.PCs, best) == nil {
+	if a.model.TeachGate(p.PCs, best) == nil {
 		a.nTaught++
 	}
 }

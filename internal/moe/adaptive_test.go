@@ -18,6 +18,24 @@ func adaptTestModel(t *testing.T) *Model {
 	return m
 }
 
+// flat returns a curve of the family that predicts v at every positive
+// allocation, so a test can choose the footprint an observation was
+// predicted at.
+func flat(fam memfunc.Family, v float64) memfunc.Func {
+	if fam == memfunc.Exponential {
+		return memfunc.Func{Family: fam, M: v, B: math.Inf(1)}
+	}
+	return memfunc.Func{Family: fam, M: v, B: 0}
+}
+
+// flatPrediction is a prediction routed to the expert sel whose calibrated
+// curve, of family calibrated, predicts v at every positive allocation. It
+// has no PCs, so observing it teaches the gate nothing.
+func flatPrediction(sel, calibrated memfunc.Family, v float64) *Prediction {
+	fn := flat(calibrated, v)
+	return &Prediction{Selection: Selection{Family: sel}, Func: fn, Uncorrected: fn}
+}
+
 // Before any observation arrives, the adaptive predictor must behave exactly
 // like the static pipeline: same selection, same calibrated coefficients.
 func TestAdaptiveMatchesStaticBeforeObservations(t *testing.T) {
@@ -70,14 +88,9 @@ func TestAdaptiveRecalibratesFromObservations(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		raw := 2.0 + float64(i)
 		ad.Observe(Observation{
-			Family:         fam,
-			Calibrated:     base.Func.Family,
-			AppID:          i,
-			ItemsGB:        raw,
-			PredictedGB:    raw,
-			RawPredictedGB: raw,
-			ActualGB:       0.5 + 2*raw,
-			Outcome:        OutcomeCompleted,
+			Prediction: flatPrediction(fam, base.Func.Family, raw),
+			ItemsGB:    raw,
+			ActualGB:   0.5 + 2*raw,
 		})
 	}
 	if ad.Observations() != 10 {
@@ -143,20 +156,14 @@ func TestAdaptiveGateTeachingReroutesDriftedCohort(t *testing.T) {
 	if actual <= predicted {
 		t.Fatalf("scenario broken: saturating fit %v does not under-predict truth %v", predicted, actual)
 	}
-	ad.Observe(Observation{
-		Features:       feats,
-		PCs:            pred.PCs,
-		Family:         pred.Family,
-		Calibrated:     pred.Func.Family,
-		AppID:          1,
-		P1:             p1,
-		P2:             p2,
-		ItemsGB:        items,
-		PredictedGB:    predicted,
-		RawPredictedGB: predicted,
-		ActualGB:       actual,
-		Outcome:        OutcomeCompleted,
-	})
+	// A second executor of the same app reports the same prediction: it is
+	// observed again but judged only once.
+	for i := 0; i < 2; i++ {
+		ad.Observe(Observation{Prediction: &pred, ItemsGB: items, ActualGB: actual})
+	}
+	if ad.Observations() != 2 {
+		t.Fatalf("recorded %d observations, want 2", ad.Observations())
+	}
 	if ad.Taught() != 1 {
 		t.Fatalf("taught %d gate samples, want 1", ad.Taught())
 	}
@@ -195,19 +202,12 @@ func TestAdaptiveTeachingRefusesOverPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pred.Func = flat(pred.Func.Family, 40) // predicted far above...
+	pred.Uncorrected = pred.Func
 	ad.Observe(Observation{
-		Features:       feats,
-		PCs:            pred.PCs,
-		Family:         pred.Family,
-		Calibrated:     pred.Func.Family,
-		AppID:          1,
-		P1:             p1,
-		P2:             p2,
-		ItemsGB:        50,
-		PredictedGB:    40, // predicted far above...
-		RawPredictedGB: 40,
-		ActualGB:       4, // ...the realised footprint
-		Outcome:        OutcomeCompleted,
+		Prediction: &pred,
+		ItemsGB:    50,
+		ActualGB:   4, // ...the realised footprint
 	})
 	if ad.Taught() != 0 {
 		t.Errorf("over-prediction taught %d samples, want 0", ad.Taught())

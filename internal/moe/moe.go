@@ -252,10 +252,19 @@ type Prediction struct {
 	// Recalibrated reports that observed footprints adjusted the
 	// coefficients (adaptive predictors only).
 	Recalibrated bool
+	// P1, P2 are the two profiling observations Func was calibrated
+	// through; a learner re-calibrates other experts through them when it
+	// judges the gate's routing.
+	P1, P2 memfunc.Point
+
+	// judged is set once a learner has taken its once-per-application
+	// decision on this prediction (Adaptive's gate teaching).
+	judged bool
 }
 
-// Predict selects the expert for the application's features and calibrates
-// it with the two profiling observations (the paper's 5 %/10 % runs).
+// Predict implements Predictor: it selects the expert for the application's
+// features and calibrates it with the two profiling observations (the
+// paper's 5 %/10 % runs).
 func (m *Model) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, error) {
 	sel, err := m.SelectFamily(raw)
 	if err != nil {
@@ -270,6 +279,8 @@ func (m *Model) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, 
 		Func:        fn,
 		Uncorrected: fn,
 		FellBack:    fn.Family != sel.Family,
+		P1:          p1,
+		P2:          p2,
 	}, nil
 }
 

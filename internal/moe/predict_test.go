@@ -75,7 +75,6 @@ func warmAdaptive(tb testing.TB) *Adaptive {
 		tb.Fatal(err)
 	}
 	a := NewAdaptive(m)
-	id := 0
 	for _, w := range []struct {
 		fam    memfunc.Family
 		relErr float64
@@ -83,16 +82,10 @@ func warmAdaptive(tb testing.TB) *Adaptive {
 		for i := 0; i < 2*minObs; i++ {
 			raw := 1 + float64(i)
 			a.Observe(Observation{
-				Family:         w.fam,
-				Calibrated:     w.fam,
-				AppID:          id,
-				ItemsGB:        raw,
-				PredictedGB:    raw,
-				RawPredictedGB: raw,
-				ActualGB:       (1 + w.relErr) * raw,
-				Outcome:        OutcomeCompleted,
+				Prediction: flatPrediction(w.fam, w.fam, raw),
+				ItemsGB:    raw,
+				ActualGB:   (1 + w.relErr) * raw,
 			})
-			id++
 		}
 	}
 	var bias biasTable

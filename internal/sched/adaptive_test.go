@@ -45,44 +45,101 @@ func TestAdaptiveObservationPlumbing(t *testing.T) {
 	}
 }
 
-// The dispatcher stamps each executor's planned prediction so observations
-// compare like with like; estimator-less schemes leave it zero.
-func TestExecutorPredictedGBStamped(t *testing.T) {
+// countingLearner is a moe.Learner over the static model that records
+// every observation it is told.
+type countingLearner struct {
+	*moe.Model
+	got []moe.Observation
+}
+
+func (l *countingLearner) Observe(o moe.Observation) { l.got = append(l.got, o) }
+
+// reported is one executor the engine reported to Dispatcher.Observe.
+type reported struct {
+	app             *cluster.App
+	itemsGB, needGB float64
+}
+
+// observeCounter wraps a dispatcher and records each executor the engine
+// reports to it before forwarding the report.
+type observeCounter struct {
+	*Dispatcher
+	seen []reported
+}
+
+func (s *observeCounter) Observe(c *cluster.Cluster, e *cluster.Executor, oc cluster.ExecOutcome) {
+	s.seen = append(s.seen, reported{e.App, e.ItemsGB, e.NeedGB})
+	s.Dispatcher.Observe(c, e, oc)
+}
+
+// A learner behind NewMoEPredictor is told each reported executor of a
+// confident app exactly once, in report order, with the executor's own
+// allocation and true footprint; all executors of one app carry that app's
+// one prediction, and no two apps share one.
+func TestLearnerObservesEachReportedExecutor(t *testing.T) {
 	model, err := moe.TrainDefault(rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := workload.Table4Mix()
+	arrivals, err := workload.PoissonArrivals(30, 60.0/3600, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := &predictedProbe{inner: NewMoE(model, rand.New(rand.NewSource(9)))}
-	c := cluster.New(cluster.DefaultConfig())
-	if _, err := c.Run(jobs[:8], probe); err != nil {
+	l := &countingLearner{Model: model}
+	s := &observeCounter{Dispatcher: NewMoEPredictor(l, rand.New(rand.NewSource(3)))}
+	if _, err := cluster.New(cluster.DefaultConfig()).RunOpen(cluster.Submissions(arrivals), s); err != nil {
 		t.Fatal(err)
 	}
-	if !probe.sawStamp {
-		t.Error("no executor carried a stamped PredictedGB under the MoE scheme")
+	var want []reported
+	for _, r := range s.seen {
+		if r.app.Estimate != nil {
+			want = append(want, r)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatalf("none of %d reported executors belongs to a confident app", len(s.seen))
+	}
+	if len(l.got) != len(want) {
+		t.Fatalf("learner told %d observations, want one per reported executor of a confident app (%d)", len(l.got), len(want))
+	}
+	predOf := map[*cluster.App]*moe.Prediction{}
+	appOf := map[*moe.Prediction]*cluster.App{}
+	for i, o := range l.got {
+		r := want[i]
+		if o.ItemsGB != r.itemsGB || o.ActualGB != r.needGB {
+			t.Errorf("observation %d: items %v GB, actual %v GB; executor had %v, %v", i, o.ItemsGB, o.ActualGB, r.itemsGB, r.needGB)
+		}
+		if o.Prediction == nil {
+			t.Fatalf("observation %d carries no prediction", i)
+		}
+		if p, ok := predOf[r.app]; ok && p != o.Prediction {
+			t.Errorf("observation %d: app %d's executors carry different predictions", i, r.app.ID)
+		}
+		if a, ok := appOf[o.Prediction]; ok && a != r.app {
+			t.Errorf("observation %d: apps %d and %d share one prediction", i, a.ID, r.app.ID)
+		}
+		predOf[r.app], appOf[o.Prediction] = o.Prediction, r.app
 	}
 }
 
-// predictedProbe checks executor stamps right after each scheduling pass.
-type predictedProbe struct {
-	inner    *Dispatcher
-	sawStamp bool
-}
-
-func (p *predictedProbe) Name() string { return p.inner.Name() }
-func (p *predictedProbe) Prepare(c *cluster.Cluster, a *cluster.App) cluster.ProfilePlan {
-	return p.inner.Prepare(c, a)
-}
-func (p *predictedProbe) Schedule(c *cluster.Cluster) {
-	p.inner.Schedule(c)
-	for _, n := range c.Nodes() {
-		for _, e := range n.Executors {
-			if e.PredictedGB > 0 {
-				p.sawStamp = true
-			}
-		}
+// A confident prepare under the static model keeps no prediction for
+// observations: it allocates only the projected PCs and the boxed estimate.
+func TestStaticPrepareAllocs(t *testing.T) {
+	model, err := moe.TrainDefault(rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := NewMoE(model, rand.New(rand.NewSource(1))).Est.(*moeEstimator)
+	app := addReady(t, cluster.New(cluster.DefaultConfig()), placerJob(t, 50))
+	allocs := testing.AllocsPerRun(100, func() {
+		est.rng.Seed(1)
+		app.Estimate = nil
+		est.Prepare(app)
+	})
+	if _, ok := estimateOf(app); !ok {
+		t.Fatal("the prepared app is not confident; the test needs a confident one")
+	}
+	if allocs != 2 {
+		t.Errorf("confident static Prepare allocates %v objects, want 2", allocs)
 	}
 }

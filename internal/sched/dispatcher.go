@@ -77,10 +77,11 @@ func (d *Dispatcher) Prepare(_ *cluster.Cluster, app *cluster.App) cluster.Profi
 // Observe implements cluster.Observer: realised footprints are forwarded to
 // the estimator when it participates in the online prediction pipeline, and
 // dropped otherwise. Forwarding only ever updates model state, never cluster
-// state, so non-adaptive estimators behave exactly as before.
-func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, outcome cluster.ExecOutcome) {
+// state. An executor's prediction is est.Footprint(e.ItemsGB) of its app's
+// estimate, which never changes after Prepare.
+func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, _ cluster.ExecOutcome) {
 	if obs, ok := d.Est.(observingEstimator); ok {
-		obs.Observe(e, outcome)
+		obs.Observe(e)
 	}
 }
 
@@ -174,11 +175,8 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster) {
 		if reserve < e.ReservedGB {
 			reserve = e.ReservedGB
 		}
-		if c.Grow(e, reserve, items) == nil {
-			// Grow may clamp the allocation to the remaining work; restamp
-			// the prediction for what was actually granted.
-			e.PredictedGB = est.Footprint(e.ItemsGB)
-		}
+		// A refused grow leaves the executor as it was.
+		_ = c.Grow(e, reserve, items)
 	}
 	// Keep no executor past the call: the cluster recycles them.
 	clear(d.growBuf)
@@ -242,8 +240,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	}
 	demand := app.Job.Bench.CPULoad
 	// The estimate is app-level state: fetch it once per placement pass and
-	// thread it through planning and the PredictedGB stamp, so the stamp is
-	// guaranteed to come from the same estimate the plan used.
+	// thread it through planning.
 	est, haveEst := estimateOf(app)
 	d.cand.reset()
 	for n := range c.OpenNodes() {
@@ -285,21 +282,11 @@ func (d *Dispatcher) admits(n *cluster.Node, demand float64) bool {
 		!(n.FreeGB() <= cluster.MinChunkGB)
 }
 
-// spawnOn places one executor of app on candidate n when the plan fits.
+// spawnOn places one executor of app on candidate n when the plan fits. A
+// refused spawn leaves the app to the next candidate.
 func (d *Dispatcher) spawnOn(c *cluster.Cluster, app *cluster.App, n *cluster.Node, est MemEstimate, haveEst bool) {
-	reserve, items, ok := d.plan(app, n, n.FreeGB(), est, haveEst)
-	if !ok {
-		return
-	}
-	e, err := c.Spawn(app, n, reserve, items)
-	if err != nil {
-		return
-	}
-	if haveEst {
-		// Spawn may clamp the allocation to the remaining work; stamp the
-		// prediction for what was actually granted so the observation hook
-		// compares like with like.
-		e.PredictedGB = est.Footprint(e.ItemsGB)
+	if reserve, items, ok := d.plan(app, n, n.FreeGB(), est, haveEst); ok {
+		_, _ = c.Spawn(app, n, reserve, items)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 	"math"
 
 	"moespark/internal/cluster"
-	"moespark/internal/features"
 	"moespark/internal/memfunc"
+	"moespark/internal/moe"
 )
 
 // Estimator plans profiling for an application and installs its memory
@@ -31,14 +31,14 @@ type Estimator interface {
 	Prepare(app *cluster.App) cluster.ProfilePlan
 }
 
-// observingEstimator is an Estimator that consumes the engine's
-// predicted-vs-actual footprint reports (the cluster.Observer flow): the
-// dispatcher forwards each observed executor outcome so the estimator's
-// model can recalibrate mid-stream. Observe is invoked once per executor
-// whose true footprint became known (app completion or OOM kill); it must
-// not mutate the cluster.
+// observingEstimator is an Estimator that consumes the engine's realised
+// footprint reports (the cluster.Observer flow): the dispatcher forwards
+// each observed executor so the estimator's model can recalibrate
+// mid-stream. Observe is invoked once per executor whose true footprint
+// became known (app completion or OOM kill); it must not mutate the
+// cluster.
 type observingEstimator interface {
-	Observe(e *cluster.Executor, outcome cluster.ExecOutcome)
+	Observe(e *cluster.Executor)
 }
 
 // MemEstimate predicts the memory footprint of one application's executor
@@ -59,9 +59,9 @@ type MemEstimate struct {
 	footprintFn func(x float64) float64
 	itemsFn     func(budgetGB float64) float64
 
-	// feedback carries the per-app context an observing estimator needs to
-	// report predicted-vs-actual outcomes; nil for non-observing estimators.
-	feedback *feedback
+	// pred is the app's prediction, kept only when the estimator's
+	// predictor learns from observations (a moe.Learner); nil otherwise.
+	pred *moe.Prediction
 }
 
 // funcEstimate wraps a calibrated curve into a MemEstimate without
@@ -104,35 +104,6 @@ func (e MemEstimate) Items(budgetGB float64) float64 {
 // valid reports whether the estimate can answer queries.
 func (e MemEstimate) valid() bool {
 	return e.hasFn || (e.footprintFn != nil && e.itemsFn != nil)
-}
-
-// feedback is the per-app observation context the MoE estimator stores
-// alongside its estimate: the features and reduced-space position the
-// prediction was made from, the expert the gate selected, the two profiling
-// points it was calibrated through, and the uncorrected calibration for the
-// stable regression target.
-type feedback struct {
-	features   features.Vector
-	pcs        []float64
-	family     memfunc.Family // the gate's routing decision
-	calibrated memfunc.Family // the curve family that made the prediction
-	p1, p2     memfunc.Point
-	// raw is the uncorrected two-point calibration, stored as the concrete
-	// curve (a closure here was one of the per-arrival allocations).
-	raw memfunc.Func
-	// seq is the estimator-issued app sequence number: unique for the
-	// predictor's lifetime, unlike cluster app IDs, which restart at 0 when
-	// a scheduler is reused on a fresh cluster.
-	seq int
-}
-
-// rawPredict evaluates the uncorrected calibration (0 out of domain).
-func (f *feedback) rawPredict(x float64) float64 {
-	y, err := f.raw.Eval(x)
-	if err != nil {
-		return 0
-	}
-	return y
 }
 
 // estimateOf retrieves a MemEstimate installed by Prepare.

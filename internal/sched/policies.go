@@ -61,25 +61,22 @@ func (oracleEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	return cluster.ProfilePlan{}
 }
 
-// moeEstimator is the paper's runtime predictor generalised over the online
+// moeEstimator is the paper's runtime predictor generalised over the
 // prediction pipeline: feature extraction on a ~100MB slice, expert
 // selection and two-point calibration happen behind the moe.Predictor
-// interface, and every realised footprint the engine reports is fed back
-// through it (a no-op for the static model, model recalibration for the
-// adaptive one).
+// interface, and when the predictor is a moe.Learner every realised
+// footprint the engine reports is fed back to it.
 type moeEstimator struct {
 	pred moe.Predictor
-	rng  *rand.Rand
-	// seq numbers prepared apps across the estimator's lifetime; it feeds
-	// Observation.AppID so predictor-side once-per-app logic survives
-	// scheduler reuse on a fresh cluster (whose app IDs restart at 0).
-	seq int
+	// learner is pred when it learns from observations, nil otherwise.
+	learner moe.Learner
+	rng     *rand.Rand
 }
 
 // NewMoE returns the paper's scheme backed by a trained model: the static,
 // predict-once-at-submission pipeline, bit-for-bit the historical behaviour.
 func NewMoE(model *moe.Model, rng *rand.Rand) *Dispatcher {
-	d := NewMoEPredictor(moe.NewStatic(model), rng)
+	d := NewMoEPredictor(model, rng)
 	d.PolicyName = "MoE"
 	return d
 }
@@ -94,9 +91,10 @@ func NewAdaptiveMoE(model *moe.Model, rng *rand.Rand) *Dispatcher {
 // NewMoEPredictor returns an MoE-style scheme driven by an arbitrary
 // prediction pipeline. The dispatcher's policy name is the predictor's.
 func NewMoEPredictor(p moe.Predictor, rng *rand.Rand) *Dispatcher {
+	l, _ := p.(moe.Learner)
 	return &Dispatcher{
 		PolicyName:   p.Name(),
-		Est:          &moeEstimator{pred: p, rng: rng},
+		Est:          &moeEstimator{pred: p, learner: l, rng: rng},
 		SafetyMargin: defaultMargin,
 		CheckCPU:     true,
 	}
@@ -105,10 +103,10 @@ func NewMoEPredictor(p moe.Predictor, rng *rand.Rand) *Dispatcher {
 // Prepare profiles the app and gates it. The profiling inputs are drawn
 // from the shared rng in a fixed order — feature counters, then the two
 // calibration points — that every golden depends on. A confident prediction
-// is installed as the app's estimate with its observation context; on low
-// confidence or calibration failure the estimate stays unset and the
-// dispatcher falls back to the conservative default policy for this app, as
-// the paper prescribes.
+// is installed as the app's estimate, with the prediction itself kept for a
+// learning predictor's observations; on low confidence or calibration
+// failure the estimate stays unset and the dispatcher falls back to the
+// conservative default policy for this app, as the paper prescribes.
 func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	b := app.Job.Bench
 	s1, s2 := calibSizes(app.Job.InputGB)
@@ -120,17 +118,12 @@ func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	if err != nil || !pred.Confident {
 		return plan
 	}
-	e.seq++
 	est := funcEstimate(pred.Func)
-	est.feedback = &feedback{
-		features:   raw,
-		pcs:        pred.Selection.PCs,
-		family:     pred.Selection.Family,
-		calibrated: pred.Func.Family,
-		p1:         p1,
-		p2:         p2,
-		raw:        pred.Uncorrected,
-		seq:        e.seq,
+	if e.learner != nil {
+		// Only this copy goes to the heap: a static prediction is dropped
+		// once its curve is installed.
+		kept := pred
+		est.pred = &kept
 	}
 	app.Estimate = est
 	if app.MaxExecutors > 0 {
@@ -139,32 +132,15 @@ func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 	return plan
 }
 
-// Observe implements observingEstimator: the executor's realised footprint
-// is set against the prediction its app was planned with and fed back
-// through the prediction pipeline.
-func (e *moeEstimator) Observe(ex *cluster.Executor, outcome cluster.ExecOutcome) {
+// Observe implements observingEstimator: a learning predictor is told the
+// executor's realised footprint against the prediction its app was planned
+// with.
+func (e *moeEstimator) Observe(ex *cluster.Executor) {
 	est, ok := estimateOf(ex.App)
-	if !ok || est.feedback == nil || ex.PredictedGB <= 0 || ex.NeedGB <= 0 {
+	if !ok || est.pred == nil {
 		return
 	}
-	oc := moe.OutcomeCompleted
-	if outcome == cluster.ExecOOMKilled {
-		oc = moe.OutcomeOOM
-	}
-	e.pred.Observe(moe.Observation{
-		Features:       est.feedback.features,
-		PCs:            est.feedback.pcs,
-		Family:         est.feedback.family,
-		Calibrated:     est.feedback.calibrated,
-		AppID:          est.feedback.seq,
-		P1:             est.feedback.p1,
-		P2:             est.feedback.p2,
-		ItemsGB:        ex.ItemsGB,
-		PredictedGB:    ex.PredictedGB,
-		RawPredictedGB: est.feedback.rawPredict(ex.ItemsGB),
-		ActualGB:       ex.NeedGB,
-		Outcome:        oc,
-	})
+	e.learner.Observe(moe.Observation{Prediction: est.pred, ItemsGB: ex.ItemsGB, ActualGB: ex.NeedGB})
 }
 
 // onlineSearchEstimator models the Figure 10 baseline: descent-gradient

@@ -104,11 +104,13 @@ type (
 	// Prediction is a calibrated memory function for one application.
 	Prediction = moe.Prediction
 
-	// Predictor is the online prediction pipeline the schedulers consume:
-	// Predict selects and calibrates an expert, Observe feeds realised
-	// footprints back (a no-op on the static paper model).
+	// Predictor is the prediction pipeline the schedulers consume: Predict
+	// selects and calibrates an expert. A trained *Model is the static
+	// paper predictor; a predictor that also has Observe (such as
+	// AdaptivePredictor) is told every executor's realised footprint.
 	Predictor = moe.Predictor
-	// PredictorObservation is one predicted-vs-actual footprint outcome.
+	// PredictorObservation is one executor's realised footprint, reported
+	// against its application's prediction.
 	PredictorObservation = moe.Observation
 	// AdaptivePredictor is the feedback-driven mixture-of-experts predictor.
 	AdaptivePredictor = moe.Adaptive
@@ -301,15 +303,10 @@ func NewPairwiseScheduler() *Dispatcher { return sched.NewPairwise() }
 // static predict-once-at-submission pipeline).
 func NewMoEScheduler(model *Model, rng *rand.Rand) *Dispatcher { return sched.NewMoE(model, rng) }
 
-// NewStaticPredictor wraps a trained model as a non-adaptive Predictor.
-func NewStaticPredictor(model *Model) Predictor { return moe.NewStatic(model) }
-
 // NewAdaptivePredictor wraps a trained model with online adaptation state:
 // incremental expert recalibration from observed footprints, capped gate
 // reweighting, and evidence-validated gate self-training. The model is
-// cloned. Pair each predictor with one scheduler (NewPredictorScheduler);
-// to warm-start a later run from the learned state, reuse that scheduler as
-// a whole rather than re-wrapping the predictor.
+// cloned.
 func NewAdaptivePredictor(model *Model) *AdaptivePredictor {
 	return moe.NewAdaptive(model)
 }

@@ -206,7 +206,8 @@ func TestFacadeAdaptivePipeline(t *testing.T) {
 	if d.Name() != "MoE-adaptive" {
 		t.Errorf("adaptive scheduler named %q", d.Name())
 	}
-	if NewStaticPredictor(model).Name() != "MoE-static" {
+	var static Predictor = model
+	if static.Name() != "MoE-static" {
 		t.Errorf("static predictor misnamed")
 	}
 }
