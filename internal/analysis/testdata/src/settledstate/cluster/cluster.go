@@ -24,7 +24,7 @@ type ForeignTask struct {
 	done      bool
 }
 
-// Node mirrors the engine's wake bookkeeping, stored totals and shrunken
+// Node mirrors the engine's wake bookkeeping, stored totals and widenable
 // count.
 type Node struct {
 	ID         int
@@ -33,7 +33,7 @@ type Node struct {
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
-	shrunk     int
+	widenable  int
 }
 
 // Cluster is the owning engine stand-in.
@@ -115,9 +115,9 @@ func (n *Node) recount() {
 	n.reservedGB, n.actualGB, n.cpuDemand = sum, sum, 0
 }
 
-// countShrunk is the one allowed writer of the shrunken-executor count.
-func (n *Node) countShrunk(delta int) {
-	n.shrunk += delta
+// countWidenable is the one allowed writer of the widenable-executor count.
+func (n *Node) countWidenable(delta int) {
+	n.widenable += delta
 }
 
 // spawnShortcut adjusts the stored totals in place instead of recounting:
@@ -125,5 +125,5 @@ func (n *Node) countShrunk(delta int) {
 func spawnShortcut(n *Node, reserveGB float64) {
 	n.Reserved = append(n.Reserved, reserveGB)
 	n.reservedGB += reserveGB // want `write to settle-discipline field Node.reservedGB`
-	n.shrunk++                // want `write to settle-discipline field Node.shrunk`
+	n.widenable++             // want `write to settle-discipline field Node.widenable`
 }

@@ -220,11 +220,18 @@ func (a *App) ExecutorOn(n *Node) bool {
 	return false
 }
 
-// countShrunk adds delta to the shrunken-executor count of e's node (see
-// Node.shrunk) when e holds fewer items than its fair share.
-func (e *Executor) countShrunk(delta int) {
-	if e.ItemsGB < e.FairShareGB {
-		e.Node.shrunk += delta
+// widenable reports whether the growth pass can still widen e: its items
+// times GrowChurn are below its fair share. FairShareGB is fixed at spawn
+// and ItemsGB changes only in Grow, which raises it unless the clamp to the
+// app's remaining work shrinks it; Grow marks the node freed when that makes
+// e widenable.
+func (e *Executor) widenable() bool { return e.ItemsGB*GrowChurn < e.FairShareGB }
+
+// countWidenable adds delta to the widenable-executor count of e's node (see
+// Node.widenable) when e is widenable.
+func (e *Executor) countWidenable(delta int) {
+	if e.widenable() {
+		e.Node.widenable += delta
 	}
 }
 

@@ -72,9 +72,15 @@ const (
 	// for.
 	MinChunkGB = 0.05
 	// GrowMinFreeGB is the unreserved memory a node must have beyond which
-	// the dispatcher widens a shrunken executor on it; the growable node set
-	// (see nodeindex.go) is drawn at the same threshold.
+	// the dispatcher widens an executor on it; AppendGrowable (see
+	// nodeindex.go) lists executors only on such nodes.
 	GrowMinFreeGB = 0.5
+	// GrowChurn is the factor by which a grow must widen an executor's
+	// items to be worth the churn: the dispatcher grows an executor only to
+	// more than ItemsGB*GrowChurn, and items are capped at FairShareGB, so
+	// only an executor with ItemsGB*GrowChurn < FairShareGB (a widenable
+	// one) can ever grow.
+	GrowChurn = 1.05
 	// oomReprocessFrac is the fraction of a killed executor's allocation
 	// that must be reprocessed (lost partial work).
 	oomReprocessFrac = 1.0

@@ -101,11 +101,12 @@ type Cluster struct {
 	// indices in nodes, so the set is walked in node order without sorting.
 	dirty []uint64
 	wakes wakeHeap
-	// stale, open and growable are the node index placement reads (see
-	// nodeindex.go), bitsets laid out like dirty.
-	stale    []uint64
-	open     []uint64
-	growable []uint64
+	// stale and open are the node index placement reads, and freed holds
+	// the nodes the next growth query visits (see nodeindex.go); all three
+	// are bitsets laid out like dirty.
+	stale []uint64
+	open  []uint64
+	freed []uint64
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -502,8 +503,12 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		app.Executors = c.takeFleet(max(app.MaxExecutors, app.freeFleet))
 	}
 	app.Executors = append(app.Executors, e)
-	e.countShrunk(1)
+	e.countWidenable(1)
 	c.markDirty(node)
+	if e.widenable() {
+		// A new widenable executor is news to the growth pass.
+		c.markFreed(node)
+	}
 	if app.State == StateReady {
 		app.State = StateRunning
 		if app.StartTime < 0 {
@@ -565,15 +570,21 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	if newItemsGB > e.App.RemainingGB {
 		newItemsGB = e.App.RemainingGB
 	}
-	e.countShrunk(-1)
+	wasWidenable := e.widenable()
+	e.countWidenable(-1)
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
 	e.cacheEff = cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = resident(e.NeedGB, e.ReservedGB)
-	e.countShrunk(1)
+	e.countWidenable(1)
 	e.Node.recount()
 	c.markDirty(e.Node)
+	if e.widenable() && !wasWidenable {
+		// The clamp to the app's remaining work shrank the items below the
+		// churn: as for a widenable arrival, the growth pass must hear.
+		c.markFreed(e.Node)
+	}
 	return nil
 }
 
@@ -596,18 +607,20 @@ func (c *Cluster) removeExecutor(e *Executor) {
 	c.unplace(e)
 	a := e.App
 	a.Executors = detach(a.Executors, e)
-	e.countShrunk(-1)
+	e.countWidenable(-1)
 	c.release(e)
 }
 
 // unplace takes e off its node's list, keeping the order of the rest, and
 // recounts the node's totals. The node's co-runners lose a contender, so it
-// is marked for rate recomputation.
+// is marked for rate recomputation, and the memory e held is free, so it is
+// marked for the next growth query.
 func (c *Cluster) unplace(e *Executor) {
 	n := e.Node
 	n.Executors = detach(n.Executors, e)
 	n.recount()
 	c.markDirty(n)
+	c.markFreed(n)
 }
 
 // Result summarises one simulation run.
@@ -978,6 +991,15 @@ func (c *Cluster) reclaimExecutor(victim *Executor) {
 	// genuinely lost, the quantity the faults study's goodput is built on.
 	app.LostWorkGB += app.RemainingGB - before
 	c.totalLostGB += app.RemainingGB - before
+	if app.RemainingGB > before {
+		// RemainingGB caps every grow of the app, so its surviving
+		// executors may now grow where their free memory has not risen.
+		for _, e := range app.Executors {
+			if e.widenable() {
+				c.markFreed(e.Node)
+			}
+		}
+	}
 	if len(app.Executors) == 0 && app.State == StateRunning {
 		app.State = StateReady
 	}
@@ -1293,7 +1315,7 @@ func (c *Cluster) completeApp(a *App) {
 		// executors one by one would take, and hand the emptied list back.
 		for _, e := range a.Executors {
 			c.unplace(e)
-			e.countShrunk(-1)
+			e.countWidenable(-1)
 			c.release(e)
 		}
 		c.releaseFleet(a)
@@ -1332,6 +1354,7 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	// node can un-page.
 	f.Node.recount()
 	c.markDirty(f.Node)
+	c.markFreed(f.Node)
 }
 
 func (c *Cluster) result() *Result {

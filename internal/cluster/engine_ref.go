@@ -9,16 +9,17 @@ import (
 
 // This file holds full-scan reference implementations of event selection, rate
 // recomputation, the profiling share, the waiting set, fleet sizing, the
-// completion check, the stored completion deadlines, the stored node totals
-// and the node index's open and growable sets. They are not called by the
-// engine — the indexed paths in engine.go and nodeindex.go replaced them —
-// but they are the ground truth the index must reproduce exactly: the
-// differential property test (property_test.go) installs Cluster.checkEvent
-// and replays these scans against the indexed engine's state on every event
-// of randomized workloads, asserting float-for-float agreement. Any
-// bookkeeping bug in the active sets, dirty or stale marking, wake heap or
-// deadline heap shows up as a divergence on the exact event where it
-// happens, not as a mysteriously shifted makespan.
+// completion check, the stored completion deadlines, the stored node totals,
+// the node index's open set and the superset of the growable list. They are
+// not called by the engine — the indexed paths in engine.go and nodeindex.go
+// replaced them — but they are the ground truth the index must reproduce
+// exactly, or stay within for the growable list: the differential property
+// test (property_test.go) installs Cluster.checkEvent and replays these
+// scans against the indexed engine's state on every event of randomized
+// workloads, asserting float-for-float agreement. Any bookkeeping bug in the
+// active sets, dirty, stale or freed marking, wake heap or deadline heap
+// shows up as a divergence on the exact event where it happens, not as a
+// mysteriously shifted makespan.
 //
 // Since the settle-on-rate-change refactor the scans read the SETTLED state:
 // a completion candidate is settledAt + remaining/rate (an absolute
@@ -328,9 +329,11 @@ func (c *Cluster) refOpenNodes() iter.Seq[*Node] {
 	return slices.Values(open)
 }
 
-// refGrowable is the full-scan growable list: a walk of every running app in
-// submission order and its executors in App.Executors order, keeping each
-// shrunken executor whose node has more than GrowMinFreeGB unreserved.
+// refGrowable is the full-scan superset of the growable list: a walk of every
+// running app in submission order and its executors in App.Executors order,
+// keeping each widenable executor whose node has more than GrowMinFreeGB
+// unreserved. AppendGrowable lists the subsequence of it whose grow decision
+// can have changed since its previous call.
 //
 //moevet:refpair AppendGrowable
 func (c *Cluster) refGrowable(buf []*Executor) []*Executor {
@@ -339,7 +342,7 @@ func (c *Cluster) refGrowable(buf []*Executor) []*Executor {
 			continue
 		}
 		for _, e := range a.Executors {
-			if e.ItemsGB < e.FairShareGB && e.Node.FreeGB() > GrowMinFreeGB {
+			if e.ItemsGB*GrowChurn < e.FairShareGB && e.Node.FreeGB() > GrowMinFreeGB {
 				buf = append(buf, e)
 			}
 		}
@@ -391,7 +394,7 @@ func (n *Node) refAppCount() int {
 }
 
 // refCheckNodeSums recounts every node's totals with refNodeSums and
-// refAppCount, and its shrunken executors, and compares them with what the
+// refAppCount, and its widenable executors, and compares them with what the
 // node stores. It returns a description of the first divergence, or "" when
 // every stored total is bit-identical to the recount. Every touch point
 // recounts its node at once, so the check holds at any instant.
@@ -407,14 +410,14 @@ func (c *Cluster) refCheckNodeSums() string {
 		if apps := n.refAppCount(); apps != len(n.Executors) {
 			return fmt.Sprintf("node %d hosts %d executors of %d distinct apps", n.ID, len(n.Executors), apps)
 		}
-		shrunk := 0
+		widenable := 0
 		for _, e := range n.Executors {
-			if e.ItemsGB < e.FairShareGB {
-				shrunk++
+			if e.ItemsGB*GrowChurn < e.FairShareGB {
+				widenable++
 			}
 		}
-		if n.shrunk != shrunk {
-			return fmt.Sprintf("node %d stored %d shrunken executors, recount %d", n.ID, n.shrunk, shrunk)
+		if n.widenable != widenable {
+			return fmt.Sprintf("node %d stored %d widenable executors, recount %d", n.ID, n.widenable, widenable)
 		}
 	}
 	return ""

@@ -80,13 +80,17 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	c.settleApp(app)
 	c.touchApp(app)
 	c.unplace(e)
-	// A shrunken executor takes its count along.
-	e.countShrunk(-1)
+	// A widenable executor takes its count along, and its arrival is news
+	// to the growth pass, as a spawn's is.
+	e.countWidenable(-1)
 	e.Node = target
-	e.countShrunk(1)
+	e.countWidenable(1)
 	target.Executors = append(target.Executors, e)
 	target.recount()
 	c.markDirty(target)
+	if e.widenable() {
+		c.markFreed(target)
+	}
 	cost := migrateRestartSec + e.processedGB/migrateCheckpointGBps
 	e.gateUntil = c.now + cost
 	app.Migrations++

@@ -7,30 +7,36 @@ import (
 	"slices"
 )
 
-// This file is the node index placement reads instead of scanning the whole
-// fleet on every scheduling event. It holds two node sets, bitsets laid out
-// like the dirty set (bit ID%64 of word ID/64):
+// This file is the node index placement and the growth pass read instead of
+// scanning the whole fleet on every scheduling event. It holds two node sets,
+// bitsets laid out like the dirty set (bit ID%64 of word ID/64):
 //
 //   - open: available nodes with more than MinChunkGB unreserved. Every other
 //     node fails App.CanUse or the dispatcher's minimum-free-memory rule, so
 //     a placement walk over the open set meets exactly the candidates a walk
-//     over every node accepts, in the same node order.
-//   - growable: nodes hosting a shrunken executor (Node.shrunk > 0) with more
-//     than GrowMinFreeGB unreserved: the only nodes where the dispatcher's
-//     grow pass widens an allocation.
+//     over every node accepts, in the same node order. It is a function of
+//     node-local state, the lifecycle state and the stored reservation
+//     total. Every touch point that changes one marks the node stale:
+//     markDirty does so for all its callers, which cover every recount, and
+//     a drain marks its node directly. A decommission needs no mark (the
+//     drain already took the node out of the open set). The set is brought
+//     up to date lazily: each query first re-evaluates the stale nodes alone
+//     (syncNodeIndex), so a burst of mutations between two queries costs one
+//     evaluation per touched node, and a run whose policy never queries pays
+//     only the marks.
+//   - freed: nodes where the grow decision of a widenable executor (see
+//     Executor.widenable) can have changed since the last growth query.
+//     Four touch points mark a node: unplace (every removal, app
+//     completion, kill and migration source frees memory), a foreign
+//     completion (likewise), the arrival of a widenable executor (Spawn, a
+//     migration target, or a Grow whose clamp to the app's remaining work
+//     makes its executor widenable), and reclaimExecutor, which marks the
+//     nodes of the app's surviving widenable executors because a
+//     charge-back raises the RemainingGB that caps their grows.
+//     AppendGrowable walks the set and clears it.
 //
-// Both are functions of node-local state: the lifecycle state, the stored
-// reservation total and the shrunken-executor count. Every touch point that
-// changes one of them marks the node stale: markDirty does so for all its
-// callers, which cover every recount and every shrunken-count change, and a
-// drain marks its node directly. A decommission needs no mark (the drain
-// already took the node out of the open set, and an empty node has nothing
-// to grow). The sets are brought up to date lazily: each query first
-// re-evaluates the stale nodes alone (syncNodeIndex), so a burst of
-// mutations between two queries costs one evaluation per touched node, and a
-// run whose policy never queries pays only the marks. refOpenNodes and
-// refGrowable in engine_ref.go are the full-scan twins the differential
-// tests compare with on every event.
+// refOpenNodes and refGrowable in engine_ref.go are the full-scan twins the
+// differential tests compare with on every event.
 
 // nodeBit returns the word and bit of n in the node bitsets, growing every
 // bitset by a word when a joining node's ID opens one.
@@ -40,7 +46,7 @@ func (c *Cluster) nodeBit(n *Node) (int, uint64) {
 		c.dirty = append(c.dirty, 0)
 		c.stale = append(c.stale, 0)
 		c.open = append(c.open, 0)
-		c.growable = append(c.growable, 0)
+		c.freed = append(c.freed, 0)
 	}
 	return w, 1 << (n.ID & 63)
 }
@@ -52,26 +58,27 @@ func (c *Cluster) markStale(n *Node) {
 	c.stale[w] |= bit
 }
 
-// syncNodeIndex re-evaluates every stale node's membership of the open and
-// growable sets and clears the stale set.
+// markFreed queues n for the next growth query (see AppendGrowable).
+func (c *Cluster) markFreed(n *Node) {
+	w, bit := c.nodeBit(n)
+	c.freed[w] |= bit
+}
+
+// syncNodeIndex re-evaluates every stale node's membership of the open set
+// and clears the stale set.
 func (c *Cluster) syncNodeIndex() {
 	for w, word := range c.stale {
 		if word == 0 {
 			continue
 		}
-		open, growable := c.open[w]&^word, c.growable[w]&^word
+		open := c.open[w] &^ word
 		for ; word != 0; word &= word - 1 {
 			b := bits.TrailingZeros64(word)
-			n := c.nodes[w<<6|b]
-			free := n.FreeGB()
-			if n.Available() && free > MinChunkGB {
+			if n := c.nodes[w<<6|b]; n.Available() && n.FreeGB() > MinChunkGB {
 				open |= 1 << b
 			}
-			if n.shrunk > 0 && free > GrowMinFreeGB {
-				growable |= 1 << b
-			}
 		}
-		c.open[w], c.growable[w], c.stale[w] = open, growable, 0
+		c.open[w], c.stale[w] = open, 0
 	}
 }
 
@@ -93,20 +100,46 @@ func (c *Cluster) OpenNodes() iter.Seq[*Node] {
 	}
 }
 
-// AppendGrowable appends to buf every shrunken executor (ItemsGB <
-// FairShareGB) on a node with more than GrowMinFreeGB unreserved, and
-// returns the extended slice. The executors come in the order a walk of
-// ActiveApps' executors meets them: app submission order, then App.Executors
-// order. They are gathered from the growable nodes and sorted by app ID,
-// which is submission order; the executors of an app with several are then
-// rewritten in the order of the app's own list.
+// growsOn reports whether n is a freed node where the growth pass may widen
+// an executor: it hosts a widenable one and has more than GrowMinFreeGB
+// unreserved.
+func (c *Cluster) growsOn(n *Node) bool {
+	return c.freed[n.ID>>6]&(1<<(n.ID&63)) != 0 && n.widenable > 0 && n.FreeGB() > GrowMinFreeGB
+}
+
+// AppendGrowable appends to buf the widenable executors (ItemsGB*GrowChurn <
+// FairShareGB) whose grow decision can have changed since the previous call,
+// and returns the extended slice. It lists those on freed nodes with more
+// than GrowMinFreeGB unreserved, and clears the freed set.
+//
+// The contract is the dispatcher's: a growth pass grows an executor to
+// min(clampItems(est.Items((ReservedGB+free)/margin), RemainingGB),
+// FairShareGB) when that exceeds ItemsGB*GrowChurn. That can only turn true
+// when the node's free memory or the app's remaining work rises: the
+// estimate never changes after Prepare, Items is monotone in its budget, a
+// grow leaves ReservedGB+free unchanged, and the stored RemainingGB only
+// falls between charge-backs. Each such rise marks the node freed, and so
+// does a widenable arrival, so an executor this call leaves out was decided
+// on by the previous growth pass and would be skipped again. The call
+// consumes the set, so the growth pass must stay its only caller: a second
+// caller would take the news the pass needs. refGrowable is the superset it
+// must stay within.
+//
+// The executors come in the order a walk of ActiveApps' executors meets
+// them: app submission order, then App.Executors order. They are gathered
+// from the nodes and sorted by app ID, which is submission order; the
+// executors of an app with several are then rewritten in the order of the
+// app's own list.
 func (c *Cluster) AppendGrowable(buf []*Executor) []*Executor {
-	c.syncNodeIndex()
 	start := len(buf)
-	for w, word := range c.growable {
+	for w, word := range c.freed {
 		for ; word != 0; word &= word - 1 {
-			for _, e := range c.nodes[w<<6|bits.TrailingZeros64(word)].Executors {
-				if e.ItemsGB < e.FairShareGB {
+			n := c.nodes[w<<6|bits.TrailingZeros64(word)]
+			if !c.growsOn(n) {
+				continue
+			}
+			for _, e := range n.Executors {
+				if e.widenable() {
 					buf = append(buf, e)
 				}
 			}
@@ -121,7 +154,7 @@ func (c *Cluster) AppendGrowable(buf []*Executor) []*Executor {
 		}
 		if j-i > 1 {
 			for _, e := range a.Executors {
-				if e.ItemsGB < e.FairShareGB && c.growable[e.Node.ID>>6]&(1<<(e.Node.ID&63)) != 0 {
+				if e.widenable() && c.growsOn(e.Node) {
 					found[i] = e
 					i++
 				}
@@ -129,5 +162,6 @@ func (c *Cluster) AppendGrowable(buf []*Executor) []*Executor {
 		}
 		i = j
 	}
+	clear(c.freed)
 	return buf
 }

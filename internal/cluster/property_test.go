@@ -264,7 +264,7 @@ func (s *diffScheduler) place(c *Cluster) {
 			items := share
 			if app.ID%4 == 1 && share/4 >= MinChunkGB {
 				// Every fourth app takes a quarter of its share: shrunken
-				// executors for grow and for the growable node set.
+				// executors for grow and for the growable list.
 				items = share / 4
 			}
 			_, _ = c.Spawn(app, n, reserve, items)
@@ -499,11 +499,15 @@ func fleetSizingDiff(c *Cluster) string {
 	return ""
 }
 
-// indexDiff compares the node index with its full-scan twins: the open set
-// and the growable list must equal refOpenNodes and refGrowable element for
-// element. Each query brings the index up to date first, exactly as a
-// scheduler's would, so a touch point that forgets its stale mark shows up
-// here on the first event the node's membership should have changed.
+// indexDiff compares the node index with its full-scan twins. The open set
+// must equal refOpenNodes element for element; each query brings it up to
+// date first, exactly as a scheduler's would, so a touch point that forgets
+// its stale mark shows up here on the first event the node's membership
+// should have changed. The growable list is checked against both bounds: it
+// must be a subsequence of refGrowable, in refGrowable's order, and hold
+// every executor of refGrowable whose decision the snapshot of the previous
+// query shows can have changed (growSnapshot.requires), so a touch point
+// that forgets its freed mark shows up on the first query after it.
 func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
 	got, ref := slices.Collect(c.OpenNodes()), slices.Collect(c.refOpenNodes())
 	if !slices.Equal(got, ref) {
@@ -513,13 +517,77 @@ func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
 		return ""
 	}
 	gotE, refE := c.AppendGrowable(nil), c.refGrowable(nil)
-	if !slices.Equal(gotE, refE) {
-		return fmt.Sprintf("growable executors %v, reference %v", execIDs(gotE), execIDs(refE))
+	i := 0
+	for _, e := range refE {
+		required := stats.snap.requires(e)
+		if i < len(gotE) && gotE[i] == e {
+			if required {
+				stats.required++
+			}
+			i++
+			continue
+		}
+		if required {
+			return fmt.Sprintf("growable executors %v leave out %s, which the previous query's snapshot requires (superset %v)",
+				execIDs(gotE), execIDs([]*Executor{e})[0], execIDs(refE))
+		}
+	}
+	if i < len(gotE) {
+		return fmt.Sprintf("growable executors %v are not a subsequence of the superset %v", execIDs(gotE), execIDs(refE))
 	}
 	if len(gotE) > 0 {
 		stats.growable++
 	}
+	stats.snap.take(c)
 	return ""
+}
+
+// growSnapshot is the state the checker's previous growable query saw: each
+// node's reserved total, the app and node of each executor and whether it
+// was widenable, and the remaining work of each app with an executor.
+type growSnapshot struct {
+	reserved  map[*Node]float64
+	placed    map[*Executor]placement
+	remaining map[*App]float64
+}
+
+// placement is where an executor sat, for which app, and whether it was
+// widenable.
+type placement struct {
+	app       *App
+	node      *Node
+	widenable bool
+}
+
+// take records the cluster's state in s, replacing what it held.
+func (s *growSnapshot) take(c *Cluster) {
+	if s.reserved == nil {
+		s.reserved, s.placed, s.remaining = map[*Node]float64{}, map[*Executor]placement{}, map[*App]float64{}
+	}
+	clear(s.reserved)
+	clear(s.placed)
+	clear(s.remaining)
+	for _, n := range c.nodes {
+		s.reserved[n] = n.ReservedGB()
+		for _, e := range n.Executors {
+			s.placed[e] = placement{e.App, n, e.widenable()}
+			s.remaining[e.App] = e.App.RemainingGB
+		}
+	}
+}
+
+// requires reports whether the growable list must hold e, a widenable
+// executor on a node with room to grow: since the snapshot, e arrived on its
+// node or became widenable (Grow clamps items to the app's remaining work),
+// its node's reserved total fell (memory freed), or its app's remaining work
+// rose (a charge-back). Any of them can turn e's grow decision true; the
+// reserved total rises or stays the same under every other touch point, and
+// remaining work only falls.
+func (s *growSnapshot) requires(e *Executor) bool {
+	if p := s.placed[e]; p != (placement{e.App, e.Node, true}) {
+		return true
+	}
+	return e.Node.ReservedGB() < s.reserved[e.Node] || e.App.RemainingGB > s.remaining[e.App]
 }
 
 // nodeIDs lists the nodes' IDs.
@@ -541,9 +609,12 @@ func execIDs(execs []*Executor) []string {
 }
 
 // diffStats counts what the differential checker saw: the events it fired
-// on, and the scanned events whose growable list was not empty.
+// on, the scanned events whose growable list was not empty, and the listed
+// executors the lower bound required. snap is the state at the checker's
+// previous growable query.
 type diffStats struct {
-	events, growable int
+	events, growable, required int
+	snap                       growSnapshot
 }
 
 // installDiffHook wires the differential checker shared by the property
@@ -625,7 +696,7 @@ func installDiffHook(t *testing.T, c *Cluster, label string, scanEvery int) *dif
 // integrator (see shadowIntegrator), which bounds the settle-vs-per-event
 // float drift.
 func TestIndexedEngineMatchesScanReference(t *testing.T) {
-	stormMigrations, growable := 0, 0
+	stormMigrations, growable, required := 0, 0, 0
 	for seed := int64(0); seed < 28; seed++ {
 		c, subs, sched, rackStorm := buildDiffWorkload(t, seed)
 		label := fmt.Sprintf("seed %d:", seed)
@@ -638,6 +709,7 @@ func TestIndexedEngineMatchesScanReference(t *testing.T) {
 			t.Fatalf("%s differential hook never fired", label)
 		}
 		growable += stats.growable
+		required += stats.required
 		for _, a := range res.Apps {
 			if a.State != StateDone {
 				t.Fatalf("%s app %d finished in state %v", label, a.ID, a.State)
@@ -651,8 +723,12 @@ func TestIndexedEngineMatchesScanReference(t *testing.T) {
 		t.Error("rack-storm seeds never migrated an executor: the failure-domain paths went untested")
 	}
 	if growable == 0 {
-		t.Error("no event had a growable executor: the growable node set went untested")
+		t.Error("no event had a growable executor: the growable list went untested")
 	}
+	if required == 0 {
+		t.Error("no listed executor was required: the growable list's lower bound went untested")
+	}
+	t.Logf("%d scanned events listed a growable executor; the lower bound required %d listed executors", growable, required)
 }
 
 // scaleDiffScheduler drives the fleet-scale differential run: the whole-node
@@ -911,7 +987,7 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 }
 
 // TestNodeTotalsFollowTouchPoints drives every engine touch point that
-// changes a node's stored totals or a shrunken-executor count by hand, and
+// changes a node's stored totals or a widenable-executor count by hand, and
 // after each one compares the stored values with totals derived from what
 // the node visibly holds.
 func TestNodeTotalsFollowTouchPoints(t *testing.T) {
@@ -924,10 +1000,10 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 			t.Errorf("%s: node %d reserved/actual/cpu %+v, want %+v", step, n.ID, got, want)
 		}
 	}
-	checkShrunk := func(t *testing.T, step string, n *Node, want int) {
+	checkWidenable := func(t *testing.T, step string, n *Node, want int) {
 		t.Helper()
-		if n.shrunk != want {
-			t.Errorf("%s: node %d has %d shrunken executors, want %d", step, n.ID, n.shrunk, want)
+		if n.widenable != want {
+			t.Errorf("%s: node %d has %d widenable executors, want %d", step, n.ID, n.widenable, want)
 		}
 	}
 	b := testBench(t, "SP.Pca")
@@ -956,22 +1032,28 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		a := newApp(0, workload.Class{}, 100, 2) // fair share 50 GB
 		e := spawn(t, c, a, n0, 10, 20)
 		check(t, "spawn", n0, totals{10, e.ActualGB, cpu})
-		checkShrunk(t, "spawn below fair share", n0, 1)
+		checkWidenable(t, "spawn below fair share", n0, 1)
 		if err := c.Grow(e, 12, 30); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow", n0, totals{12, e.ActualGB, cpu})
-		checkShrunk(t, "grow still below fair share", n0, 1)
+		checkWidenable(t, "grow still below fair share", n0, 1)
+		// 48 GB of a 50 GB share: below it, but within GrowChurn of it.
+		if err := c.Grow(e, 13, 48); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "grow within the churn", n0, totals{13, e.ActualGB, cpu})
+		checkWidenable(t, "grow within the churn", n0, 0)
 		if err := c.Grow(e, 15, 50); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow to fair share", n0, totals{15, e.ActualGB, cpu})
-		checkShrunk(t, "grow to fair share", n0, 0)
+		checkWidenable(t, "grow to fair share", n0, 0)
 		e1 := spawn(t, c, a, n1, 5, 10) // fair share 100 GB: the last slot
-		checkShrunk(t, "second spawn below fair share", n1, 1)
+		checkWidenable(t, "second spawn below fair share", n1, 1)
 		c.removeExecutor(e1)
 		check(t, "remove", n1, totals{})
-		checkShrunk(t, "remove", n1, 0)
+		checkWidenable(t, "remove", n1, 0)
 	})
 
 	t.Run("foreign arrival and completion", func(t *testing.T) {
@@ -1007,7 +1089,7 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 			t.Fatalf("OOM kills %d, want 1", c.totalOOM)
 		}
 		check(t, "OOM kill", n, totals{80, 80, 0.2})
-		checkShrunk(t, "OOM kill", n, 0)
+		checkWidenable(t, "OOM kill", n, 0)
 	})
 
 	t.Run("preempt", func(t *testing.T) {
@@ -1050,17 +1132,17 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		check(t, "migrate source", n0, totals{})
 		check(t, "migrate target", n1, totals{7 + 10, other.ActualGB + moved.ActualGB, 2 * cpu})
 		// Both executors on node 1 hold 20 GB of a 33 GB fair share: the
-		// moved one took its shrunken count along.
-		checkShrunk(t, "migrate source", n0, 0)
-		checkShrunk(t, "migrate target", n1, 2)
+		// moved one took its widenable count along.
+		checkWidenable(t, "migrate source", n0, 0)
+		checkWidenable(t, "migrate target", n1, 2)
 		sibling := spawn(t, c, a, n2, 6, 20)
-		checkShrunk(t, "before handoff", n2, 1)
+		checkWidenable(t, "before handoff", n2, 1)
 		if !c.handoffExecutor(moved) {
 			t.Fatal("handoff found no sibling")
 		}
 		check(t, "handoff source", n1, totals{7, other.ActualGB, cpu})
 		check(t, "handoff sibling", n2, totals{6, sibling.ActualGB, cpu})
-		checkShrunk(t, "handoff source", n1, 1)
-		checkShrunk(t, "handoff sibling", n2, 1)
+		checkWidenable(t, "handoff source", n1, 1)
+		checkWidenable(t, "handoff sibling", n2, 1)
 	})
 }

@@ -147,9 +147,10 @@ func BenchmarkOpenSystemMoE100k(b *testing.B) { moeScaleRun(b, 100_000) }
 // most of a third of the nodes, so executors placed there hold less than
 // their fair share, and the 400 apps want more executors than the fleet
 // takes. Warm-up passes place and grow what fits, leaving a few hundred
-// apps running and over a hundred waiting; every timed pass then walks the
-// waiting apps over the open nodes and the growable executors, and changes
-// nothing.
+// apps running, some of them widenable, and over a hundred waiting. Every
+// timed pass then walks the waiting apps over the open nodes and changes
+// nothing; the last warm-up pass consumed the freed-node marks and no timed
+// pass frees a node, so each measures placement plus an empty growth query.
 func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	fleet, err := workload.BimodalFleet(1024, workload.BigNode(), workload.LittleNode(), 0.5, r)
@@ -183,20 +184,22 @@ func BenchmarkDispatcherScheduleFleet1024(b *testing.B) {
 	for range 3 {
 		d.Schedule(c)
 	}
-	counts := func() (execs, shrunk int) {
+	// The executors the growth pass can widen: further below their fair
+	// share than GrowChurn.
+	counts := func() (execs, widenable int) {
 		for _, a := range c.ActiveApps() {
 			execs += len(a.Executors)
 			for _, e := range a.Executors {
-				if e.ItemsGB < e.FairShareGB {
-					shrunk++
+				if e.ItemsGB*cluster.GrowChurn < e.FairShareGB {
+					widenable++
 				}
 			}
 		}
-		return execs, shrunk
+		return execs, widenable
 	}
-	execs, shrunk := counts()
-	if shrunk == 0 || len(c.WaitingApps()) == 0 {
-		b.Fatalf("fixture has %d shrunken executors and %d waiting apps; want both", shrunk, len(c.WaitingApps()))
+	execs, widenable := counts()
+	if widenable == 0 || len(c.WaitingApps()) == 0 {
+		b.Fatalf("fixture has %d widenable executors and %d waiting apps; want both", widenable, len(c.WaitingApps()))
 	}
 	b.ReportAllocs()
 	for b.Loop() {

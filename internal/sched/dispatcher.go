@@ -93,6 +93,22 @@ func (d *Dispatcher) Schedule(c *cluster.Cluster) {
 		d.scheduleSerial(c)
 		return
 	}
+	d.placeWaiting(c)
+	// Third pass: dynamically adjust the data allocation of running
+	// executors as memory frees up (Section 4.3: "the number of data items
+	// to give to the co-located executor is dynamically adjusted over
+	// time").
+	if d.Est != nil {
+		d.growBuf = c.AppendGrowable(d.growBuf[:0])
+		d.growExecutors(c, d.growBuf)
+		// Keep no executor past the call: the cluster recycles them.
+		clear(d.growBuf)
+	}
+}
+
+// placeWaiting runs the placement passes over the waiting set, after the
+// preemption pass of a preempting copy.
+func (d *Dispatcher) placeWaiting(c *cluster.Cluster) {
 	waiting := d.appendWaiting(c)
 	if d.preempt {
 		if d.lastRun != c {
@@ -116,13 +132,6 @@ func (d *Dispatcher) Schedule(c *cluster.Cluster) {
 	for _, app := range waiting {
 		d.placeApp(c, app)
 	}
-	// Third pass: dynamically adjust the data allocation of running
-	// executors as memory frees up (Section 4.3: "the number of data items
-	// to give to the co-located executor is dynamically adjusted over
-	// time").
-	if d.Est != nil {
-		d.growExecutors(c)
-	}
 }
 
 // appendWaiting fills the reusable waiting-queue buffer without allocating
@@ -132,19 +141,25 @@ func (d *Dispatcher) appendWaiting(c *cluster.Cluster) []*cluster.App {
 	return d.waitBuf
 }
 
-// growExecutors widens shrunken data allocations toward the fair share when
-// their node has free memory. The engine lists the candidates (a shrunken
-// executor on a node with more than GrowMinFreeGB free) in the order a walk
-// of every running app's executors meets them, so the pass visits only
-// executors it may grow and grows exactly what that walk grew. An app's
-// estimate is fetched once one of its executors can grow.
-func (d *Dispatcher) growExecutors(c *cluster.Cluster) {
-	d.growBuf = c.AppendGrowable(d.growBuf[:0])
+// growExecutors widens the data allocations of the listed executors toward
+// their fair shares when their node has free memory, visiting them in list
+// order. Schedule lists what cluster.AppendGrowable returns: the widenable
+// executors (ItemsGB*GrowChurn < FairShareGB) on nodes with more than
+// GrowMinFreeGB free whose decision below can have changed since the
+// previous pass. The decision, min(clampItems(est.Items((ReservedGB+free)/
+// margin), RemainingGB), FairShareGB) > ItemsGB*GrowChurn, can only turn
+// true when the node's free memory or the app's remaining work rises, and
+// each such rise marks the node for the next query; so the pass grows
+// exactly what a walk of every running app's executors would grow, in the
+// same order. The query consumes the engine's marks, so this pass must stay
+// its only caller. An app's estimate is fetched once one of its executors
+// can grow.
+func (d *Dispatcher) growExecutors(c *cluster.Cluster, execs []*cluster.Executor) {
 	var app *cluster.App
 	var est MemEstimate
 	haveEst, noEst := false, false
 	margin := 1 + d.SafetyMargin
-	for _, e := range d.growBuf {
+	for _, e := range execs {
 		if e.App != app {
 			app, haveEst, noEst = e.App, false, false
 		}
@@ -165,7 +180,7 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster) {
 		if items > e.FairShareGB {
 			items = e.FairShareGB
 		}
-		if items <= e.ItemsGB*1.05 {
+		if items <= e.ItemsGB*cluster.GrowChurn {
 			continue // not worth the churn
 		}
 		reserve := est.Footprint(items) * margin
@@ -178,8 +193,6 @@ func (d *Dispatcher) growExecutors(c *cluster.Cluster) {
 		// A refused grow leaves the executor as it was.
 		_ = c.Grow(e, reserve, items)
 	}
-	// Keep no executor past the call: the cluster recycles them.
-	clear(d.growBuf)
 }
 
 // scheduleSerial runs the FCFS head exclusively: executors get whole nodes
