@@ -11,8 +11,7 @@ import (
 // contract (see internal/cluster/eventindex.go): progress fields are exact
 // only at their settle point, deadlines must equal what a fresh scan would
 // compute, the wake bookkeeping carries a one-directional heap invariant,
-// and the stored node totals and widenable-executor counts must equal a fresh
-// recount. A write from anywhere outside the engine's touch points can
+// and the stored node totals must equal a fresh recount. A write from anywhere outside the engine's touch points can
 // silently break bit-for-bit replay, which is why the rule is mechanical.
 var settledFields = map[string]map[string]bool{
 	"App": {
@@ -31,12 +30,10 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
-		// The stored totals are written by recount alone, the widenable
-		// count by countWidenable alone.
+		// The stored totals are written by recount alone.
 		"reservedGB": true,
 		"actualGB":   true,
 		"cpuDemand":  true,
-		"widenable":  true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -83,12 +80,10 @@ var settleTouchPoints = map[string]bool{
 	"migrateFrom":     true,
 	"migrateExecutor": true,
 	"handoffExecutor": true,
-	// node.go and app.go: the one writer each of the stored node totals and
-	// the widenable-executor count. Spawn, Grow and removeExecutor call them
-	// but stay off this list, which would let them write every settled
-	// field.
-	"recount":        true,
-	"countWidenable": true,
+	// node.go: the one writer of the stored node totals. Spawn, Grow and
+	// removeExecutor call it but stay off this list, which would let them
+	// write every settled field.
+	"recount": true,
 }
 
 // SettledState forbids writes (assignment, op-assignment, increment) to the

@@ -24,8 +24,7 @@ type ForeignTask struct {
 	done      bool
 }
 
-// Node mirrors the engine's wake bookkeeping, stored totals and widenable
-// count.
+// Node mirrors the engine's wake bookkeeping and stored totals.
 type Node struct {
 	ID         int
 	wakeAt     float64
@@ -33,7 +32,6 @@ type Node struct {
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
-	widenable  int
 }
 
 // Cluster is the owning engine stand-in.
@@ -115,15 +113,9 @@ func (n *Node) recount() {
 	n.reservedGB, n.actualGB, n.cpuDemand = sum, sum, 0
 }
 
-// countWidenable is the one allowed writer of the widenable-executor count.
-func (n *Node) countWidenable(delta int) {
-	n.widenable += delta
-}
-
 // spawnShortcut adjusts the stored totals in place instead of recounting:
 // the stray writer that lets a total drift from its recount.
 func spawnShortcut(n *Node, reserveGB float64) {
 	n.Reserved = append(n.Reserved, reserveGB)
 	n.reservedGB += reserveGB // want `write to settle-discipline field Node.reservedGB`
-	n.widenable++             // want `write to settle-discipline field Node.widenable`
 }

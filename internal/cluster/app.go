@@ -221,19 +221,8 @@ func (a *App) ExecutorOn(n *Node) bool {
 }
 
 // widenable reports whether the growth pass can still widen e: its items
-// times GrowChurn are below its fair share. FairShareGB is fixed at spawn
-// and ItemsGB changes only in Grow, which raises it unless the clamp to the
-// app's remaining work shrinks it; Grow marks the node freed when that makes
-// e widenable.
+// times GrowChurn are below its fair share, which is fixed at spawn.
 func (e *Executor) widenable() bool { return e.ItemsGB*GrowChurn < e.FairShareGB }
-
-// countWidenable adds delta to the widenable-executor count of e's node (see
-// Node.widenable) when e is widenable.
-func (e *Executor) countWidenable(delta int) {
-	if e.widenable() {
-		e.Node.widenable += delta
-	}
-}
 
 // Executor is one executor process placed on a node.
 type Executor struct {

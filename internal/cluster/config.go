@@ -72,7 +72,7 @@ const (
 	// for.
 	MinChunkGB = 0.05
 	// GrowMinFreeGB is the unreserved memory a node must have beyond which
-	// the dispatcher widens an executor on it; AppendGrowable (see
+	// the dispatcher widens an executor on it; TakeGrowable (see
 	// nodeindex.go) lists executors only on such nodes.
 	GrowMinFreeGB = 0.5
 	// GrowChurn is the factor by which a grow must widen an executor's

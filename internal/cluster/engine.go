@@ -503,7 +503,6 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		app.Executors = c.takeFleet(max(app.MaxExecutors, app.freeFleet))
 	}
 	app.Executors = append(app.Executors, e)
-	e.countWidenable(1)
 	c.markDirty(node)
 	if e.widenable() {
 		// A new widenable executor is news to the growth pass.
@@ -570,21 +569,13 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	if newItemsGB > e.App.RemainingGB {
 		newItemsGB = e.App.RemainingGB
 	}
-	wasWidenable := e.widenable()
-	e.countWidenable(-1)
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
 	e.cacheEff = cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = resident(e.NeedGB, e.ReservedGB)
-	e.countWidenable(1)
 	e.Node.recount()
 	c.markDirty(e.Node)
-	if e.widenable() && !wasWidenable {
-		// The clamp to the app's remaining work shrank the items below the
-		// churn: as for a widenable arrival, the growth pass must hear.
-		c.markFreed(e.Node)
-	}
 	return nil
 }
 
@@ -607,7 +598,6 @@ func (c *Cluster) removeExecutor(e *Executor) {
 	c.unplace(e)
 	a := e.App
 	a.Executors = detach(a.Executors, e)
-	e.countWidenable(-1)
 	c.release(e)
 }
 
@@ -1315,7 +1305,6 @@ func (c *Cluster) completeApp(a *App) {
 		// executors one by one would take, and hand the emptied list back.
 		for _, e := range a.Executors {
 			c.unplace(e)
-			e.countWidenable(-1)
 			c.release(e)
 		}
 		c.releaseFleet(a)

@@ -80,15 +80,12 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	c.settleApp(app)
 	c.touchApp(app)
 	c.unplace(e)
-	// A widenable executor takes its count along, and its arrival is news
-	// to the growth pass, as a spawn's is.
-	e.countWidenable(-1)
 	e.Node = target
-	e.countWidenable(1)
 	target.Executors = append(target.Executors, e)
 	target.recount()
 	c.markDirty(target)
 	if e.widenable() {
+		// As for a spawn, a widenable arrival is news to the growth pass.
 		c.markFreed(target)
 	}
 	cost := migrateRestartSec + e.processedGB/migrateCheckpointGBps

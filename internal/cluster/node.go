@@ -69,13 +69,6 @@ type Node struct {
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
-	// widenable counts the node's executors below FairShareGB/GrowChurn
-	// (ItemsGB*GrowChurn < FairShareGB), the only ones the growth pass can
-	// grow; AppendGrowable skips a node where it is zero. Spawn, Grow,
-	// removeExecutor, migration and app completion keep it through
-	// countWidenable; writing ItemsGB, FairShareGB or Executors directly
-	// leaves it stale.
-	widenable int
 
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from

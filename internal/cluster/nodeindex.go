@@ -28,12 +28,11 @@ import (
 //     Executor.widenable) can have changed since the last growth query.
 //     Four touch points mark a node: unplace (every removal, app
 //     completion, kill and migration source frees memory), a foreign
-//     completion (likewise), the arrival of a widenable executor (Spawn, a
-//     migration target, or a Grow whose clamp to the app's remaining work
-//     makes its executor widenable), and reclaimExecutor, which marks the
-//     nodes of the app's surviving widenable executors because a
-//     charge-back raises the RemainingGB that caps their grows.
-//     AppendGrowable walks the set and clears it.
+//     completion (likewise), the arrival of a widenable executor (Spawn or
+//     a migration target), and reclaimExecutor, which marks the nodes of
+//     the app's surviving widenable executors because a charge-back raises
+//     the RemainingGB that caps their grows. TakeGrowable walks the set and
+//     clears it.
 //
 // refOpenNodes and refGrowable in engine_ref.go are the full-scan twins the
 // differential tests compare with on every event.
@@ -58,7 +57,7 @@ func (c *Cluster) markStale(n *Node) {
 	c.stale[w] |= bit
 }
 
-// markFreed queues n for the next growth query (see AppendGrowable).
+// markFreed queues n for the next growth query (see TakeGrowable).
 func (c *Cluster) markFreed(n *Node) {
 	w, bit := c.nodeBit(n)
 	c.freed[w] |= bit
@@ -101,13 +100,12 @@ func (c *Cluster) OpenNodes() iter.Seq[*Node] {
 }
 
 // growsOn reports whether n is a freed node where the growth pass may widen
-// an executor: it hosts a widenable one and has more than GrowMinFreeGB
-// unreserved.
+// an executor: one with more than GrowMinFreeGB unreserved.
 func (c *Cluster) growsOn(n *Node) bool {
-	return c.freed[n.ID>>6]&(1<<(n.ID&63)) != 0 && n.widenable > 0 && n.FreeGB() > GrowMinFreeGB
+	return c.freed[n.ID>>6]&(1<<(n.ID&63)) != 0 && n.FreeGB() > GrowMinFreeGB
 }
 
-// AppendGrowable appends to buf the widenable executors (ItemsGB*GrowChurn <
+// TakeGrowable appends to buf the widenable executors (ItemsGB*GrowChurn <
 // FairShareGB) whose grow decision can have changed since the previous call,
 // and returns the extended slice. It lists those on freed nodes with more
 // than GrowMinFreeGB unreserved, and clears the freed set.
@@ -120,17 +118,19 @@ func (c *Cluster) growsOn(n *Node) bool {
 // grow leaves ReservedGB+free unchanged, and the stored RemainingGB only
 // falls between charge-backs. Each such rise marks the node freed, and so
 // does a widenable arrival, so an executor this call leaves out was decided
-// on by the previous growth pass and would be skipped again. The call
-// consumes the set, so the growth pass must stay its only caller: a second
-// caller would take the news the pass needs. refGrowable is the superset it
-// must stay within.
+// on by the previous growth pass and would be skipped again. A Grow whose
+// clamp to the remaining work leaves its executor widenable needs no mark:
+// its items then equal RemainingGB, which caps every later target until a
+// charge-back marks the node. The call consumes the set, so the growth pass
+// must stay its only caller: a second caller would take the news the pass
+// needs. refGrowable is the superset it must stay within.
 //
 // The executors come in the order a walk of ActiveApps' executors meets
 // them: app submission order, then App.Executors order. They are gathered
 // from the nodes and sorted by app ID, which is submission order; the
 // executors of an app with several are then rewritten in the order of the
 // app's own list.
-func (c *Cluster) AppendGrowable(buf []*Executor) []*Executor {
+func (c *Cluster) TakeGrowable(buf []*Executor) []*Executor {
 	start := len(buf)
 	for w, word := range c.freed {
 		for ; word != 0; word &= word - 1 {

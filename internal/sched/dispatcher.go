@@ -99,7 +99,7 @@ func (d *Dispatcher) Schedule(c *cluster.Cluster) {
 	// to give to the co-located executor is dynamically adjusted over
 	// time").
 	if d.Est != nil {
-		d.growBuf = c.AppendGrowable(d.growBuf[:0])
+		d.growBuf = c.TakeGrowable(d.growBuf[:0])
 		d.growExecutors(c, d.growBuf)
 		// Keep no executor past the call: the cluster recycles them.
 		clear(d.growBuf)
@@ -143,7 +143,7 @@ func (d *Dispatcher) appendWaiting(c *cluster.Cluster) []*cluster.App {
 
 // growExecutors widens the data allocations of the listed executors toward
 // their fair shares when their node has free memory, visiting them in list
-// order. Schedule lists what cluster.AppendGrowable returns: the widenable
+// order. Schedule lists what cluster.TakeGrowable returns: the widenable
 // executors (ItemsGB*GrowChurn < FairShareGB) on nodes with more than
 // GrowMinFreeGB free whose decision below can have changed since the
 // previous pass. The decision, min(clampItems(est.Items((ReservedGB+free)/
