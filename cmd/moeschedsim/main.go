@@ -4,16 +4,17 @@
 // Usage:
 //
 //	moeschedsim -policy moe -scenario L8 -seed 7
-//	moeschedsim -policy pairwise -table4
+//	moeschedsim -policy pairwise -scenario table4
 //	moeschedsim -policy oracle -scenario L10 -verbose
 //
 // Open-system mode replaces the batch mix with a stream of timed arrivals
 // and additionally reports queueing metrics (wait, sojourn percentiles,
-// windowed throughput):
+// windowed throughput). Bursty arrivals come in bursts of 5 jobs, 10x
+// faster than the mean rate; diurnal ones follow a one-hour day/night cycle:
 //
 //	moeschedsim -policy moe -arrivals poisson -rate 80 -apps 30
 //	moeschedsim -policy pairwise -arrivals bursty -rate 120 -apps 50
-//	moeschedsim -policy isolated -arrivals diurnal -rate 60 -period 3600
+//	moeschedsim -policy isolated -arrivals diurnal -rate 60
 //
 // Heterogeneous fleets and node lifecycle churn:
 //
@@ -38,14 +39,15 @@
 //	moeschedsim -policy moe -arrivals poisson -rate 300 -classes latency-batch -preempt
 //	moeschedsim -policy moe -arrivals poisson -classes "prod:4:0.2:cap30,ad-hoc:2:0.3,batch:1:0.5:preempt"
 //
-// Non-stationary workloads and the online prediction pipeline: -drift
-// replays a drifting stream (gradual input growth with signature drift, or
-// regime switches between clean and post-upgrade mixes) and -adapt switches
-// the MoE scheme to the feedback-driven predictor that recalibrates from
-// the engine's completion/OOM observations:
+// Non-stationary workloads and the online prediction pipeline: -arrivals
+// drift-growth and drift-regimes replay a drifting stream (gradual input
+// growth with signature drift, or regime switches between clean and
+// post-upgrade mixes), and -policy moe-adaptive runs the MoE scheme with the
+// feedback-driven predictor that recalibrates from the engine's
+// completion/OOM observations:
 //
-//	moeschedsim -policy moe -drift growth -rate 60 -apps 60
-//	moeschedsim -policy moe -adapt -drift regimes -rate 90 -apps 60
+//	moeschedsim -policy moe -arrivals drift-growth -rate 60 -apps 60
+//	moeschedsim -policy moe-adaptive -arrivals drift-regimes -rate 90 -apps 60
 //
 // Profiling: -cpuprofile/-memprofile write pprof profiles of the whole run:
 //
@@ -75,11 +77,8 @@ import (
 	"moespark/internal/workload"
 )
 
-func buildPolicy(name, placer string, seed int64, adapt bool) (*sched.Dispatcher, error) {
+func buildPolicy(name, placer string, seed int64) (*sched.Dispatcher, error) {
 	rng := rand.New(rand.NewSource(seed))
-	if adapt && name != "moe" {
-		return nil, fmt.Errorf("-adapt selects the feedback-driven MoE pipeline and needs -policy moe, got %q", name)
-	}
 	var d *sched.Dispatcher
 	var err error
 	switch name {
@@ -91,13 +90,13 @@ func buildPolicy(name, placer string, seed int64, adapt bool) (*sched.Dispatcher
 		d = sched.NewOracle()
 	case "online":
 		d = sched.NewOnlineSearch(rng)
-	case "moe":
+	case "moe", "moe-adaptive":
 		var model *moe.Model
 		model, err = moe.TrainDefault(rand.New(rand.NewSource(seed + 1)))
 		if err != nil {
 			return nil, fmt.Errorf("training MoE model: %w", err)
 		}
-		if adapt {
+		if name == "moe-adaptive" {
 			d = sched.NewAdaptiveMoE(model, rng)
 		} else {
 			d = sched.NewMoE(model, rng)
@@ -329,51 +328,39 @@ func parseClasses(s string) ([]workload.ClassShare, error) {
 	return mix, nil
 }
 
-// buildDriftArrivals generates the non-stationary stream for -drift, with
-// the drift study's own workload shape (the constants are shared with
-// internal/experiments so the CLI and `reproduce -exp drift` never desync):
-// growth ramps ~2 GB inputs by 50x while the log-family cohort's counters
-// drift onto the saturating cluster; regimes switch between the clean
-// catalogue and the skewed cohort every few jobs.
-func buildDriftArrivals(kind string, apps int, ratePerHour float64, seed int64) ([]workload.Arrival, error) {
-	rng := rand.New(rand.NewSource(seed))
-	ratePerSec := ratePerHour / 3600
-	switch kind {
-	case "growth":
-		return workload.GrowthArrivals(apps, ratePerSec,
-			experiments.DriftGrowthStartGB, experiments.DriftGrowthFactor, experiments.DriftSkew, rng)
-	case "regimes":
-		return workload.RegimeArrivals(apps, ratePerSec,
-			experiments.DriftRegimePeriod, experiments.DriftSkew, rng)
-	default:
-		return nil, fmt.Errorf("unknown drift workload %q (growth|regimes)", kind)
-	}
-}
-
 // buildArrivals generates the open-system submission stream for -arrivals.
-func buildArrivals(kind string, apps int, ratePerHour, burstLen, idleSec, periodSec float64, seed int64) ([]workload.Arrival, error) {
+// The drift streams have the drift study's own workload shape (the constants
+// are shared with internal/experiments so the CLI and `reproduce -exp drift`
+// never desync): growth ramps ~2 GB inputs by 50x while the log-family
+// cohort's counters drift onto the saturating cluster; regimes switch
+// between the clean catalogue and the skewed cohort every few jobs.
+func buildArrivals(kind string, apps int, ratePerHour float64, seed int64) ([]workload.Arrival, error) {
+	// Bursts of 5 jobs and a day/night period of an hour; library callers
+	// choose their own through workload.BurstyArrivals and DiurnalArrivals.
+	const burstLen, periodSec float64 = 5, 3600
 	rng := rand.New(rand.NewSource(seed))
 	ratePerSec := ratePerHour / 3600
 	switch kind {
 	case "poisson":
 		return workload.PoissonArrivals(apps, ratePerSec, rng)
 	case "bursty":
-		// Within bursts jobs arrive 10x faster than the mean rate. When no
-		// explicit idle gap is given, derive it so the long-run average
-		// matches -rate: the mean gap per arrival is
-		// idle/burstLen + (1-1/burstLen)/burstRate and must equal 1/rate.
+		// Within bursts jobs arrive 10x faster than the mean rate, and the
+		// idle gap between bursts keeps the long-run average at -rate: the
+		// mean gap per arrival is idle/burstLen + (1-1/burstLen)/burstRate
+		// and must equal 1/rate.
 		burstRate := ratePerSec * 10
-		if !(idleSec >= 0) {
-			return nil, fmt.Errorf("-idle %v: want a non-negative gap (0 derives it from -rate)", idleSec)
-		}
-		if idleSec == 0 {
-			idleSec = burstLen * (1/ratePerSec - (1-1/burstLen)/burstRate)
-		}
+		idleSec := burstLen * (1/ratePerSec - (1-1/burstLen)/burstRate)
 		return workload.BurstyArrivals(apps, burstRate, burstLen, idleSec, rng)
 	case "diurnal":
 		return workload.DiurnalArrivals(apps, ratePerSec, 0.8, periodSec, rng)
+	case "drift-growth":
+		return workload.GrowthArrivals(apps, ratePerSec,
+			experiments.DriftGrowthStartGB, experiments.DriftGrowthFactor, experiments.DriftSkew, rng)
+	case "drift-regimes":
+		return workload.RegimeArrivals(apps, ratePerSec,
+			experiments.DriftRegimePeriod, experiments.DriftSkew, rng)
 	default:
-		return nil, fmt.Errorf("unknown arrival process %q (poisson|bursty|diurnal)", kind)
+		return nil, fmt.Errorf("unknown arrival process %q (poisson|bursty|diurnal|drift-growth|drift-regimes)", kind)
 	}
 }
 
@@ -433,10 +420,9 @@ type jsonOutput struct {
 
 func main() {
 	var (
-		policy      = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|oracle|online|unified-linear|unified-exp|unified-log")
+		policy      = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|moe-adaptive|oracle|online|unified-linear|unified-exp|unified-log")
 		placer      = flag.String("placer", "firstfit", "placement scoring: firstfit|bestfit|speed")
-		scenario    = flag.String("scenario", "L8", "task-mix scenario label (Table 3: L1..L10)")
-		table4      = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
+		scenario    = flag.String("scenario", "L8", "closed-batch task mix: a Table 3 label (L1..L10) for a random mix, or table4 for the paper's exact Table 4 mix")
 		fleet       = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
 		nodes       = flag.Int("nodes", 40, "initial fleet size")
 		nodeEvents  = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
@@ -444,14 +430,9 @@ func main() {
 		rackStorm   = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
 		migrate     = flag.Bool("migrate", false, "gracefully evacuate draining nodes: checkpoint each executor and migrate it (or hand its state to a sibling)")
 		retryBudget = flag.Int("retry-budget", 0, "per-app OOM retry budget: blacklist entries cool off (doubling backoff) this many times before turning permanent (0 = legacy permanent blacklist)")
-		arrivals    = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal (empty = closed batch)")
-		drift       = flag.String("drift", "", "non-stationary open-system workload: growth|regimes (incompatible with -arrivals)")
-		adapt       = flag.Bool("adapt", false, "use the feedback-driven adaptive MoE pipeline (requires -policy moe)")
+		arrivals    = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal, or the non-stationary drift-growth|drift-regimes (empty = closed batch)")
 		rate        = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
 		apps        = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
-		burstLen    = flag.Float64("burst", 5, "mean jobs per burst (bursty arrivals)")
-		idleSec     = flag.Float64("idle", 0, "mean idle gap between bursts in seconds (bursty arrivals; 0 = derived so the long-run rate matches -rate)")
-		period      = flag.Float64("period", 3600, "day/night period in seconds (diurnal arrivals)")
 		window      = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
 		classes     = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
 		preempt     = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
@@ -499,13 +480,7 @@ func main() {
 
 	// Validate flag combinations up front so failures never follow partial
 	// output.
-	if *arrivals != "" && *drift != "" {
-		fail(fmt.Errorf("-drift generates its own arrival stream; drop -arrivals"))
-	}
-	open := *arrivals != "" || *drift != ""
-	if *table4 && open {
-		fail(fmt.Errorf("-table4 is a closed-batch mix and is incompatible with -arrivals/-drift"))
-	}
+	open := *arrivals != ""
 	if *jsonOut && *verbose {
 		fail(fmt.Errorf("-json already includes per-application records; drop -verbose"))
 	}
@@ -555,7 +530,7 @@ func main() {
 		}
 		events = append(events, storm...)
 	}
-	d, err := buildPolicy(*policy, *placer, *seed, *adapt)
+	d, err := buildPolicy(*policy, *placer, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -585,11 +560,7 @@ func main() {
 	var jobs []workload.Job
 	if open {
 		var stream []workload.Arrival
-		if *drift != "" {
-			stream, err = buildDriftArrivals(*drift, *apps, *rate, *seed)
-		} else {
-			stream, err = buildArrivals(*arrivals, *apps, *rate, *burstLen, *idleSec, *period, *seed)
-		}
+		stream, err = buildArrivals(*arrivals, *apps, *rate, *seed)
 		if err != nil {
 			fail(err)
 		}
@@ -607,7 +578,7 @@ func main() {
 			fail(err)
 		}
 	} else {
-		if *table4 {
+		if *scenario == "table4" {
 			jobs, err = workload.Table4Mix()
 		} else {
 			var sc workload.Scenario
@@ -650,9 +621,6 @@ func main() {
 		}
 		if open {
 			out.Arrivals = *arrivals
-			if *drift != "" {
-				out.Arrivals = "drift-" + *drift
-			}
 			out.RatePerHour = *rate
 			out.Queueing = &q
 			if mix != nil {
@@ -700,11 +668,7 @@ func main() {
 		// t=0; under timed arrivals the makespan is dominated by the arrival
 		// span, so the baseline comparison would mislead. The queueing
 		// metrics below are the open-system figures of merit.
-		kind := *arrivals
-		if *drift != "" {
-			kind = "drift-" + *drift
-		}
-		fmt.Printf("arrivals      %s, %.0f jobs/hour configured\n", kind, *rate)
+		fmt.Printf("arrivals      %s, %.0f jobs/hour configured\n", *arrivals, *rate)
 		fmt.Printf("makespan      %.1f min\n", run.MakespanSec/60)
 	} else {
 		base := metrics.SerialBaseline(c, jobs)

@@ -114,28 +114,41 @@ func TestParseClasses(t *testing.T) {
 	}
 }
 
+// TestBuildPolicyPlacers covers -policy and -placer: a known placer is
+// accepted and an unknown placer or policy is an error, and moe-adaptive
+// builds the feedback-driven MoE pipeline.
 func TestBuildPolicyPlacers(t *testing.T) {
-	if _, err := buildPolicy("oracle", "speed", 1, false); err != nil {
+	if _, err := buildPolicy("oracle", "speed", 1); err != nil {
 		t.Errorf("speed placer rejected: %v", err)
 	}
-	if _, err := buildPolicy("oracle", "warp", 1, false); err == nil {
+	if _, err := buildPolicy("oracle", "warp", 1); err == nil {
 		t.Error("unknown placer accepted")
 	}
-	if _, err := buildPolicy("telepathy", "", 1, false); err == nil {
+	if _, err := buildPolicy("telepathy", "", 1); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	d, err := buildPolicy("moe-adaptive", "firstfit", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name() != "MoE-adaptive" {
+		t.Errorf("adaptive policy named %q", d.Name())
 	}
 }
 
-func TestBuildDriftArrivals(t *testing.T) {
-	for _, kind := range []string{"growth", "regimes"} {
-		stream, err := buildDriftArrivals(kind, 20, 60, 1)
+// TestBuildArrivals covers -arrivals: each process, the drift streams
+// included, builds a reproducible stream of the requested length, and a NaN
+// -rate or an unknown process is an error, not a hang or a silent default.
+func TestBuildArrivals(t *testing.T) {
+	for _, kind := range []string{"poisson", "bursty", "diurnal", "drift-growth", "drift-regimes"} {
+		stream, err := buildArrivals(kind, 20, 60, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if len(stream) != 20 {
 			t.Errorf("%s: %d arrivals, want 20", kind, len(stream))
 		}
-		again, err := buildDriftArrivals(kind, 20, 60, 1)
+		again, err := buildArrivals(kind, 20, 60, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,54 +158,18 @@ func TestBuildDriftArrivals(t *testing.T) {
 			}
 		}
 	}
-	if _, err := buildDriftArrivals("bogus", 10, 60, 1); err == nil {
-		t.Error("unknown drift workload accepted")
-	}
-}
-
-// TestBuildArrivals covers the open-system arrival flags: each process
-// builds a stream of the requested length, a zero -idle derives the gap, and
-// a negative -idle or a NaN -rate or -period is an error, not a hang or a
-// silent default.
-func TestBuildArrivals(t *testing.T) {
-	for _, kind := range []string{"poisson", "bursty", "diurnal"} {
-		stream, err := buildArrivals(kind, 20, 60, 5, 0, 3600, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if len(stream) != 20 {
-			t.Errorf("%s: %d arrivals, want 20", kind, len(stream))
-		}
-	}
 	bad := []struct {
-		name                          string
-		kind                          string
-		rate, burst, idleSec, periodS float64
+		name, kind string
+		rate       float64
 	}{
-		{"negative idle", "bursty", 60, 5, -1, 3600},
-		{"NaN idle", "bursty", 60, 5, math.NaN(), 3600},
-		{"NaN bursty rate", "bursty", math.NaN(), 5, 0, 3600},
-		{"NaN diurnal rate", "diurnal", math.NaN(), 5, 0, 3600},
-		{"NaN period", "diurnal", 60, 5, 0, math.NaN()},
-		{"unknown process", "chaotic", 60, 5, 0, 3600},
+		{"NaN bursty rate", "bursty", math.NaN()},
+		{"NaN diurnal rate", "diurnal", math.NaN()},
+		{"unknown process", "chaotic", 60},
 	}
 	for _, tc := range bad {
-		if _, err := buildArrivals(tc.kind, 20, tc.rate, tc.burst, tc.idleSec, tc.periodS, 1); err == nil {
+		if _, err := buildArrivals(tc.kind, 20, tc.rate, 1); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
-	}
-}
-
-func TestBuildPolicyAdapt(t *testing.T) {
-	d, err := buildPolicy("moe", "firstfit", 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name() != "MoE-adaptive" {
-		t.Errorf("adaptive policy named %q", d.Name())
-	}
-	if _, err := buildPolicy("pairwise", "firstfit", 1, true); err == nil {
-		t.Error("-adapt with a non-MoE policy must be rejected")
 	}
 }
 

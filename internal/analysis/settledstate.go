@@ -4,15 +4,18 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
+	"slices"
 )
 
 // settledFields lists the engine's settle-discipline state, keyed by the
 // owning type in package cluster. These fields obey the settle-on-rate-change
 // contract (see internal/cluster/eventindex.go): progress fields are exact
 // only at their settle point, deadlines must equal what a fresh scan would
-// compute, the wake bookkeeping carries a one-directional heap invariant,
-// and the stored node totals must equal a fresh recount. A write from anywhere outside the engine's touch points can
-// silently break bit-for-bit replay, which is why the rule is mechanical.
+// compute, and the wake bookkeeping carries a one-directional heap invariant
+// (the stored node totals, which must equal a fresh recount, have a sole
+// writer instead). A write from anywhere outside the engine's touch points
+// can silently break bit-for-bit replay, which is why the rule is
+// mechanical.
 var settledFields = map[string]map[string]bool{
 	"App": {
 		"RemainingGB": true,
@@ -30,10 +33,6 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
-		// The stored totals are written by recount alone.
-		"reservedGB": true,
-		"actualGB":   true,
-		"cpuDemand":  true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -80,15 +79,22 @@ var settleTouchPoints = map[string]bool{
 	"migrateFrom":     true,
 	"migrateExecutor": true,
 	"handoffExecutor": true,
-	// node.go: the one writer of the stored node totals. Spawn, Grow and
-	// removeExecutor call it but stay off this list, which would let them
-	// write every settled field.
-	"recount": true,
+}
+
+// soleWriters names the one function that may write each of these settled
+// fields; no touch point, and no code in eventindex.go, may write them. The
+// stored node totals are written by nodeChanged alone, which marks the node
+// in every node set whenever it does, so no change to a total goes unmarked.
+var soleWriters = map[string]string{
+	"Node.reservedGB": "nodeChanged",
+	"Node.actualGB":   "nodeChanged",
+	"Node.cpuDemand":  "nodeChanged",
 }
 
 // SettledState forbids writes (assignment, op-assignment, increment) to the
 // settle-discipline fields of cluster.App, cluster.ForeignTask and
-// cluster.Node outside the engine's touch-point methods and eventindex.go.
+// cluster.Node outside the engine's touch-point methods and eventindex.go,
+// and to a field with a sole writer anywhere else.
 // This is the rule PRs 4 and 6 state in prose — settled engine state is
 // mutated only through touch points — made mechanical. Test code that needs
 // to poke a field directly must carry //moevet:allow settledstate <reason>.
@@ -100,9 +106,7 @@ var SettledState = &Analyzer{
 
 func runSettledState(pass *Pass) {
 	for _, f := range pass.Files {
-		if filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "eventindex.go" {
-			continue
-		}
+		index := filepath.Base(pass.Fset.Position(f.Pos()).Filename) == "eventindex.go"
 		var fns []string // enclosing function-name stack
 		var walk func(n ast.Node) bool
 		walk = func(n ast.Node) bool {
@@ -116,10 +120,10 @@ func runSettledState(pass *Pass) {
 				return false
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					checkSettledWrite(pass, fns, lhs)
+					checkSettledWrite(pass, fns, index, lhs)
 				}
 			case *ast.IncDecStmt:
-				checkSettledWrite(pass, fns, n.X)
+				checkSettledWrite(pass, fns, index, n.X)
 			}
 			return true
 		}
@@ -128,8 +132,9 @@ func runSettledState(pass *Pass) {
 }
 
 // checkSettledWrite reports the write when lhs is a settled field and no
-// enclosing function is a touch point.
-func checkSettledWrite(pass *Pass, fns []string, lhs ast.Expr) {
+// enclosing function may write it: its sole writer when it has one,
+// otherwise a touch point or any code in eventindex.go (index).
+func checkSettledWrite(pass *Pass, fns []string, index bool, lhs ast.Expr) {
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -146,8 +151,14 @@ func checkSettledWrite(pass *Pass, fns []string, lhs ast.Expr) {
 	if named == nil {
 		return
 	}
-	fields, ok := settledFields[named.Obj().Name()]
-	if !ok || !fields[field.Name()] {
+	name := named.Obj().Name() + "." + field.Name()
+	if writer, ok := soleWriters[name]; ok {
+		if !slices.Contains(fns, writer) {
+			pass.Reportf(sel.Pos(), "write to %s outside %s, its one writer, or annotate //moevet:allow settledstate <reason>", name, writer)
+		}
+		return
+	}
+	if index || !settledFields[named.Obj().Name()][field.Name()] {
 		return
 	}
 	for _, fn := range fns {

@@ -104,8 +104,8 @@ func wakeShortcut(n *Node, at float64) {
 	n.wakeAt = at // want `write to settle-discipline field Node.wakeAt`
 }
 
-// recount is the one allowed writer of the stored node totals.
-func (n *Node) recount() {
+// nodeChanged is the one allowed writer of the stored node totals.
+func (c *Cluster) nodeChanged(n *Node) {
 	var sum float64
 	for _, r := range n.Reserved {
 		sum += r
@@ -113,9 +113,17 @@ func (n *Node) recount() {
 	n.reservedGB, n.actualGB, n.cpuDemand = sum, sum, 0
 }
 
-// spawnShortcut adjusts the stored totals in place instead of recounting:
-// the stray writer that lets a total drift from its recount.
+// spawnShortcut adjusts the stored totals in place instead of calling
+// nodeChanged: the stray writer that lets a total drift from its recount.
 func spawnShortcut(n *Node, reserveGB float64) {
 	n.Reserved = append(n.Reserved, reserveGB)
-	n.reservedGB += reserveGB // want `write to settle-discipline field Node.reservedGB`
+	n.reservedGB += reserveGB // want `write to Node.reservedGB outside nodeChanged`
+}
+
+// failNode is a touch point that rewrites a total itself: a touch point may
+// write every other settled field, but not the totals, which would change
+// without marking the node.
+func (c *Cluster) failNode(n *Node, f *ForeignTask) {
+	f.done = true
+	n.cpuDemand = 0 // want `write to Node.cpuDemand outside nodeChanged`
 }

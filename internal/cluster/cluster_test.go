@@ -298,7 +298,7 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 	// Pin 70GB of untracked foreign memory: actual exceeds RAM+swap.
 	hog := &ForeignTask{Name: "hog", Node: n, CPULoad: 0.05, MemoryGB: 70, WorkSec: 10, remaining: 10, DoneTime: -1}
 	n.Foreign = append(n.Foreign, hog)
-	n.recount()
+	c.nodeChanged(n)
 	c.foreign = append(c.foreign, hog)
 
 	c.recomputeRates()
@@ -324,7 +324,7 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 		x.done = true
 	}
 	n.Foreign = nil
-	n.recount()
+	c.nodeChanged(n)
 	if _, err := c.Spawn(app, n, 10, 60); err != nil {
 		t.Errorf("isolation re-run on empty blacklisted node should work: %v", err)
 	}

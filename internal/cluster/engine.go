@@ -101,10 +101,9 @@ type Cluster struct {
 	// indices in nodes, so the set is walked in node order without sorting.
 	dirty []uint64
 	wakes wakeHeap
-	// stale and open are the node index placement reads, and freed holds
-	// the nodes the next growth query visits (see nodeindex.go); all three
-	// are bitsets laid out like dirty.
-	stale []uint64
+	// open is the node index placement reads, and freed holds the nodes
+	// the next growth query visits (see nodeindex.go); both are bitsets
+	// laid out like dirty, and nodeChanged keeps both current.
 	open  []uint64
 	freed []uint64
 	// completions is the lazy-deletion min-heap of absolute completion
@@ -189,7 +188,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		c.nodes[i] = newNode(i, s, 0)
-		c.markStale(c.nodes[i])
+		c.setOpen(c.nodes[i])
 	}
 	c.bySpread = make([]spreadEntry, len(c.nodes))
 	for i, n := range c.nodes {
@@ -399,10 +398,9 @@ func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec
 	}
 	n := c.nodes[nodeID]
 	n.Foreign = append(n.Foreign, f)
-	n.recount()
+	c.nodeChanged(n)
 	c.foreign = append(c.foreign, f)
 	c.activeForeign = append(c.activeForeign, f)
-	c.markDirty(n)
 	return f, nil
 }
 
@@ -485,7 +483,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	need := app.Job.Bench.Footprint(itemsGB)
 	e := c.newExecutor()
 	*e = Executor{
-		App: app, Node: node,
+		App:         app,
 		ReservedGB:  reserveGB,
 		ItemsGB:     itemsGB,
 		NeedGB:      need,
@@ -494,8 +492,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		FairShareGB: fair,
 		cacheEff:    cacheEfficiency(itemsGB, fair),
 	}
-	node.Executors = append(node.Executors, e)
-	node.recount()
+	c.place(e, node)
 	if cap(app.Executors) == 0 {
 		// Sized for the widest cap refreshFleetCaps can raise it to, so the
 		// list does not grow with the cap; only a node event that raises
@@ -503,11 +500,6 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		app.Executors = c.takeFleet(max(app.MaxExecutors, app.freeFleet))
 	}
 	app.Executors = append(app.Executors, e)
-	c.markDirty(node)
-	if e.widenable() {
-		// A new widenable executor is news to the growth pass.
-		c.markFreed(node)
-	}
 	if app.State == StateReady {
 		app.State = StateRunning
 		if app.StartTime < 0 {
@@ -539,6 +531,11 @@ func resident(needGB, reserveGB float64) float64 {
 // with ErrShrinkReservation. A NaN or negative size is rejected before
 // anything is touched.
 //
+// The items are clamped to the app's remaining work after the app settles,
+// so they can fall to that settled value, below what the executor held: a
+// grow asked for no more than the stored RemainingGB still shrinks the
+// executor, and its cache factor, once settling leaves less work than that.
+//
 // Pass a live executor reached in the current call (through Node.Executors
 // or App.Executors, or just returned by Spawn); a scheduler must keep no
 // *Executor past the call that passed it. A freed executor is an error,
@@ -563,8 +560,8 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 		return fmt.Errorf("%w: grow needs %.2f GB, free %.2f GB", ErrNoFreeMemory, delta, e.Node.FreeGB())
 	}
 	// Growing changes the executor's rate inputs: settle before clamping the
-	// allocation against the app's progress. (The dirty mark below re-touches
-	// the app through the node's rate pass.)
+	// allocation against the app's progress. (nodeChanged's dirty mark
+	// re-touches the app through the node's rate pass.)
 	c.settleApp(e.App)
 	if newItemsGB > e.App.RemainingGB {
 		newItemsGB = e.App.RemainingGB
@@ -574,8 +571,7 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	e.cacheEff = cacheEfficiency(newItemsGB, e.FairShareGB)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = resident(e.NeedGB, e.ReservedGB)
-	e.Node.recount()
-	c.markDirty(e.Node)
+	c.nodeChanged(e.Node)
 	return nil
 }
 
@@ -601,16 +597,24 @@ func (c *Cluster) removeExecutor(e *Executor) {
 	c.release(e)
 }
 
+// place puts e on n's list, after the executors already there, and records
+// the change (nodeChanged). A widenable arrival is news to the growth pass,
+// so it marks n freed although n's reserved total rose.
+func (c *Cluster) place(e *Executor, n *Node) {
+	e.Node = n
+	n.Executors = append(n.Executors, e)
+	c.nodeChanged(n)
+	if e.widenable() {
+		c.markFreed(n)
+	}
+}
+
 // unplace takes e off its node's list, keeping the order of the rest, and
-// recounts the node's totals. The node's co-runners lose a contender, so it
-// is marked for rate recomputation, and the memory e held is free, so it is
-// marked for the next growth query.
+// records the change (nodeChanged).
 func (c *Cluster) unplace(e *Executor) {
 	n := e.Node
 	n.Executors = detach(n.Executors, e)
-	n.recount()
-	c.markDirty(n)
-	c.markFreed(n)
+	c.nodeChanged(n)
 }
 
 // Result summarises one simulation run.
@@ -863,10 +867,10 @@ func (c *Cluster) profilingShare() float64 {
 // speed-scale per node. Only dirty nodes are recomputed: a rate is a
 // deterministic function of node-local state, so a node whose executors,
 // foreign tasks and startup gates did not change since the last pass holds
-// bit-identical rates already (every mutation marks its node via markDirty,
-// and startup expiries re-dirty through the wake heap). Dirty nodes are
-// processed in node order — the order the full scan used — because OOM-kill
-// charge-backs on different nodes can touch the same application.
+// bit-identical rates already (every mutation marks its node, and startup
+// expiries re-dirty through the wake heap). Dirty nodes are processed in
+// node order — the order the full scan used — because OOM-kill charge-backs
+// on different nodes can touch the same application.
 func (c *Cluster) recomputeRates() {
 	c.wakeExpiredNodes()
 	// Re-read the word after every node and clear a node's bit only once
@@ -1341,9 +1345,7 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	// The finished co-runner stops contending for CPU and its working set
 	// leaves the node's memory totals, so the survivors speed up and the
 	// node can un-page.
-	f.Node.recount()
-	c.markDirty(f.Node)
-	c.markFreed(f.Node)
+	c.nodeChanged(f.Node)
 }
 
 func (c *Cluster) result() *Result {

@@ -17,7 +17,7 @@ import (
 // test (property_test.go) installs Cluster.checkEvent and replays these
 // scans against the indexed engine's state on every event of randomized
 // workloads, asserting float-for-float agreement. Any bookkeeping bug in the
-// active sets, dirty, stale or freed marking, wake heap or deadline heap
+// active sets, dirty, open or freed marking, wake heap or deadline heap
 // shows up as a divergence on the exact event where it happens, not as a
 // mysteriously shifted makespan.
 //
@@ -352,10 +352,10 @@ func (c *Cluster) refGrowable(buf []*Executor) []*Executor {
 
 // refNodeSums sums a node's reserved memory, actual memory and CPU demand on
 // demand, one walk per total, executors first and then foreign tasks. It is
-// the reference for recount, which stores the same sums on the node instead
-// of returning them.
+// the reference for nodeChanged, which stores the same sums on the node
+// instead of returning them.
 //
-//moevet:allow refpair the live twin is (*Node).recount, which stores these sums rather than returning them; refCheckNodeSums compares the two
+//moevet:allow refpair the live twin is (*Cluster).nodeChanged, which stores these sums rather than returning them; refCheckNodeSums compares the two
 func (c *Cluster) refNodeSums(n *Node) (reservedGB, actualGB, cpuDemand float64) {
 	for _, e := range n.Executors {
 		reservedGB += e.ReservedGB
@@ -396,8 +396,8 @@ func (n *Node) refAppCount() int {
 // refCheckNodeSums recounts every node's totals with refNodeSums and
 // refAppCount and compares them with what the node stores. It returns a
 // description of the first divergence, or "" when every stored total is
-// bit-identical to the recount. Every touch point recounts its node at
-// once, so the check holds at any instant.
+// bit-identical to the recount. Every touch point records its change
+// through nodeChanged at once, so the check holds at any instant.
 //
 //moevet:allow refpair pure cross-checker comparing stored node totals to a fresh recount; no live twin by design
 func (c *Cluster) refCheckNodeSums() string {

@@ -104,19 +104,15 @@ func (h *wakeHeap) siftDown(i int) {
 	}
 }
 
-// markDirty queues a node for the next rate recomputation pass. Every
-// mutation that can change an executor or foreign rate on the node must call
-// it: executor membership changes (Spawn, app completion, migration and
-// removeExecutor, which covers OOM kills, node-failure kills, preemption and
-// drain handoff), reservation and allocation changes (Grow), foreign-task
-// arrival and completion, node lifecycle events, and startup-expiry
-// wake-ups. Idempotent per pass. Every such mutation can also move the node
-// in or out of the placement index, so the node is marked stale there too
-// (see nodeindex.go).
+// markDirty queues a node for the next rate recomputation pass: its rates
+// may have moved. nodeChanged calls it for every change to a node's
+// executors, their sizes, its foreign tasks or its lifecycle state; the
+// other callers are the changes that move a rate and nothing else: startup
+// expiries, a handoff's gate on the receiving sibling, and a fresh run.
+// Idempotent per pass.
 func (c *Cluster) markDirty(n *Node) {
 	w, bit := c.nodeBit(n)
 	c.dirty[w] |= bit
-	c.stale[w] |= bit
 }
 
 // wakeExpiredNodes pops every due wake-up off the heap and re-dirties its

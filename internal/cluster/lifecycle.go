@@ -225,7 +225,7 @@ func (c *Cluster) applyNodeEvents() error {
 			c.nodes = append(c.nodes, n)
 			c.indexSpread(n)
 			c.nextNodeID++
-			c.markDirty(n)
+			c.nodeChanged(n)
 		case NodeDrain:
 			n, err := c.nodeByID(ev.Node, ev.Kind)
 			if err != nil {
@@ -241,7 +241,7 @@ func (c *Cluster) applyNodeEvents() error {
 			n.StateTime = c.now
 			// The node leaves the open set; nothing else about it changed,
 			// so no rate needs recomputing.
-			c.markStale(n)
+			c.setOpen(n)
 		case NodeFail:
 			n, err := c.nodeByID(ev.Node, ev.Kind)
 			if err != nil {
@@ -301,8 +301,6 @@ func (c *Cluster) completeDrains() {
 			w++
 			continue
 		}
-		// No stale mark: the drain already took the node out of the open
-		// set, and an empty node has nothing to grow.
 		n.state = NodeRemoved
 		n.StateTime = c.now
 		c.unblockNode(n.ID)
@@ -364,11 +362,10 @@ func (c *Cluster) failNode(n *Node) {
 			c.doneForeign++
 		}
 	}
-	n.recount()
 	n.state = NodeFailed
 	n.StateTime = c.now
 	c.unblockNode(n.ID)
-	c.markDirty(n)
+	c.nodeChanged(n)
 }
 
 // nextNodeEventDt returns the time to the next scheduled lifecycle event.

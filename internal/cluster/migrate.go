@@ -80,14 +80,7 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	c.settleApp(app)
 	c.touchApp(app)
 	c.unplace(e)
-	e.Node = target
-	target.Executors = append(target.Executors, e)
-	target.recount()
-	c.markDirty(target)
-	if e.widenable() {
-		// As for a spawn, a widenable arrival is news to the growth pass.
-		c.markFreed(target)
-	}
+	c.place(e, target)
 	cost := migrateRestartSec + e.processedGB/migrateCheckpointGBps
 	e.gateUntil = c.now + cost
 	app.Migrations++

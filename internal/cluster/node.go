@@ -65,7 +65,8 @@ type Node struct {
 	// reservedGB, actualGB and cpuDemand are the node's totals over its
 	// executors and foreign tasks. Every touch point that changes one
 	// (executor membership, an executor's reservation or residency, a
-	// foreign arrival or completion) calls recount, so reads are O(1).
+	// foreign arrival or completion) calls Cluster.nodeChanged, their one
+	// writer, so reads are O(1).
 	reservedGB float64
 	actualGB   float64
 	cpuDemand  float64
@@ -106,28 +107,6 @@ func (n *Node) AllocatableGB() float64 { return n.allocGB }
 // CPUCapacity is the node's CPU capacity in baseline-node units: aggregate
 // demand beyond it is time-shared.
 func (n *Node) CPUCapacity() float64 { return n.cpuCap }
-
-// recount recomputes the node's stored totals: each sums the executors and
-// then the foreign tasks, in list order, so every total is bit-identical to
-// summing on demand. A finished co-runner leaves all three totals, so the
-// node can un-page once its foreign guest is gone.
-func (n *Node) recount() {
-	var reserved, actual, cpu float64
-	for _, e := range n.Executors {
-		reserved += e.ReservedGB
-		actual += e.ActualGB
-		cpu += e.Demand
-	}
-	for _, f := range n.Foreign {
-		if f.done {
-			continue
-		}
-		cpu += f.CPULoad
-		reserved += f.MemoryGB
-		actual += f.MemoryGB
-	}
-	n.reservedGB, n.actualGB, n.cpuDemand = reserved, actual, cpu
-}
 
 // ReservedGB is the total of admission-time memory reservations (plus
 // the working sets of running foreign tasks).

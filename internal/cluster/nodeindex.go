@@ -8,29 +8,22 @@ import (
 )
 
 // This file is the node index placement and the growth pass read instead of
-// scanning the whole fleet on every scheduling event. It holds two node sets,
-// bitsets laid out like the dirty set (bit ID%64 of word ID/64):
+// scanning the whole fleet on every scheduling event, and nodeChanged, which
+// keeps it current. It holds two node sets, bitsets laid out like the dirty
+// set (bit ID%64 of word ID/64):
 //
 //   - open: available nodes with more than MinChunkGB unreserved. Every other
 //     node fails App.CanUse or the dispatcher's minimum-free-memory rule, so
 //     a placement walk over the open set meets exactly the candidates a walk
-//     over every node accepts, in the same node order. It is a function of
-//     node-local state, the lifecycle state and the stored reservation
-//     total. Every touch point that changes one marks the node stale:
-//     markDirty does so for all its callers, which cover every recount, and
-//     a drain marks its node directly. A decommission needs no mark (the
-//     drain already took the node out of the open set). The set is brought
-//     up to date lazily: each query first re-evaluates the stale nodes alone
-//     (syncNodeIndex), so a burst of mutations between two queries costs one
-//     evaluation per touched node, and a run whose policy never queries pays
-//     only the marks.
+//     over every node accepts, in the same node order. nodeChanged and a
+//     drain re-evaluate a node's bit, so the set is always current; a
+//     decommission needs nothing, as the drain took the node out.
 //   - freed: nodes where the grow decision of a widenable executor (see
 //     Executor.widenable) can have changed since the last growth query.
-//     Four touch points mark a node: unplace (every removal, app
-//     completion, kill and migration source frees memory), a foreign
-//     completion (likewise), the arrival of a widenable executor (Spawn or
-//     a migration target), and reclaimExecutor, which marks the nodes of
-//     the app's surviving widenable executors because a charge-back raises
+//     Three things mark a node: a fall in its reserved total (nodeChanged),
+//     the arrival of a widenable executor (place: Spawn or a migration
+//     target), and a charge-back, after which reclaimExecutor marks the
+//     nodes of the app's surviving widenable executors because it raises
 //     the RemainingGB that caps their grows. TakeGrowable walks the set and
 //     clears it.
 //
@@ -43,18 +36,50 @@ func (c *Cluster) nodeBit(n *Node) (int, uint64) {
 	w := n.ID >> 6
 	for w >= len(c.dirty) {
 		c.dirty = append(c.dirty, 0)
-		c.stale = append(c.stale, 0)
 		c.open = append(c.open, 0)
 		c.freed = append(c.freed, 0)
 	}
 	return w, 1 << (n.ID & 63)
 }
 
-// markStale queues n for re-evaluation in the node index without dirtying
-// its rates: for a change that moves no rate, such as a drain.
-func (c *Cluster) markStale(n *Node) {
+// nodeChanged records a change to n's executors, their sizes, its foreign
+// tasks or its lifecycle state. It is the one writer of n's stored totals:
+// each sums the executors and then the foreign tasks in list order, so it is
+// bit-identical to summing on demand, and a finished co-runner leaves all
+// three. It marks n dirty, re-evaluates its open bit, and marks it freed
+// when its reserved total fell, the only way its free memory can rise.
+func (c *Cluster) nodeChanged(n *Node) {
+	var reserved, actual, cpu float64
+	for _, e := range n.Executors {
+		reserved += e.ReservedGB
+		actual += e.ActualGB
+		cpu += e.Demand
+	}
+	for _, f := range n.Foreign {
+		if f.done {
+			continue
+		}
+		cpu += f.CPULoad
+		reserved += f.MemoryGB
+		actual += f.MemoryGB
+	}
+	if reserved < n.reservedGB {
+		c.markFreed(n)
+	}
+	n.reservedGB, n.actualGB, n.cpuDemand = reserved, actual, cpu
+	c.markDirty(n)
+	c.setOpen(n)
+}
+
+// setOpen puts n in the open set when it is available with more than
+// MinChunkGB unreserved, and takes it out otherwise.
+func (c *Cluster) setOpen(n *Node) {
 	w, bit := c.nodeBit(n)
-	c.stale[w] |= bit
+	if n.Available() && n.FreeGB() > MinChunkGB {
+		c.open[w] |= bit
+	} else {
+		c.open[w] &^= bit
+	}
 }
 
 // markFreed queues n for the next growth query (see TakeGrowable).
@@ -63,32 +88,12 @@ func (c *Cluster) markFreed(n *Node) {
 	c.freed[w] |= bit
 }
 
-// syncNodeIndex re-evaluates every stale node's membership of the open set
-// and clears the stale set.
-func (c *Cluster) syncNodeIndex() {
-	for w, word := range c.stale {
-		if word == 0 {
-			continue
-		}
-		open := c.open[w] &^ word
-		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			if n := c.nodes[w<<6|b]; n.Available() && n.FreeGB() > MinChunkGB {
-				open |= 1 << b
-			}
-		}
-		c.open[w], c.stale[w] = open, 0
-	}
-}
-
 // OpenNodes iterates, in node order, over the available nodes with more than
-// MinChunkGB unreserved: the nodes a placement can still use. The set is
-// brought up to date when the iteration starts. A spawn on the node just
-// yielded may take it out of the set; that is seen by the next iteration,
-// and it moves no other node.
+// MinChunkGB unreserved: the nodes a placement can still use. A spawn on the
+// node just yielded may take it out of the set; that is seen by the next
+// iteration, and it moves no other node.
 func (c *Cluster) OpenNodes() iter.Seq[*Node] {
 	return func(yield func(*Node) bool) {
-		c.syncNodeIndex()
 		for w, word := range c.open {
 			for ; word != 0; word &= word - 1 {
 				if !yield(c.nodes[w<<6|bits.TrailingZeros64(word)]) {

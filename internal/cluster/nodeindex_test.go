@@ -19,9 +19,10 @@ import (
 // grow decision can have changed since the previous query: a second query
 // with nothing changed lists nothing, an executor within GrowChurn of its
 // fair share is never listed, a freed node hosting only such executors lists
-// nothing, and neither does a spawn that is not widenable. The list must
-// come in app-major order even when an app's executors are not in node
-// order.
+// nothing, and neither does a spawn that is not widenable. A removal or a
+// foreign completion that leaves the node's reserved total where it was
+// frees nothing and lists nothing either. The list must come in app-major
+// order even when an app's executors are not in node order.
 func TestNodeIndexFollowsTouchPoints(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
@@ -134,6 +135,19 @@ func TestNodeIndexFollowsTouchPoints(t *testing.T) {
 	// freed nothing.
 	c.reclaimExecutor(e00)
 	check("charge-back", []int{0, 1, 2}, []string{"app 0@node 2"})
+
+	// An executor with no reservation, holding its whole fair share, joins
+	// app 0's on node 2 and leaves again, and so does a co-runner with no
+	// working set. Neither moves node 2's reserved total, so neither frees
+	// anything and app 0's executor there is not relisted.
+	zero := spawn(newApp(5), nodes[2], 0, 100)
+	check("zero-reservation arrival", []int{0, 1, 2}, []string{})
+	c.removeExecutor(zero)
+	check("zero-reservation removal", []int{0, 1, 2}, []string{})
+	idle := foreign(nodes[2], 0)
+	check("co-runner without a working set", []int{0, 1, 2}, []string{})
+	c.completeForeign(idle)
+	check("its completion", []int{0, 1, 2}, []string{})
 
 	// Drain node 1 and fail node 3 (killing the executors of apps 3 and 4,
 	// which have no survivor to relist); a join adds node 4.

@@ -505,10 +505,10 @@ func fleetSizingDiff(c *Cluster) string {
 }
 
 // indexDiff compares the node index with its full-scan twins. The open set
-// must equal refOpenNodes element for element; each query brings it up to
-// date first, exactly as a scheduler's would, so a touch point that forgets
-// its stale mark shows up here on the first event the node's membership
-// should have changed. The growable list is checked against both bounds: it
+// must equal refOpenNodes element for element, so a touch point that changes
+// a node without nodeChanged (or a drain that forgets the node's open bit)
+// shows up here on the first event the node's membership should have
+// changed. The growable list is checked against both bounds: it
 // must be a subsequence of refGrowable, in refGrowable's order, and hold
 // every executor of refGrowable whose decision the snapshot of the previous
 // query shows can have changed (growSnapshot.requires), so a touch point

@@ -29,7 +29,7 @@ import (
 var errFreedExecutor = errors.New("cluster: executor was freed; keep no *Executor past the call that passed it")
 
 // detach removes e from list in place and returns the shortened list. It
-// keeps the order of the rest, because recount sums a node's executors in
+// keeps the order of the rest, because nodeChanged sums a node's executors in
 // list order and every result depends on those sums bit for bit, and it
 // zeroes the vacated tail slot so the backing array holds no freed
 // executor.

@@ -23,7 +23,7 @@ func TestReleaseForeignMemFreesWorkingSet(t *testing.T) {
 	}
 	//moevet:allow settledstate flipping completion directly to probe ReservedGB/ActualGB accounting
 	f.done = true
-	n.recount()
+	c.nodeChanged(n)
 	if n.ActualGB() != 0 || n.ReservedGB() != 0 {
 		t.Errorf("after completion actual %v reserved %v, want 0", n.ActualGB(), n.ReservedGB())
 	}

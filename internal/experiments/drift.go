@@ -24,8 +24,9 @@ const driftApps = 60
 // scenario: jobs start around 2 GB (well inside the capped calibration
 // volumes) and end ~50x larger, far beyond anything the profiling runs saw,
 // while the drift cohort's counters shift toward the saturating cluster
-// (DriftSkew) as working sets outgrow the caches. Exported so the
-// moeschedsim -drift flag replays exactly the study's workloads.
+// (DriftSkew) as working sets outgrow the caches. Exported so moeschedsim's
+// drift-growth and drift-regimes arrivals replay exactly the study's
+// workloads.
 const (
 	DriftGrowthStartGB = 2.0
 	DriftGrowthFactor  = 50.0
