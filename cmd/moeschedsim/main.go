@@ -478,9 +478,9 @@ func main() {
 		}()
 	}
 
+	open := *arrivals != ""
 	// Validate flag combinations up front so failures never follow partial
 	// output.
-	open := *arrivals != ""
 	if *jsonOut && *verbose {
 		fail(fmt.Errorf("-json already includes per-application records; drop -verbose"))
 	}
