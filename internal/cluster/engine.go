@@ -188,7 +188,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		c.nodes[i] = newNode(i, s, 0)
-		c.setOpen(c.nodes[i])
+		c.refreshOpen(c.nodes[i])
 	}
 	c.bySpread = make([]spreadEntry, len(c.nodes))
 	for i, n := range c.nodes {

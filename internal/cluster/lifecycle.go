@@ -241,7 +241,7 @@ func (c *Cluster) applyNodeEvents() error {
 			n.StateTime = c.now
 			// The node leaves the open set; nothing else about it changed,
 			// so no rate needs recomputing.
-			c.setOpen(n)
+			c.refreshOpen(n)
 		case NodeFail:
 			n, err := c.nodeByID(ev.Node, ev.Kind)
 			if err != nil {

@@ -68,12 +68,12 @@ func (c *Cluster) nodeChanged(n *Node) {
 	}
 	n.reservedGB, n.actualGB, n.cpuDemand = reserved, actual, cpu
 	c.markDirty(n)
-	c.setOpen(n)
+	c.refreshOpen(n)
 }
 
-// setOpen puts n in the open set when it is available with more than
+// refreshOpen puts n in the open set when it is available with more than
 // MinChunkGB unreserved, and takes it out otherwise.
-func (c *Cluster) setOpen(n *Node) {
+func (c *Cluster) refreshOpen(n *Node) {
 	w, bit := c.nodeBit(n)
 	if n.Available() && n.FreeGB() > MinChunkGB {
 		c.open[w] |= bit
