@@ -115,8 +115,7 @@ func TestParseClasses(t *testing.T) {
 }
 
 // TestBuildPolicyPlacers covers -policy and -placer: a known placer is
-// accepted and an unknown placer or policy is an error, and moe-adaptive
-// builds the feedback-driven MoE pipeline.
+// accepted and an unknown placer or policy is an error.
 func TestBuildPolicyPlacers(t *testing.T) {
 	if _, err := buildPolicy("oracle", "speed", 1); err != nil {
 		t.Errorf("speed placer rejected: %v", err)
@@ -127,6 +126,11 @@ func TestBuildPolicyPlacers(t *testing.T) {
 	if _, err := buildPolicy("telepathy", "", 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
+}
+
+// TestBuildPolicyAdapt covers -policy moe-adaptive: it builds the
+// feedback-driven MoE pipeline.
+func TestBuildPolicyAdapt(t *testing.T) {
 	d, err := buildPolicy("moe-adaptive", "firstfit", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -136,11 +140,38 @@ func TestBuildPolicyPlacers(t *testing.T) {
 	}
 }
 
-// TestBuildArrivals covers -arrivals: each process, the drift streams
-// included, builds a reproducible stream of the requested length, and a NaN
-// -rate or an unknown process is an error, not a hang or a silent default.
+// TestBuildDriftArrivals covers the drift values of -arrivals: each builds
+// a reproducible stream of the requested length, and an unknown drift value
+// is an error.
+func TestBuildDriftArrivals(t *testing.T) {
+	for _, kind := range []string{"drift-growth", "drift-regimes"} {
+		stream, err := buildArrivals(kind, 20, 60, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(stream) != 20 {
+			t.Errorf("%s: %d arrivals, want 20", kind, len(stream))
+		}
+		again, err := buildArrivals(kind, 20, 60, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range stream {
+			if stream[i].At != again[i].At || stream[i].Job.InputGB != again[i].Job.InputGB {
+				t.Errorf("%s: arrival %d not reproducible", kind, i)
+			}
+		}
+	}
+	if _, err := buildArrivals("drift-bogus", 10, 60, 1); err == nil {
+		t.Error("unknown drift workload accepted")
+	}
+}
+
+// TestBuildArrivals covers -arrivals: each stationary process builds a
+// reproducible stream of the requested length, and a NaN -rate or an
+// unknown process is an error, not a hang or a silent default.
 func TestBuildArrivals(t *testing.T) {
-	for _, kind := range []string{"poisson", "bursty", "diurnal", "drift-growth", "drift-regimes"} {
+	for _, kind := range []string{"poisson", "bursty", "diurnal"} {
 		stream, err := buildArrivals(kind, 20, 60, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
