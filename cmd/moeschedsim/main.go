@@ -433,7 +433,6 @@ func main() {
 		arrivals    = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal, or the non-stationary drift-growth|drift-regimes (empty = closed batch)")
 		rate        = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
 		apps        = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
-		window      = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
 		classes     = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
 		preempt     = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -599,9 +598,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// Throughput is reported over 10-minute windows; library callers choose
+	// their own through metrics.Queueing and QueueingByClass.
+	const windowSec = 600
 	var q metrics.QueueMetrics
 	if open {
-		if q, err = metrics.Queueing(res, *window); err != nil {
+		if q, err = metrics.Queueing(res, windowSec); err != nil {
 			fail(err)
 		}
 	}
@@ -625,7 +627,7 @@ func main() {
 			out.Queueing = &q
 			if mix != nil {
 				out.PreemptKills = res.PreemptKills
-				if out.Classes, err = metrics.QueueingByClass(res, *window); err != nil {
+				if out.Classes, err = metrics.QueueingByClass(res, windowSec); err != nil {
 					fail(err)
 				}
 			}

@@ -11,13 +11,14 @@ import (
 )
 
 // RefPair keeps reference implementations and their optimised twins from
-// drifting apart structurally. Files named *_ref.go hold full-scan reference
-// paths (engine_ref.go) that differential tests replay against
-// the live indexed paths; if someone changes a live function's results (or
-// removes it) without updating the reference, the differential test can rot
-// into comparing different quantities. For every reference function —
-// a *_ref.go function whose name starts with "ref", or any function carrying
-// an explicit `//moevet:refpair <twin>` directive — the analyzer requires:
+// drifting apart structurally. Files named *_ref.go or *_ref_test.go hold
+// full-scan reference paths (engine_ref_test.go) that differential tests
+// replay against the live indexed paths; if someone changes a live
+// function's results (or removes it) without updating the reference, the
+// differential test can rot into comparing different quantities. For every
+// reference function — a function in such a file whose name starts with
+// "ref", or any function carrying an explicit `//moevet:refpair <twin>`
+// directive — the analyzer requires:
 //
 //  1. the twin exists in the same package (same receiver type for methods);
 //  2. the result types are identical;
@@ -31,7 +32,7 @@ import (
 // //moevet:allow refpair <reason>.
 var RefPair = &Analyzer{
 	Name: "refpair",
-	Doc:  "checks that reference implementations in *_ref.go keep signatures matching their optimised twins",
+	Doc:  "checks that reference implementations in *_ref.go and *_ref_test.go keep signatures matching their optimised twins",
 	Run:  runRefPair,
 }
 
@@ -40,7 +41,7 @@ const refPairDirective = "//moevet:refpair"
 func runRefPair(pass *Pass) {
 	for _, f := range pass.Files {
 		name := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		isRefFile := strings.HasSuffix(name, "_ref.go")
+		isRefFile := strings.HasSuffix(name, "_ref.go") || strings.HasSuffix(name, "_ref_test.go")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {

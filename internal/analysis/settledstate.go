@@ -63,7 +63,6 @@ var settleTouchPoints = map[string]bool{
 	"markDirty":          true,
 	// engine.go touch points.
 	"applyProfilePlan":   true,
-	"admitProfiling":     true,
 	"recomputeRates":     true,
 	"rateNode":           true,
 	"reclaimExecutor":    true,

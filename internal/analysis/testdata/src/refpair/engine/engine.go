@@ -1,6 +1,6 @@
 // Package engine is a refpair fixture: engine.go holds the live optimised
-// paths, engine_ref.go the full-scan references that must keep matching
-// signatures.
+// paths, engine_ref.go and engine_ref_test.go the full-scan references that
+// must keep matching signatures.
 package engine
 
 // Engine is a stand-in for the indexed simulation engine.

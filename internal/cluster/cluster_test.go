@@ -536,6 +536,49 @@ func TestAddForeignRejectsInvalidArguments(t *testing.T) {
 	if _, err := New(DefaultConfig()).AddForeign(0, "idle", 0, 0, 1); err != nil {
 		t.Errorf("zero CPU load and memory rejected: %v", err)
 	}
+
+	// A node that has left the fleet, failed or drained empty, takes no
+	// task; a draining node, held by a resident task, still takes one.
+	for _, tc := range []struct {
+		kind     NodeEventKind
+		resident bool
+		state    NodeState
+	}{
+		{NodeFail, false, NodeFailed},
+		{NodeDrain, false, NodeRemoved},
+		{NodeDrain, true, NodeDraining},
+	} {
+		c := New(DefaultConfig())
+		n := c.Nodes()[0]
+		if tc.resident {
+			if _, err := c.AddForeign(0, "resident", 0.5, 10, 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: tc.kind, Node: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.applyNodeEvents(); err != nil {
+			t.Fatal(err)
+		}
+		c.completeDrains()
+		if n.State() != tc.state {
+			t.Fatalf("node 0 is %v after a %v event, want %v", n.State(), tc.kind, tc.state)
+		}
+		f, err := c.AddForeign(0, "x", 0.5, 10, 100)
+		if tc.state == NodeDraining {
+			if err != nil {
+				t.Errorf("draining node rejected a foreign task: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrNodeUnavailable) || f != nil {
+			t.Errorf("%v node: got task %v, error %v; want ErrNodeUnavailable", tc.state, f, err)
+		}
+		if len(n.Foreign) != 0 || len(c.foreign) != 0 {
+			t.Errorf("%v node: rejected task touched the node", tc.state)
+		}
+	}
 }
 
 func TestTraceSamplesUtilization(t *testing.T) {

@@ -85,17 +85,17 @@ type Cluster struct {
 	foreign    []*ForeignTask
 	now        float64
 	trace      *Trace
-	nextNodeID int
 
 	// Event index (see eventindex.go): active sets and done-counters keep
 	// the per-event loops proportional to in-flight work, the dirty set and
 	// the wake heap keep rate recomputation proportional to what changed.
-	active        []*App         // apps not yet done, submission order
-	profiling     []*App         // apps currently profiling, submission order
-	activeForeign []*ForeignTask // foreign tasks not yet done, registration order
-	draining      []*Node        // nodes in the Draining state, drain order
-	doneApps      int
-	doneForeign   int
+	// The foreign tasks in flight are counted, not listed: len(foreign)
+	// minus doneForeign.
+	active      []*App  // apps not yet done, submission order
+	profiling   []*App  // apps currently profiling, submission order
+	draining    []*Node // nodes in the Draining state, drain order
+	doneApps    int
+	doneForeign int
 	// dirty is the set of nodes pending a rate recomputation, a bitset
 	// indexed by node ID (bit ID%64 of word ID/64); node IDs are their
 	// indices in nodes, so the set is walked in node order without sorting.
@@ -124,8 +124,9 @@ type Cluster struct {
 
 	// checkEvent, when set (differential property tests only), is invoked
 	// once per event-loop iteration with the profiling share and the chosen
-	// event dt, so a test can replay the scan-based reference engine against
-	// the indexed state and assert exact agreement.
+	// event dt, so a test can replay the scan-based references of
+	// engine_ref_test.go against the indexed state and assert exact
+	// agreement.
 	checkEvent func(share, dt float64, ok bool)
 
 	// victimBuf/bestVictimBuf are PreemptFor scratch: victims are collected
@@ -197,7 +198,6 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	slices.SortStableFunc(c.bySpread, func(a, b spreadEntry) int {
 		return cmp.Compare(b.share, a.share)
 	})
-	c.nextNodeID = len(specs)
 	if cfg.TraceInterval > 0 {
 		c.trace = newTrace(cfg.TraceInterval)
 	}
@@ -251,21 +251,30 @@ func (c *Cluster) AppendWaitingApps(buf []*App) []*App {
 // reject — no benchmark, or an input that is not positive and finite — is an
 // error, and nothing is registered.
 func (c *Cluster) AddReadyApp(job workload.Job) (*App, error) {
-	if err := (Submission{At: c.now, Job: job}).validate(); err != nil {
+	sub := Submission{At: c.now, Job: job}
+	if err := sub.validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	fleet, free := c.fleetSizes(job.InputGB)
+	a := c.register(sub)
+	a.State, a.ReadyTime = StateReady, c.now
+	return a, nil
+}
+
+// register appends a queued application for sub to the run, its fleet sized
+// from the nodes as they stand now.
+func (c *Cluster) register(sub Submission) *App {
+	fleet, free := c.fleetSizes(sub.Job.InputGB)
 	a := &App{
-		ID: len(c.apps), Job: job,
-		SubmitTime: c.now, ReadyTime: c.now, StartTime: -1, DoneTime: -1,
-		RemainingGB:  job.InputGB,
+		ID: len(c.apps), Job: sub.Job, Class: sub.Class,
+		SubmitTime: sub.At, ReadyTime: -1, StartTime: -1, DoneTime: -1,
+		RemainingGB:  sub.Job.InputGB,
 		MaxExecutors: fleet, freeFleet: free,
-		State:     StateReady,
+		State:     StateQueued,
 		settledAt: c.now, deadline: math.Inf(1),
 	}
 	c.apps = append(c.apps, a)
 	c.active = append(c.active, a)
-	return a, nil
+	return a
 }
 
 // fleetSizes sizes an application's executor fleet twice in one walk. Each
@@ -378,10 +387,17 @@ func (c *Cluster) refreshFleetCaps() {
 // node, typically before the run starts. A task added by a mid-run driver
 // starts at the cluster's current clock, not at t=0. The CPU load and
 // working set must be finite and non-negative and the work finite and
-// positive; a bad value is an error and leaves the node untouched.
+// positive; a bad value is an error and leaves the node untouched. A failed
+// or removed node is an ErrNodeUnavailable error. A draining node takes the
+// task, as it would take an OS process started outside YARN, and its
+// decommission waits for the task to finish.
 func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec float64) (*ForeignTask, error) {
 	if nodeID < 0 || nodeID >= len(c.nodes) {
 		return nil, fmt.Errorf("cluster: node %d out of range", nodeID)
+	}
+	n := c.nodes[nodeID]
+	if n.state == NodeFailed || n.state == NodeRemoved {
+		return nil, fmt.Errorf("%w: node %d is %v", ErrNodeUnavailable, nodeID, n.state)
 	}
 	// Written as !(x >= 0) so NaN fails too: a negative working set would
 	// credit the node free memory, and a NaN or infinite load or work would
@@ -391,16 +407,14 @@ func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec
 		return nil, fmt.Errorf("cluster: invalid foreign task %q: CPU load %v, memory %v GB, work %v s", name, cpuLoad, memoryGB, workSec)
 	}
 	f := &ForeignTask{
-		Name: name, Node: c.nodes[nodeID], CPULoad: cpuLoad,
+		Name: name, Node: n, CPULoad: cpuLoad,
 		MemoryGB: memoryGB, WorkSec: workSec, remaining: workSec,
 		StartTime: c.now, DoneTime: -1,
 		settledAt: c.now, deadline: math.Inf(1),
 	}
-	n := c.nodes[nodeID]
 	n.Foreign = append(n.Foreign, f)
 	c.nodeChanged(n)
 	c.foreign = append(c.foreign, f)
-	c.activeForeign = append(c.activeForeign, f)
 	return f, nil
 }
 
@@ -419,7 +433,7 @@ var (
 	ErrExecutorCap       = errors.New("cluster: app already at its executor cap")
 	ErrAlreadyOnNode     = errors.New("cluster: app already has an executor on node")
 	ErrChunkTooSmall     = errors.New("cluster: data allocation below minimum chunk")
-	ErrNodeUnavailable   = errors.New("cluster: node is draining or failed")
+	ErrNodeUnavailable   = errors.New("cluster: node is draining, failed or removed")
 	ErrShrinkReservation = errors.New("cluster: Grow cannot shrink the reservation")
 	ErrNotPreemptible    = errors.New("cluster: victim's class is not preemptible")
 	ErrNoPriority        = errors.New("cluster: preemptor does not outrank the victim")
@@ -743,14 +757,12 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 			return nil, err
 		}
 		c.completeDrains()
-		first, err := c.admitArrivals(sched)
-		if err != nil {
+		if err := c.admitArrivals(sched); err != nil {
 			return nil, err
 		}
 		if c.allDone() {
 			return c.result(), nil
 		}
-		c.admitProfiling(first)
 		c.refreshFleetCaps()
 		sched.Schedule(c)
 		c.recomputeRates()
@@ -772,39 +784,30 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 	return nil, fmt.Errorf("cluster: exceeded %d events under %s", limit, sched.Name())
 }
 
-// admitArrivals moves every submission whose time has come into the cluster
-// and returns the index of the first newly admitted application. All apps
-// arriving at the same instant are registered (visible via Apps()) before
-// any of their Prepare calls fire, preserving the pre-refactor closed-batch
-// semantics where a policy's Prepare could inspect the whole batch;
-// profiling plans are then gathered in arrival order.
-func (c *Cluster) admitArrivals(sched Scheduler) (int, error) {
+// admitArrivals moves every submission whose time has come into the
+// cluster. All apps arriving at the same instant are registered (visible via
+// Apps()) before any of their Prepare calls fire, preserving the
+// pre-refactor closed-batch semantics where a policy's Prepare could inspect
+// the whole batch; profiling plans are then gathered in arrival order.
+func (c *Cluster) admitArrivals(sched Scheduler) error {
 	const eps = 1e-9
 	first := len(c.apps)
 	for len(c.pending) > 0 && c.pending[0].At <= c.now+eps {
-		sub := c.pending[0]
+		c.register(c.pending[0])
 		c.pending = c.pending[1:]
-		fleet, free := c.fleetSizes(sub.Job.InputGB)
-		a := &App{
-			ID: len(c.apps), Job: sub.Job, Class: sub.Class,
-			SubmitTime: sub.At, ReadyTime: -1, StartTime: -1, DoneTime: -1,
-			RemainingGB:  sub.Job.InputGB,
-			MaxExecutors: fleet, freeFleet: free,
-			State:     StateQueued,
-			settledAt: c.now, deadline: math.Inf(1),
-		}
-		c.apps = append(c.apps, a)
-		c.active = append(c.active, a)
 	}
 	for _, app := range c.apps[first:] {
 		if err := c.applyProfilePlan(sched, app, sched.Prepare(c, app)); err != nil {
-			return first, err
+			return err
 		}
 	}
-	return first, nil
+	return nil
 }
 
 // applyProfilePlan validates one profiling plan and installs it on the app.
+// An app with nothing to profile is ready at once; any other moves onto the
+// coordinating node, where profiling runs share its capacity
+// processor-style.
 func (c *Cluster) applyProfilePlan(sched Scheduler, app *App, plan ProfilePlan) error {
 	if plan.VolumeGB < 0 || plan.ContributesGB < 0 || plan.ContributesGB > plan.VolumeGB+1e-9 {
 		return fmt.Errorf("cluster: %s returned invalid profiling plan %+v", sched.Name(), plan)
@@ -818,7 +821,13 @@ func (c *Cluster) applyProfilePlan(sched Scheduler, app *App, plan ProfilePlan) 
 	if plan.VolumeGB == 0 {
 		app.State = StateReady
 		app.ReadyTime = c.now
+		return nil
 	}
+	app.State = StateProfiling
+	c.profiling = append(c.profiling, app)
+	// A new profiling app needs a deadline even when the share does not move
+	// (refreshDeadlines only settles the set on a change).
+	c.touchApp(app)
 	return nil
 }
 
@@ -827,23 +836,6 @@ func (c *Cluster) applyProfilePlan(sched Scheduler, app *App, plan ProfilePlan) 
 // foreign tasks lost with their node).
 func (c *Cluster) allDone() bool {
 	return len(c.pending) == 0 && c.doneApps == len(c.apps) && c.doneForeign == len(c.foreign)
-}
-
-// admitProfiling moves every queued application onto the coordinating node;
-// profiling runs share the coordinator's capacity processor-style. Queued
-// apps are always the tail admitted this iteration (admission and this call
-// run back-to-back every event), so only apps[first:] is walked.
-func (c *Cluster) admitProfiling(first int) {
-	for _, a := range c.apps[first:] {
-		if a.State == StateQueued {
-			a.State = StateProfiling
-			a.settledAt = c.now
-			c.profiling = append(c.profiling, a)
-			// A new profiling app needs a deadline even when the share does
-			// not move (refreshDeadlines only settles the set on a change).
-			c.touchApp(a)
-		}
-	}
 }
 
 // profilingShare returns the rate scale applied to each profiling app so the
@@ -1205,7 +1197,7 @@ func (c *Cluster) advance(dt float64) {
 // order-preserving active/profiling lists in one sweep per completion event.
 func (c *Cluster) popCompletions() {
 	const tiny = 1e-9
-	appsDone, profilingLeft, foreignDone := false, false, false
+	appsDone, profilingLeft := false, false
 	for len(c.completions) > 0 {
 		top := c.completions[0]
 		if top.stale() {
@@ -1223,7 +1215,6 @@ func (c *Cluster) popCompletions() {
 			profilingLeft = profilingLeft || (wasProfiling && top.app.State != StateProfiling)
 		} else {
 			c.completeForeign(top.f)
-			foreignDone = foreignDone || top.f.done
 		}
 	}
 	if appsDone {
@@ -1247,19 +1238,6 @@ func (c *Cluster) popCompletions() {
 		}
 		clear(c.profiling[w:])
 		c.profiling = c.profiling[:w]
-	}
-	if foreignDone {
-		w := 0
-		for _, f := range c.activeForeign {
-			// Drops deadline completions and any task killed by a node
-			// failure since the last sweep (counted there already).
-			if !f.done {
-				c.activeForeign[w] = f
-				w++
-			}
-		}
-		clear(c.activeForeign[w:])
-		c.activeForeign = c.activeForeign[:w]
 	}
 }
 

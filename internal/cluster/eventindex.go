@@ -5,7 +5,7 @@ import "math"
 // This file is the engine's event index: the bookkeeping that makes one
 // event-loop iteration cost proportional to *what changed* instead of to the
 // size of the whole run. The scan-based engine (kept verbatim in
-// engine_ref.go as the differential-testing reference) rescanned every
+// engine_ref_test.go as the differential-testing reference) rescanned every
 // application, foreign task and node on every event, making long arrival
 // streams quadratic. The index splits the engine's event sources in two:
 //
@@ -370,7 +370,7 @@ func (c *Cluster) refreshDeadlines(share float64) {
 		c.setForeignDeadline(f)
 	}
 	c.touchedForeign = c.touchedForeign[:0]
-	if live := len(c.active) + len(c.activeForeign); len(c.completions) > 64 && len(c.completions) > 4*live {
+	if live := len(c.active) + len(c.foreign) - c.doneForeign; len(c.completions) > 64 && len(c.completions) > 4*live {
 		c.completions.compact()
 	}
 }
@@ -383,7 +383,6 @@ func (c *Cluster) resetIndex() {
 	c.active = c.active[:0]
 	c.profiling = c.profiling[:0]
 	c.doneApps = 0
-	c.activeForeign = c.activeForeign[:0]
 	c.doneForeign = 0
 	c.completions = c.completions[:0]
 	c.completionSeq = 0
@@ -397,7 +396,6 @@ func (c *Cluster) resetIndex() {
 			f.settledAt = c.now
 			f.deadline = math.Inf(1)
 			f.touched = false
-			c.activeForeign = append(c.activeForeign, f)
 		}
 	}
 	c.wakes = c.wakes[:0]

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzCompletionHeapMatchesScan fuzzes the indexed engine against the
-// full-scan references in engine_ref.go. Each input seeds a short random
+// scan references in engine_ref_test.go. Each input seeds a short random
 // closed batch (optionally with foreign co-runners, a mid-run memory hog,
 // trace sampling, a rack storm and drain migration) under the differential
 // scheduler of property_test.go, and the checker the property test installs

@@ -218,6 +218,33 @@ func TestNodeEventValidation(t *testing.T) {
 	if err == nil {
 		t.Error("run succeeded despite a fail event targeting a nonexistent node")
 	}
+
+	// A joined node takes the next fleet index as its ID, so an event can
+	// target it; one index further is still past the fleet.
+	cfg := DefaultConfig()
+	cfg.Nodes = 2
+	for _, target := range []int{cfg.Nodes, cfg.Nodes + 1} {
+		c := New(cfg)
+		if err := c.ScheduleNodeEvents(
+			NodeEvent{At: 10, Kind: NodeJoin},
+			NodeEvent{At: 20, Kind: NodeFail, Node: target},
+		); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.Run([]workload.Job{testJob(t, 50)}, &fullSpeedScheduler{})
+		if target == cfg.Nodes+1 {
+			if err == nil {
+				t.Errorf("run succeeded despite a fail event targeting node %d of a %d-node fleet", target, len(c.Nodes()))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Nodes()[target]; n.State() != NodeFailed || n.StateTime != 20 {
+			t.Errorf("joined node %d is %v since %v, want failed since 20", target, n.State(), n.StateTime)
+		}
+	}
 }
 
 // TestStormEventsDeterministic pins the seeded storm generator.

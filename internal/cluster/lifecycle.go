@@ -221,10 +221,9 @@ func (c *Cluster) applyNodeEvents() error {
 			if spec == (NodeSpec{}) {
 				spec = ReferenceNode()
 			}
-			n := newNode(c.nextNodeID, spec, c.now)
+			n := newNode(len(c.nodes), spec, c.now)
 			c.nodes = append(c.nodes, n)
 			c.indexSpread(n)
-			c.nextNodeID++
 			c.nodeChanged(n)
 		case NodeDrain:
 			n, err := c.nodeByID(ev.Node, ev.Kind)
@@ -311,8 +310,8 @@ func (c *Cluster) completeDrains() {
 
 // unblockNode drops the node's ID from every active application's OOM
 // blacklist when the node leaves the fleet for good (decommission or
-// failure). Node IDs are never reused — joins allocate from a monotone
-// counter — so a stale entry could never block a future node, but without
+// failure). Node IDs are never reused — a join takes the next fleet index
+// — so a stale entry could never block a future node, but without
 // this sweep the per-app maps grow with every decommissioned ID for the
 // app's whole lifetime (the blockedNodes leak). Behaviour is unchanged:
 // Removed/Failed nodes never pass the Available check that guards every
@@ -323,24 +322,23 @@ func (c *Cluster) unblockNode(id int) {
 	}
 }
 
-// nodeByID resolves a lifecycle event target. Failed nodes are invalid
-// targets (the event script is wrong); a decommissioned node resolves to
-// (nil, nil) — whether a drain completes before or after a later event
-// against the same node fires depends on workload timing, so the event is a
-// no-op rather than an error.
+// nodeByID resolves a lifecycle event target. A node's ID is its index in
+// the fleet. Failed nodes are invalid targets (the event script is wrong); a
+// decommissioned node resolves to (nil, nil) — whether a drain completes
+// before or after a later event against the same node fires depends on
+// workload timing, so the event is a no-op rather than an error.
 func (c *Cluster) nodeByID(id int, kind NodeEventKind) (*Node, error) {
-	for _, n := range c.nodes {
-		if n.ID == id {
-			if n.state == NodeFailed {
-				return nil, fmt.Errorf("cluster: %s event targets node %d, which already failed", kind, id)
-			}
-			if n.state == NodeRemoved {
-				return nil, nil
-			}
-			return n, nil
-		}
+	if id < 0 || id >= len(c.nodes) {
+		return nil, fmt.Errorf("cluster: %s event targets unknown node %d", kind, id)
 	}
-	return nil, fmt.Errorf("cluster: %s event targets unknown node %d", kind, id)
+	n := c.nodes[id]
+	if n.state == NodeFailed {
+		return nil, fmt.Errorf("cluster: %s event targets node %d, which already failed", kind, id)
+	}
+	if n.state == NodeRemoved {
+		return nil, nil
+	}
+	return n, nil
 }
 
 // failNode kills everything resident on the node and removes it from

@@ -27,8 +27,8 @@ import (
 //     the RemainingGB that caps their grows. TakeGrowable walks the set and
 //     clears it.
 //
-// refOpenNodes and refGrowable in engine_ref.go are the full-scan twins the
-// differential tests compare with on every event.
+// refOpenNodes and refGrowable in engine_ref_test.go are the full-scan twins
+// the differential tests compare with on every event.
 
 // nodeBit returns the word and bit of n in the node bitsets, growing every
 // bitset by a word when a joining node's ID opens one.

@@ -378,7 +378,7 @@ func (s *shadowIntegrator) step(dt float64) string {
 			}
 		}
 	}
-	for _, f := range s.c.activeForeign {
+	for _, f := range s.c.foreign {
 		if f.done {
 			continue
 		}
@@ -696,7 +696,7 @@ func installDiffHook(t *testing.T, c *Cluster, label string, scanEvery int) *dif
 // fleets, node events, tenant classes, preemption, foreign tasks, profiling,
 // shrunken and grown executors, traces, rack storms — runs with the engine's
 // per-event hook replaying the preserved scan-based reference paths
-// (engine_ref.go) against the indexed engine's state on every event,
+// (engine_ref_test.go) against the indexed engine's state on every event,
 // requiring exact (==, not approximate) agreement of the profiling share,
 // the chosen event dt, the completion check, the waiting set, every
 // in-flight app's fleet size, every stored rate, every stored completion
