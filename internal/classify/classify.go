@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"moespark/internal/parallel"
 )
@@ -59,16 +60,11 @@ func checkSamples(samples []Sample) (dim int, labels []int, err error) {
 		seen[s.Label] = true
 	}
 	labels = make([]int, 0, len(seen))
-	//moevet:allow maporder collected labels are insertion-sorted immediately below
+	//moevet:allow maporder collected labels are sorted immediately below
 	for l := range seen {
 		labels = append(labels, l)
 	}
-	// Insertion sort: label sets are tiny.
-	for i := 1; i < len(labels); i++ {
-		for j := i; j > 0 && labels[j] < labels[j-1]; j-- {
-			labels[j], labels[j-1] = labels[j-1], labels[j]
-		}
-	}
+	slices.Sort(labels)
 	return dim, labels, nil
 }
 

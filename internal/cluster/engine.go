@@ -1218,26 +1218,10 @@ func (c *Cluster) popCompletions() {
 		}
 	}
 	if appsDone {
-		w := 0
-		for _, a := range c.active {
-			if a.State != StateDone {
-				c.active[w] = a
-				w++
-			}
-		}
-		clear(c.active[w:])
-		c.active = c.active[:w]
+		c.active = slices.DeleteFunc(c.active, func(a *App) bool { return a.State == StateDone })
 	}
 	if profilingLeft {
-		w := 0
-		for _, a := range c.profiling {
-			if a.State == StateProfiling {
-				c.profiling[w] = a
-				w++
-			}
-		}
-		clear(c.profiling[w:])
-		c.profiling = c.profiling[:w]
+		c.profiling = slices.DeleteFunc(c.profiling, func(a *App) bool { return a.State != StateProfiling })
 	}
 }
 

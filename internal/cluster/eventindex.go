@@ -1,6 +1,9 @@
 package cluster
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the engine's event index: the bookkeeping that makes one
 // event-loop iteration cost proportional to *what changed* instead of to the
@@ -228,16 +231,8 @@ func (e completionEntry) stale() bool {
 // compact drops every stale entry and re-heapifies in place. Pop order is
 // fully determined by (at, seq), so rebuilding cannot reorder events.
 func (h *completionHeap) compact() {
-	w := 0
-	for _, e := range *h {
-		if !e.stale() {
-			(*h)[w] = e
-			w++
-		}
-	}
-	clear((*h)[w:])
-	*h = (*h)[:w]
-	for i := w/2 - 1; i >= 0; i-- {
+	*h = slices.DeleteFunc(*h, completionEntry.stale)
+	for i := len(*h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }

@@ -88,30 +88,27 @@ func (c *Cluster) migrateExecutor(e *Executor) bool {
 	return true
 }
 
-// handoffExecutor retires the draining executor into the app's first sibling
-// executor on an available node (node-scan order): the executor's state
-// ships to the sibling, which is gated for the transfer time, and the
-// executor leaves without charging any work back — its processed items stay
-// processed, and the app's remaining work keeps flowing through the
-// surviving fleet. Returns false when the app has no sibling on a safe node.
+// handoffExecutor retires the draining executor into the app's least-gated
+// sibling executor on an available node: the executor's state ships to the
+// sibling, which is gated for the transfer time, and the executor leaves
+// without charging any work back — its processed items stay processed, and
+// the app's remaining work keeps flowing through the surviving fleet.
+// Returns false when the app has no sibling on a safe node.
 func (c *Cluster) handoffExecutor(e *Executor) bool {
 	app := e.App
-	// Ship to the least-gated sibling (ties keep node-scan order): a
-	// correlated storm hands several executors of the same app off in one
-	// batch, and always picking the first sibling would serialize every
-	// transfer behind one receiver.
+	// Ship to the least-gated sibling, the lower node ID on equal gates (node
+	// IDs are fleet indices, so that is node-scan order): a correlated storm
+	// hands several executors of the same app off in one batch, and always
+	// picking the first sibling would serialize every transfer behind one
+	// receiver.
 	var sibling *Executor
-	for _, cand := range c.nodes {
-		if !cand.Available() || cand == e.Node {
+	for _, x := range app.Executors {
+		if x == e || !x.Node.Available() {
 			continue
 		}
-		for _, x := range cand.Executors {
-			if x.App == app {
-				if sibling == nil || x.gateUntil < sibling.gateUntil {
-					sibling = x
-				}
-				break // at most one executor per app per node
-			}
+		if sibling == nil || x.gateUntil < sibling.gateUntil ||
+			(x.gateUntil == sibling.gateUntil && x.Node.ID < sibling.Node.ID) {
+			sibling = x
 		}
 	}
 	if sibling == nil {

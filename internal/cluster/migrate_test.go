@@ -217,6 +217,44 @@ func TestMigrateHandoffToSibling(t *testing.T) {
 	}
 }
 
+// TestMigrateHandoffTieKeepsNodeOrder drains a node whose app spans the
+// other two, with neither sibling gated: the handoff must go to the lower
+// node ID although the app spawned on node 2 before node 1, so its
+// App.Executors order differs from node order.
+func TestMigrateHandoffTieKeepsNodeOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 3
+	cfg.MigrateOnDrain = true
+	c := New(cfg)
+	app := addReady(t, c, testJob(t, 200))
+	app.MaxExecutors = 3
+	var execs [3]*Executor
+	for _, id := range []int{0, 2, 1} {
+		n := c.Nodes()[id]
+		e, err := c.Spawn(app, n, n.FreeGB()/2, app.RemainingGB/3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs[id] = e
+	}
+	// Work done on the drained node gives the handoff a positive ship time,
+	// so the receiving sibling's gate shows which one it was.
+	//moevet:allow settledstate hand-built executor with no engine run; its processed work sets the ship time
+	execs[0].processedGB = 4
+	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeDrain, Node: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	if app.Migrations != 1 || len(app.Executors) != 2 {
+		t.Fatalf("migrations = %d with %d executors left, want one handoff leaving 2", app.Migrations, len(app.Executors))
+	}
+	if execs[1].gateUntil <= 0 || execs[2].gateUntil != 0 {
+		t.Errorf("gates: node 1 %v, node 2 %v; want the handoff to gate node 1 only", execs[1].gateUntil, execs[2].gateUntil)
+	}
+}
+
 // TestMigrateNoFeasibleTargetStays drains the only node in the fleet: with
 // no relocation target and no sibling the executor must finish in place —
 // the pre-migration drain semantics — and the node decommissions only

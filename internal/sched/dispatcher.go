@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"slices"
+
 	"moespark/internal/cluster"
+	"moespark/internal/moe"
 )
 
 // Dispatcher is the paper's job dispatcher (Section 4.3) generalised over
@@ -53,7 +56,7 @@ type Dispatcher struct {
 	// Reusable scratch buffers: Schedule sits on the simulation's hottest
 	// path, and regrowing these every call shows up in the placement
 	// benchmark.
-	cand    scoredNodes
+	cand    []candidate
 	waitBuf []*cluster.App
 	growBuf []*cluster.Executor
 }
@@ -74,14 +77,19 @@ func (d *Dispatcher) Prepare(_ *cluster.Cluster, app *cluster.App) cluster.Profi
 	return d.Est.Prepare(app)
 }
 
-// Observe implements cluster.Observer: realised footprints are forwarded to
-// the estimator when it participates in the online prediction pipeline, and
-// dropped otherwise. Forwarding only ever updates model state, never cluster
-// state. An executor's prediction is est.Footprint(e.ItemsGB) of its app's
-// estimate, which never changes after Prepare.
+// Observe implements cluster.Observer: when the estimator's predictor is a
+// moe.Learner, it is told the executor's realised footprint against the
+// prediction its app was planned with; otherwise the report is dropped.
+// Forwarding only ever updates model state, never cluster state. An
+// executor's prediction is est.Footprint(e.ItemsGB) of its app's estimate,
+// which never changes after Prepare.
 func (d *Dispatcher) Observe(_ *cluster.Cluster, e *cluster.Executor, _ cluster.ExecOutcome) {
-	if obs, ok := d.Est.(observingEstimator); ok {
-		obs.Observe(e)
+	m, ok := d.Est.(*moeEstimator)
+	if !ok || m.learner == nil {
+		return
+	}
+	if est, ok := estimateOf(e.App); ok && est.pred != nil {
+		m.learner.Observe(moe.Observation{Prediction: est.pred, ItemsGB: e.ItemsGB, ActualGB: e.NeedGB})
 	}
 }
 
@@ -152,31 +160,20 @@ func (d *Dispatcher) appendWaiting(c *cluster.Cluster) []*cluster.App {
 // each such rise marks the node for the next query; so the pass grows
 // exactly what a walk of every running app's executors would grow, in the
 // same order. The query consumes the engine's marks, so this pass must stay
-// its only caller. An app's estimate is fetched once one of its executors
-// can grow.
+// its only caller.
 func (d *Dispatcher) growExecutors(c *cluster.Cluster, execs []*cluster.Executor) {
-	var app *cluster.App
-	var est MemEstimate
-	haveEst, noEst := false, false
 	margin := 1 + d.SafetyMargin
 	for _, e := range execs {
-		if e.App != app {
-			app, haveEst, noEst = e.App, false, false
-		}
 		// An earlier grow in this pass may have taken the node's memory.
 		free := e.Node.FreeGB()
-		if noEst || free <= cluster.GrowMinFreeGB {
+		if free <= cluster.GrowMinFreeGB {
 			continue
 		}
-		if !haveEst {
-			var ok bool
-			if est, ok = estimateOf(app); !ok {
-				noEst = true
-				continue
-			}
-			haveEst = true
+		est, ok := estimateOf(e.App)
+		if !ok {
+			continue
 		}
-		items := clampItems(est.Items((e.ReservedGB+free)/margin), app.RemainingGB)
+		items := clampItems(est.Items((e.ReservedGB+free)/margin), e.App.RemainingGB)
 		if items > e.FairShareGB {
 			items = e.FairShareGB
 		}
@@ -246,7 +243,9 @@ func wantsExecutor(app *cluster.App) bool {
 // first fit (a nil Placer) no node outranks a tier-0 node met earlier in
 // the walk, so the walk spawns on each tier-0 node as it meets it and stops
 // once the fleet is full; only higher-tier nodes are kept, and they are
-// tried in order after the walk. A Placer keeps every candidate.
+// tried in order after the walk. A Placer keeps every candidate. The kept
+// candidates are sorted stably by tier, then descending score, so equal
+// ranks keep node-scan order.
 func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	if !wantsExecutor(app) {
 		return
@@ -255,7 +254,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	// The estimate is app-level state: fetch it once per placement pass and
 	// thread it through planning.
 	est, haveEst := estimateOf(app)
-	d.cand.reset()
+	d.cand = d.cand[:0]
 	for n := range c.OpenNodes() {
 		if !app.CanUse(n, c.Now()) || !d.admits(n, demand) {
 			continue
@@ -265,11 +264,11 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 			tier = outranking(app, n)
 		}
 		if d.Placer != nil {
-			d.cand.add(n, tier, d.Placer.Score(app, n))
+			d.cand = append(d.cand, candidate{n, tier, d.Placer.Score(app, n)})
 			continue
 		}
 		if tier > 0 {
-			d.cand.add(n, tier, 0)
+			d.cand = append(d.cand, candidate{n, tier, 0})
 			continue
 		}
 		d.spawnOn(c, app, n, est, haveEst)
@@ -277,11 +276,12 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 			return
 		}
 	}
-	// Best first: pop only until the fleet is full, so the candidates it
-	// never reaches are never ordered.
-	d.cand.heapify()
-	for len(d.cand) > 0 && wantsExecutor(app) {
-		d.spawnOn(c, app, d.cand.pop(), est, haveEst)
+	slices.SortStableFunc(d.cand, compareCandidates)
+	for _, k := range d.cand {
+		if !wantsExecutor(app) {
+			return
+		}
+		d.spawnOn(c, app, k.node, est, haveEst)
 	}
 }
 

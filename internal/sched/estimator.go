@@ -31,16 +31,6 @@ type Estimator interface {
 	Prepare(app *cluster.App) cluster.ProfilePlan
 }
 
-// observingEstimator is an Estimator that consumes the engine's realised
-// footprint reports (the cluster.Observer flow): the dispatcher forwards
-// each observed executor so the estimator's model can recalibrate
-// mid-stream. Observe is invoked once per executor whose true footprint
-// became known (app completion or OOM kill); it must not mutate the
-// cluster.
-type observingEstimator interface {
-	Observe(e *cluster.Executor)
-}
-
 // MemEstimate predicts the memory footprint of one application's executor
 // as a function of its data allocation.
 //

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+
 	"moespark/internal/cluster"
 )
 
@@ -78,79 +80,18 @@ func (p rackSpread) Score(app *cluster.App, n *cluster.Node) float64 {
 
 // candidate is one admissible node of a placement with its rank: its tier
 // (on a NewPriority copy, the executors it hosts of a strictly higher class
-// weight; otherwise 0), the Placer's score and its gather (node-scan) order.
+// weight; otherwise 0) and the Placer's score.
 type candidate struct {
 	node  *cluster.Node
 	tier  int
 	score float64
-	order int
 }
 
-// before is the placement order: lower tier first, then higher score, then
-// earlier gather order. Gather orders are distinct, so it is a strict total
-// order and each pop returns the candidate a stable sort by tier, then
-// descending score, would have put next.
-func (a *candidate) before(b *candidate) bool {
+// compareCandidates is the placement order: lower tier first, then higher
+// score. placeApp sorts stably, so equal tier and score keep node-scan order.
+func compareCandidates(a, b candidate) int {
 	if a.tier != b.tier {
-		return a.tier < b.tier
+		return cmp.Compare(a.tier, b.tier)
 	}
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.order < b.order
-}
-
-// scoredNodes is the dispatcher's reusable candidate heap, so nothing
-// allocates once it is warm. It holds every candidate of a scored placer
-// and, under first fit, only those above tier 0. heapify orders it as a
-// heap under before, and pop hands the candidates out best-first, so a
-// placement that fills its fleet after a few pops never orders the
-// candidates it does not reach.
-type scoredNodes []candidate
-
-func (s *scoredNodes) reset() { *s = (*s)[:0] }
-
-func (s *scoredNodes) add(n *cluster.Node, tier int, score float64) {
-	*s = append(*s, candidate{node: n, tier: tier, score: score, order: len(*s)})
-}
-
-// heapify arranges the candidates as a heap under before, in linear time.
-func (s scoredNodes) heapify() {
-	for i := len(s)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
-// pop removes and returns the best candidate left in a heapified buffer; the
-// buffer must not be empty.
-func (s *scoredNodes) pop() *cluster.Node {
-	h := *s
-	best, last := h[0].node, len(h)-1
-	h[0] = h[last]
-	*s = h[:last]
-	s.siftDown(0)
-	return best
-}
-
-// siftDown moves the candidate at i down until neither child comes before
-// it.
-func (s scoredNodes) siftDown(i int) {
-	n := len(s)
-	for {
-		best, l := i, 2*i+1
-		if l >= n {
-			return
-		}
-		if s[l].before(&s[best]) {
-			best = l
-		}
-		if r := l + 1; r < n && s[r].before(&s[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		s[i], s[best] = s[best], s[i]
-		i = best
-	}
+	return cmp.Compare(b.score, a.score)
 }

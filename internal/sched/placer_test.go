@@ -1,8 +1,7 @@
 package sched
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"moespark/internal/cluster"
@@ -107,84 +106,22 @@ func TestPlacerSkipsUnavailableNodes(t *testing.T) {
 	}
 }
 
-// TestScoredNodesStableSort pins the candidate order: lower tier first, then
-// higher score, and equal tier and score keep insertion order, so constant
-// scorers degrade to first fit within a tier.
+// TestScoredNodesStableSort pins the candidate order placeApp sorts into:
+// lower tier first, then higher score, and equal tier and score keep
+// insertion order, so constant scorers degrade to first fit within a tier.
 func TestScoredNodesStableSort(t *testing.T) {
-	var s scoredNodes
 	nodes := cluster.New(cluster.DefaultConfig()).Nodes()[:6]
 	tiers := []int{0, 1, 0, 0, 1, 0}
 	scores := []float64{1, 9, 3, 1, 9, 2}
+	var s []candidate
 	for i, n := range nodes {
-		s.add(n, tiers[i], scores[i])
+		s = append(s, candidate{n, tiers[i], scores[i]})
 	}
-	s.heapify()
+	slices.SortStableFunc(s, compareCandidates)
 	wantIDs := []int{2, 5, 0, 3, 1, 4}
 	for i, want := range wantIDs {
-		if n := s.pop(); n.ID != want {
+		if n := s[i].node; n.ID != want {
 			t.Errorf("rank %d = node %d, want %d", i, n.ID, want)
-		}
-	}
-	if len(s) != 0 {
-		t.Errorf("%d candidates left after popping all", len(s))
-	}
-}
-
-// TestScoredNodesPopMatchesStableSort pins best-first selection to a full
-// sort: popping every candidate of a heapified buffer returns exactly
-// sort.SliceStable's order by tier, then descending score, and stopping
-// after k pops returns its first k. Scores come from a handful of values,
-// so ties are common, and span more than any tier penalty could.
-func TestScoredNodesPopMatchesStableSort(t *testing.T) {
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = 300
-	nodes := cluster.New(cfg).Nodes()
-	r := rand.New(rand.NewSource(1))
-	base := []float64{-5e6, 0, 0.25, 0.5, 1, 1.2, 5e6}
-	var s scoredNodes
-	for trial := 0; trial < 500; trial++ {
-		count := 1 + r.Intn(len(nodes))
-		tiers := make([]int, count)
-		scores := make([]float64, count)
-		for i := range scores {
-			tiers[i], scores[i] = r.Intn(3), base[r.Intn(len(base))]
-		}
-		fill := func() {
-			s.reset()
-			for i := range scores {
-				s.add(nodes[i], tiers[i], scores[i])
-			}
-		}
-		want := make([]int, count)
-		for i := range want {
-			want[i] = i
-		}
-		sort.SliceStable(want, func(i, j int) bool {
-			a, b := want[i], want[j]
-			if tiers[a] != tiers[b] {
-				return tiers[a] < tiers[b]
-			}
-			return scores[a] > scores[b]
-		})
-
-		fill()
-		s.heapify()
-		for rank, w := range want {
-			if n := s.pop(); n != nodes[w] {
-				t.Fatalf("trial %d: rank %d = node %d, want %d", trial, rank, n.ID, nodes[w].ID)
-			}
-		}
-
-		k := r.Intn(count + 1)
-		fill()
-		s.heapify()
-		for rank := 0; rank < k; rank++ {
-			if n := s.pop(); n != nodes[want[rank]] {
-				t.Fatalf("trial %d, stop at %d: rank %d = node %d, want %d", trial, k, rank, n.ID, nodes[want[rank]].ID)
-			}
-		}
-		if len(s) != count-k {
-			t.Fatalf("trial %d: %d candidates left after %d of %d pops", trial, len(s), k, count)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func (oracleEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 // moeEstimator is the paper's runtime predictor generalised over the
 // prediction pipeline: feature extraction on a ~100MB slice, expert
 // selection and two-point calibration happen behind the moe.Predictor
-// interface, and when the predictor is a moe.Learner every realised
-// footprint the engine reports is fed back to it.
+// interface, and when the predictor is a moe.Learner, Dispatcher.Observe
+// feeds every realised footprint the engine reports back to it.
 type moeEstimator struct {
 	pred moe.Predictor
 	// learner is pred when it learns from observations, nil otherwise.
@@ -130,17 +130,6 @@ func (e *moeEstimator) Prepare(app *cluster.App) cluster.ProfilePlan {
 		app.PredictedGB = est.Footprint(app.Job.InputGB / float64(app.MaxExecutors))
 	}
 	return plan
-}
-
-// Observe implements observingEstimator: a learning predictor is told the
-// executor's realised footprint against the prediction its app was planned
-// with.
-func (e *moeEstimator) Observe(ex *cluster.Executor) {
-	est, ok := estimateOf(ex.App)
-	if !ok || est.pred == nil {
-		return
-	}
-	e.learner.Observe(moe.Observation{Prediction: est.pred, ItemsGB: ex.ItemsGB, ActualGB: ex.NeedGB})
 }
 
 // onlineSearchEstimator models the Figure 10 baseline: descent-gradient
